@@ -15,12 +15,7 @@ from .dynamics import (
     StrategyTag,
     lyapunov_value,
     make_rhs,
-    rhs_first_order_dist,
     rhs_gradient_play,
-    rhs_sat_gradient_play,
-    rhs_second_order_central,
-    rhs_second_order_dist,
-    rhs_second_order_dist_sat,
     sat,
     sat_integral,
 )

@@ -22,8 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tuning
-from .config import ConfigError, parse_config
-from .dynamics import StrategyTag
+from .config import ConfigError, parse_config, read_document
 from .errors import (
     DisconnectedGraphError,
     DivergenceError,
@@ -67,21 +66,8 @@ def _set_dotted(doc, dotted, value):
     return doc
 
 
-def _load_doc(path):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    return doc
-
-
 def cmd_run(args):
-    doc = _apply_overrides(_load_doc(args.config), args)
+    doc = _apply_overrides(read_document(args.config), args)
     base_cfg = parse_config(doc)
     if base_cfg.output is None:
         raise ConfigError("run requires an output section (trajectory and summary paths)")
@@ -114,50 +100,15 @@ def cmd_run(args):
 
 
 def cmd_tune(args):
-    doc = _apply_overrides(_load_doc(args.config), args)
+    doc = _apply_overrides(read_document(args.config), args)
     cfg = parse_config(doc)
-    game, graph, gains = cfg.game, cfg.graph, cfg.gains
-    ov = cfg.tuner_overrides
-    lbar = np.asarray(ov["lipschitz_constants"], float) if "lipschitz_constants" in ov else None
-    m = ov.get("monotonicity_m")
-    sup_h = ov.get("sup_jacobian_norm")
-
-    if cfg.tag is StrategyTag.SECOND_ORDER_CENTRAL:
-        report = tuning.alpha_beta_star(game, alpha=gains.alpha, beta=gains.beta, m=m)
-    elif cfg.tag is StrategyTag.SAT_GRAD_PLAY:
-        if m is None:
-            m_val, certified = game.monotonicity_constant(rng=args.seed)
-            if not certified or m_val <= 0.0:
-                raise NotStronglyMonotoneError(
-                    "monotonicity is uncertified for this game; supply it in tuner_overrides"
-                )
-        else:
-            m_val = float(m)
-        report = tuning.TunerReport(
-            strategy=cfg.tag,
-            m=m_val,
-            lbar=lbar if lbar is not None else tuning.lipschitz_constants(game),
-            caveats=("saturated gradient play has no gain condition beyond m > 0",),
-        )
-    else:
-        tb = gains.theta_bar_vec(game.n_players, game.action_dim)
-        M = estimation_matrix(graph, game.action_dim)
+    lyap = None
+    if cfg.layout.has_estimates:
+        game = cfg.game
+        tb = cfg.gains.theta_bar_vec(game.n_players, game.action_dim)
+        M = estimation_matrix(cfg.graph, game.action_dim)
         lyap = solve_lyapunov(M, tb, cfg.lyapunov_q)
-        if cfg.tag is StrategyTag.FIRST_ORDER_DIST:
-            report = tuning.theta_star_first_order(
-                game, graph, lyap, theta=gains.theta, lbar=lbar, m=m, sup_h_norm=sup_h
-            )
-        else:
-            report = tuning.theta_bounds_second_order(
-                game,
-                graph,
-                lyap,
-                gains,
-                saturated=cfg.tag is StrategyTag.SECOND_ORDER_DIST_SAT,
-                theta=gains.theta,
-                lbar=lbar,
-                m=m,
-            )
+    report = tuning.gain_report(cfg, lyap)
 
     flat = report.as_dict()
     for key, val in flat.items():
@@ -175,7 +126,7 @@ def cmd_tune(args):
 
 
 def cmd_oracle(args):
-    doc = _apply_overrides(_load_doc(args.config), args)
+    doc = _apply_overrides(read_document(args.config), args)
     cfg = parse_config(doc)
     if not isinstance(cfg.game, QuadraticGame):
         raise NotStronglyMonotoneError(

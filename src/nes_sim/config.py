@@ -21,7 +21,7 @@ from .graphs import CommGraph
 from .presets import GAME_REGISTRY
 from .simulate import SimConfig
 
-__all__ = ["ExperimentConfig", "parse_config", "load_config"]
+__all__ = ["ExperimentConfig", "parse_config", "read_document", "load_config"]
 
 _TOP_KEYS = {"game", "graph", "strategy", "sim", "init", "output", "sweep"}
 _GAME_KEYS = {"type", "r", "p_vec", "q", "m_weights", "name"}
@@ -328,15 +328,31 @@ def parse_config(doc):
     )
 
 
-def load_config(path):
-    """Read and parse a JSON configuration file."""
+def read_document(path):
+    """Read a JSON configuration file into a dict without validating it.
+
+    Strict JSON: ``NaN``, ``Infinity`` and literals that overflow to
+    infinity are refused.
+    """
+
+    def finite(text):
+        val = float(text)
+        if not np.isfinite(val):
+            raise ConfigError(f"{path}: {text} is not a finite number")
+        return val
+
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_float=finite, parse_constant=finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    return parse_config(doc)
+    return doc
+
+
+def load_config(path):
+    """Read and parse a JSON configuration file."""
+    return parse_config(read_document(path))

@@ -42,12 +42,7 @@ __all__ = [
     "StateLayout",
     "sat",
     "sat_integral",
-    "rhs_sat_gradient_play",
     "rhs_gradient_play",
-    "rhs_first_order_dist",
-    "rhs_second_order_central",
-    "rhs_second_order_dist",
-    "rhs_second_order_dist_sat",
     "make_rhs",
     "lyapunov_value",
 ]
@@ -299,21 +294,6 @@ class GainSet:
         return np.repeat(k, action_dim)
 
 
-def _tile(vec, n):
-    # 1_N (x) vec in the player-major stacking
-    return np.tile(vec, n)
-
-
-def rhs_sat_gradient_play(game, state, sat_spec):
-    """Saturated gradient play: each action moves against the clamped own
-    gradient evaluated at the true joint action. ``u = dx``."""
-    layout = StateLayout(StrategyTag.SAT_GRAD_PLAY, game.n_players, game.action_dim)
-    x = layout.check(state)
-    sat_spec.check_size(x.size)
-    u = sat(-game.pseudo_gradient(x), sat_spec)
-    return u.copy(), u
-
-
 def rhs_gradient_play(game, state):
     """Plain (unclamped) gradient play; the unsaturated reference flow."""
     layout = StateLayout(StrategyTag.SAT_GRAD_PLAY, game.n_players, game.action_dim)
@@ -322,86 +302,15 @@ def rhs_gradient_play(game, state):
     return u.copy(), u
 
 
-def rhs_first_order_dist(game, M, state, gains, sat_spec):
-    """Distributed first-order seeking with consensus estimation.
-
-    Each agent clamps the gradient at its local estimate; the stacked
-    estimates contract toward the tiled true action through M scaled by
-    theta * theta_bar.
-    """
-    gains.require("theta")
-    layout = StateLayout(StrategyTag.FIRST_ORDER_DIST, game.n_players, game.action_dim)
-    s = layout.check(state)
-    blocks = layout.split(s)
-    x, y = blocks["x"], blocks["y"]
-    sat_spec.check_size(x.size)
-    tb = gains.theta_bar_vec(game.n_players, game.action_dim)
-    u = sat(-game.own_gradients_at_estimates(y), sat_spec)
-    dy = -gains.theta * tb * (M @ (y - _tile(x, game.n_players)))
-    return np.concatenate([u, dy]), u
-
-
-def rhs_second_order_central(game, state, gains):
-    """Centralized second-order seeking; the control is unbounded by design."""
-    gains.require("alpha", "beta")
-    layout = StateLayout(StrategyTag.SECOND_ORDER_CENTRAL, game.n_players, game.action_dim)
-    s = layout.check(state)
-    blocks = layout.split(s)
-    x, nu = blocks["x"], blocks["nu"]
-    u = -gains.alpha * game.pseudo_gradient(x) - gains.beta * nu - game.game_jacobian(x) @ nu
-    return np.concatenate([nu, u]), u
-
-
-def _reference_rate(game, y, gains):
-    # z-dynamics: gradient descent at the consensus estimates, gain theta1 * K
-    kbar = gains.theta1 * gains.k_vec(game.n_players, game.action_dim)
-    return -kbar * game.own_gradients_at_estimates(y)
-
-
-def rhs_second_order_dist(game, M, state, gains):
-    """Distributed second-order seeking via reference tracking; unbounded u.
-
-    The auxiliary reference z descends the gradient at the consensus
-    estimates, the estimates track the tiled reference, and the
-    double-integrator action tracks z with critically coupled position and
-    velocity errors. The reference rate is substituted algebraically from
-    the current state, never numerically differentiated.
-    """
-    gains.require("theta", "theta1", "K")
-    layout = StateLayout(StrategyTag.SECOND_ORDER_DIST, game.n_players, game.action_dim)
-    s = layout.check(state)
-    blocks = layout.split(s)
-    x, nu, z, y = blocks["x"], blocks["nu"], blocks["z"], blocks["y"]
-    zdot = _reference_rate(game, y, gains)
-    u = -(x - z) - (nu - zdot)
-    tb = gains.theta_bar_vec(game.n_players, game.action_dim)
-    dy = -gains.theta * gains.theta1 * tb * (M @ (y - _tile(z, game.n_players)))
-    return np.concatenate([nu, u, zdot, dy]), u
-
-
-def rhs_second_order_dist_sat(game, M, state, gains, sat_spec):
-    """Distributed second-order seeking with the tracking control clamped."""
-    gains.require("theta", "theta1", "K")
-    layout = StateLayout(StrategyTag.SECOND_ORDER_DIST_SAT, game.n_players, game.action_dim)
-    s = layout.check(state)
-    blocks = layout.split(s)
-    x, nu, z, y = blocks["x"], blocks["nu"], blocks["z"], blocks["y"]
-    sat_spec.check_size(x.size)
-    zdot = _reference_rate(game, y, gains)
-    u = sat(-((x - z) + (nu - zdot)), sat_spec)
-    tb = gains.theta_bar_vec(game.n_players, game.action_dim)
-    dy = -gains.theta * gains.theta1 * tb * (M @ (y - _tile(z, game.n_players)))
-    return np.concatenate([nu, u, zdot, dy]), u
-
-
 def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None, M=None):
     """Bind a strategy's vector field to its game, graph, and gains.
 
-    Returns ``(rhs, layout)`` where ``rhs(state) -> (dstate, u)``. The
-    estimation matrix is assembled once here for the distributed
-    strategies (or pass a precomputed ``M``). The returned closures hoist
-    every loop-invariant quantity but evaluate arithmetic identical to the
-    plain ``rhs_*`` functions, so results match those bitwise.
+    Returns ``(rhs, layout)`` where ``rhs(state) -> (dstate, u)``. This is
+    the one place each control law is written. The estimation matrix is
+    assembled once here for the distributed strategies (or pass a
+    precomputed ``M``); gains, bounds and coefficients are validated and
+    hoisted out of the returned closure. A state of the wrong length
+    raises ``LayoutMismatchError``.
     """
     tag = StrategyTag(tag)
     layout = StateLayout(tag, game.n_players, game.action_dim)
@@ -409,15 +318,13 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None, M=None):
         if graph is None:
             raise ValueError(f"strategy {tag.value} requires a communication graph")
         M = estimation_matrix(graph, game.action_dim)
-    if tag in _SATURATED and sat_spec is None:
-        raise ValueError(f"strategy {tag.value} requires saturation bounds")
+    if tag in _SATURATED:
+        if sat_spec is None:
+            raise ValueError(f"strategy {tag.value} requires saturation bounds")
+        sat_spec.check_size(layout.action_size)
+    gains = gains if gains is not None else GainSet()
 
-    if tag is StrategyTag.SAT_GRAD_PLAY:
-        return (lambda s: rhs_sat_gradient_play(game, s, sat_spec)), layout
-    if tag is StrategyTag.SECOND_ORDER_CENTRAL:
-        return (lambda s: rhs_second_order_central(game, s, gains)), layout
-
-    n, d = game.n_players, layout.action_size
+    n, p, d = game.n_players, game.action_dim, layout.action_size
     size = layout.size
     tag_name = tag.value
 
@@ -429,13 +336,35 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None, M=None):
             )
         return s
 
-    if tag is StrategyTag.FIRST_ORDER_DIST:
-        gains.require("theta")
-        sat_spec.check_size(d)
-        tb = gains.theta_bar_vec(n, game.action_dim)
-        coef = -gains.theta * tb
+    if tag is StrategyTag.SAT_GRAD_PLAY:
 
         def rhs(s):
+            # each action moves against its clamped own gradient; u = dx
+            u = sat(-game.pseudo_gradient(check(s)), sat_spec)
+            return u.copy(), u
+
+        return rhs, layout
+
+    if tag is StrategyTag.SECOND_ORDER_CENTRAL:
+        gains.require("alpha", "beta")
+        alpha, beta = gains.alpha, gains.beta
+
+        def rhs(s):
+            # full-information damping through the game Jacobian; unbounded u
+            s = check(s)
+            x, nu = s[:d], s[d:]
+            u = -alpha * game.pseudo_gradient(x) - beta * nu - game.game_jacobian(x) @ nu
+            return np.concatenate([nu, u]), u
+
+        return rhs, layout
+
+    if tag is StrategyTag.FIRST_ORDER_DIST:
+        gains.require("theta")
+        coef = -gains.theta * gains.theta_bar_vec(n, p)
+
+        def rhs(s):
+            # clamped gradient at the local estimates; the estimates
+            # contract toward the tiled true action through M
             s = check(s)
             x, y = s[:d], s[d:]
             u = sat(-game.own_gradients_at_estimates(y), sat_spec)
@@ -444,22 +373,32 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None, M=None):
 
         return rhs, layout
 
+    # Distributed second order: the reference z descends the gradient at
+    # the consensus estimates (gain theta1 * K), the estimates track the
+    # tiled reference, and the double integrator tracks z. The reference
+    # rate is substituted algebraically, never differentiated numerically.
     gains.require("theta", "theta1", "K")
-    tb = gains.theta_bar_vec(n, game.action_dim)
-    coef = -gains.theta * gains.theta1 * tb
-    neg_kbar = -(gains.theta1 * gains.k_vec(n, game.action_dim))
-    saturated = tag is StrategyTag.SECOND_ORDER_DIST_SAT
-    if saturated:
-        sat_spec.check_size(d)
+    coef = -gains.theta * gains.theta1 * gains.theta_bar_vec(n, p)
+    neg_kbar = -(gains.theta1 * gains.k_vec(n, p))
+
+    if tag is StrategyTag.SECOND_ORDER_DIST:
+
+        def rhs(s):
+            s = check(s)
+            x, nu, z, y = s[:d], s[d : 2 * d], s[2 * d : 3 * d], s[3 * d :]
+            zdot = neg_kbar * game.own_gradients_at_estimates(y)
+            u = -(x - z) - (nu - zdot)
+            dy = coef * (M @ (y - np.tile(z, n)))
+            return np.concatenate([nu, u, zdot, dy]), u
+
+        return rhs, layout
 
     def rhs(s):
+        # SECOND_ORDER_DIST_SAT: the tracking control is clamped
         s = check(s)
         x, nu, z, y = s[:d], s[d : 2 * d], s[2 * d : 3 * d], s[3 * d :]
         zdot = neg_kbar * game.own_gradients_at_estimates(y)
-        if saturated:
-            u = sat(-((x - z) + (nu - zdot)), sat_spec)
-        else:
-            u = -(x - z) - (nu - zdot)
+        u = sat(-((x - z) + (nu - zdot)), sat_spec)
         dy = coef * (M @ (y - np.tile(z, n)))
         return np.concatenate([nu, u, zdot, dy]), u
 
@@ -509,7 +448,7 @@ def lyapunov_value(tag, game, state, *, gains=None, sat_spec=None, P=None, x_sta
         if P is None:
             raise ValueError("FIRST_ORDER_DIST Lyapunov value requires the matrix P")
         x, y = blocks["x"], blocks["y"]
-        e = y - _tile(x, game.n_players)
+        e = y - np.tile(x, game.n_players)
         return float(np.sum(sat_integral(game.pseudo_gradient(x), ub)) + e @ P @ e)
 
     if tag is StrategyTag.SECOND_ORDER_CENTRAL:
@@ -526,9 +465,9 @@ def lyapunov_value(tag, game, state, *, gains=None, sat_spec=None, P=None, x_sta
     if x_star.size != n:
         raise DimensionMismatchError("x_star", n, x_star.size)
     k = gains.k_vec(game.n_players, game.action_dim)
-    zdot = _reference_rate(game, y, gains)
+    zdot = -(gains.theta1 * k) * game.own_gradients_at_estimates(y)
     ez = z - x_star
-    ee = y - _tile(z, game.n_players)
+    ee = y - np.tile(z, game.n_players)
     ev = nu - zdot
     base = 0.5 * ez @ (ez / k) + ee @ P @ ee
 

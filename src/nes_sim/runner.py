@@ -77,33 +77,17 @@ class SummaryReport:
             fh.write("\n".join(self.lines()) + "\n")
 
 
+_ECHO_KEYS = ("theta_star", "theta1_star", "alpha_star", "beta_star", "m")
+
+
 def _tuner_echo(cfg, lyap):
-    """Best-effort gain-bound echo for the summary; empty on any failure."""
+    """The gain bounds ``tune`` reports, or ``error`` with the reason they failed."""
     try:
-        if cfg.tag is StrategyTag.FIRST_ORDER_DIST and lyap is not None:
-            rep = tuning.theta_star_first_order(cfg.game, cfg.graph, lyap, theta=cfg.gains.theta)
-            return {"theta_star": rep.theta_star, "m": rep.m}
-        if cfg.tag is StrategyTag.SECOND_ORDER_CENTRAL:
-            rep = tuning.alpha_beta_star(cfg.game, alpha=cfg.gains.alpha, beta=cfg.gains.beta)
-            return {"alpha_star": rep.alpha_star, "beta_star": rep.beta_star, "m": rep.m}
-        if cfg.tag in (StrategyTag.SECOND_ORDER_DIST, StrategyTag.SECOND_ORDER_DIST_SAT):
-            if lyap is None:
-                return {}
-            rep = tuning.theta_bounds_second_order(
-                cfg.game,
-                cfg.graph,
-                lyap,
-                cfg.gains,
-                saturated=cfg.tag is StrategyTag.SECOND_ORDER_DIST_SAT,
-                theta=cfg.gains.theta,
-            )
-            echo = {"theta_star": rep.theta_star, "m": rep.m}
-            if rep.theta1_star is not None:
-                echo["theta1_star"] = rep.theta1_star
-            return echo
-    except (NotStronglyMonotoneError, ValueError):
-        pass
-    return {}
+        report = tuning.gain_report(cfg, lyap).as_dict()
+    except ValueError as exc:  # NotStronglyMonotoneError included
+        # one line, so the summary stays key=value per line
+        return {"error": " ".join(str(exc).split())}
+    return {key: val for key, val in report.items() if key in _ECHO_KEYS}
 
 
 def run_experiment(cfg, write_outputs=True):

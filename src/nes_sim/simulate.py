@@ -56,9 +56,12 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if not self.t_end > 0.0:
             raise ValueError("t_end must be positive")
+        if not np.isfinite(self.t_end):
+            raise ValueError("t_end must be finite")
         if self.dt > self.t_end:
             raise ValueError("dt must not exceed t_end")
-        if int(self.record_stride) < 1:
+        stride = self.record_stride
+        if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
             raise ValueError("record_stride must be a positive integer")
         self.record_stride = int(self.record_stride)
         self.integrator = str(self.integrator).lower()

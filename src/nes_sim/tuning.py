@@ -27,6 +27,7 @@ __all__ = [
     "theta_star_first_order",
     "alpha_beta_star",
     "theta_bounds_second_order",
+    "gain_report",
 ]
 
 
@@ -231,9 +232,8 @@ def theta_bounds_second_order(
 ):
     """Gain bounds for the distributed second-order strategies.
 
-    Computes ``theta_star`` (the consensus-gain floor; a different but
-    algebraically equivalent expression is used for the saturated law)
-    and, when a ``theta`` above it is supplied, the reference-gain
+    Computes ``theta_star`` (the consensus-gain floor, the same for both
+    laws) and, when a ``theta`` above it is supplied, the reference-gain
     ceiling ``theta1_star``. For the saturated strategy ``theta1_star``
     is only a starting heuristic: the true sufficient value depends on
     the initial errors and is flagged in ``caveats``.
@@ -259,10 +259,7 @@ def theta_bounds_second_order(
     tb = gains.theta_bar_vec(n, game.action_dim)
     l3 = float(np.max(k)) * sup_hbar * float(np.linalg.norm(tb[:, None] * M, 2))
 
-    if saturated:
-        theta_star = (l1 * l1 + 4.0 * m * l2) / (4.0 * m * lam_q)
-    else:
-        theta_star = l1 * l1 / (4.0 * m * lam_q) + l2 / lam_q
+    theta_star = l1 * l1 / (4.0 * m * lam_q) + l2 / lam_q
 
     theta1_star = None
     lambda_min_a1 = None
@@ -296,4 +293,50 @@ def theta_bounds_second_order(
         theta_star=float(theta_star),
         theta1_star=theta1_star,
         caveats=tuple(caveats),
+    )
+
+
+def gain_report(cfg, lyap=None):
+    """Gain bounds for a parsed experiment config, honouring its overrides.
+
+    Chooses the bound that matches ``cfg.tag`` and feeds it the
+    ``tuner_overrides`` (``lipschitz_constants``, ``monotonicity_m``,
+    ``sup_jacobian_norm``) and the configured gains. The distributed
+    strategies need ``lyap``, the Lyapunov pair of the config's
+    estimation matrix; without it they raise ``ValueError``.
+    """
+    game, gains, tag = cfg.game, cfg.gains, cfg.tag
+    overrides = cfg.tuner_overrides
+    lbar = overrides.get("lipschitz_constants")
+    m = overrides.get("monotonicity_m")
+    if tag is StrategyTag.SECOND_ORDER_CENTRAL:
+        return alpha_beta_star(game, alpha=gains.alpha, beta=gains.beta, m=m)
+    if tag is StrategyTag.SAT_GRAD_PLAY:
+        return TunerReport(
+            strategy=tag,
+            m=_certified_m(game, m),
+            lbar=np.asarray(lbar, dtype=float) if lbar is not None else lipschitz_constants(game),
+            caveats=("saturated gradient play has no gain condition beyond m > 0",),
+        )
+    if lyap is None:
+        raise ValueError(f"{tag.value} gain bounds need the Lyapunov pair of the estimation matrix")
+    if tag is StrategyTag.FIRST_ORDER_DIST:
+        return theta_star_first_order(
+            game,
+            cfg.graph,
+            lyap,
+            theta=gains.theta,
+            lbar=lbar,
+            m=m,
+            sup_h_norm=overrides.get("sup_jacobian_norm"),
+        )
+    return theta_bounds_second_order(
+        game,
+        cfg.graph,
+        lyap,
+        gains,
+        saturated=tag is StrategyTag.SECOND_ORDER_DIST_SAT,
+        theta=gains.theta,
+        lbar=lbar,
+        m=m,
     )

@@ -226,3 +226,57 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 1
     assert "unknown preset" in proc.stderr
+
+
+def _short_run_doc(tmp_path, name):
+    doc = figure_preset(name)
+    doc["output"] = {"trajectory": str(tmp_path / "t.csv"), "summary": str(tmp_path / "s.txt")}
+    return doc
+
+
+def _key(out, key):
+    return next(line.split("=", 1)[1] for line in out.splitlines() if line.startswith(key + "="))
+
+
+def test_run_and_tune_share_overridden_theta_star(tmp_path, capsys):
+    doc = _short_run_doc(tmp_path, "fig3")
+    doc["strategy"]["tuner_overrides"] = {"monotonicity_m": 0.5}
+    path = _write(tmp_path, doc)
+    assert main(["tune", path]) == 0
+    tuned = _key(capsys.readouterr().out, "theta_star")
+    assert main(["--t-end", "0.01", "run", path]) == 2  # too short to converge
+    echoed = float(_key(capsys.readouterr().out, "tuner_theta_star"))
+    assert f"{echoed:.12g}" == tuned == "5758.44721871"
+
+
+def test_run_reports_tuner_error(tmp_path, capsys):
+    doc = _short_run_doc(tmp_path, "fig4")
+    doc["strategy"]["gains"]["theta"] = 1.0  # below theta_star
+    assert main(["--t-end", "0.01", "run", _write(tmp_path, doc)]) == 2
+    out = capsys.readouterr().out
+    assert "tuner_error=requested theta does not exceed theta_star" in out
+    assert "tuner_theta_star" not in out
+
+
+@pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN", "1e999"])
+def test_non_finite_numbers_exit_one(tmp_path, capsys, token):
+    text = json.dumps(_short_run_doc(tmp_path, "fig2")).replace('"t_end": 20.0', f'"t_end": {token}')
+    assert token in text
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 1
+    assert "not a finite number" in capsys.readouterr().err
+
+
+def test_infinite_t_end_flag_exits_one(tmp_path, capsys):
+    path = _write(tmp_path, _short_run_doc(tmp_path, "fig2"))
+    assert main(["--t-end", "inf", "run", path]) == 1
+    assert "t_end must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stride", [2.5, True, "2"])
+def test_non_integer_record_stride_exits_one(tmp_path, capsys, stride):
+    doc = _short_run_doc(tmp_path, "fig2")
+    doc["sim"]["record_stride"] = stride
+    assert main(["run", _write(tmp_path, doc)]) == 1
+    assert "record_stride must be a positive integer" in capsys.readouterr().err

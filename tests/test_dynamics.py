@@ -11,12 +11,7 @@ from nes_sim import (
     estimation_matrix,
     lyapunov_value,
     make_rhs,
-    rhs_first_order_dist,
     rhs_gradient_play,
-    rhs_sat_gradient_play,
-    rhs_second_order_central,
-    rhs_second_order_dist,
-    rhs_second_order_dist_sat,
     sat,
     sat_integral,
     solve_lyapunov,
@@ -165,33 +160,37 @@ def test_gains_validation():
 
 # --- strategy vector fields ----------------------------------------------
 
+GAINS1 = GainSet(theta=1000.0)
+GAINS_C = GainSet(alpha=1.0, beta=1.0)
+GAINS2 = GainSet(theta=200.0, theta1=1.0, K=0.1, theta_bar=1.0)
+
 
 def test_sat_gradient_play_control(sensor_game):
-    ds, u = rhs_sat_gradient_play(sensor_game, X0, SPEC5)
+    ds, u = make_rhs(StrategyTag.SAT_GRAD_PLAY, sensor_game, sat_spec=SPEC5)[0](X0)
     np.testing.assert_array_equal(u, [-5.0, 5.0, 5.0, -5.0, 4.0, 5.0])
     np.testing.assert_array_equal(ds, u)
 
 
 def test_sat_gradient_play_equilibrium(sensor_game, x_star):
-    ds, u = rhs_sat_gradient_play(sensor_game, x_star, SPEC5)
+    ds, u = make_rhs(StrategyTag.SAT_GRAD_PLAY, sensor_game, sat_spec=SPEC5)[0](x_star)
     assert np.max(np.abs(ds)) <= 1e-10
 
 
 def test_sat_gradient_play_unsaturated_limit(sensor_game):
     big = SaturationSpec.symmetric(1e12)
-    ds, u = rhs_sat_gradient_play(sensor_game, X0, big)
+    ds, u = make_rhs(StrategyTag.SAT_GRAD_PLAY, sensor_game, sat_spec=big)[0](X0)
     ds_ref, _ = rhs_gradient_play(sensor_game, X0)
     np.testing.assert_array_equal(ds, ds_ref)
 
 
 def test_first_order_dist_consensus_reduces_to_gradient_play(sensor_game, path_graph):
     M = estimation_matrix(path_graph, 2)
-    gains = GainSet(theta=1000.0)
     lay = StateLayout(StrategyTag.FIRST_ORDER_DIST, 3, 2)
     s = lay.pack(x=X0, y=np.tile(X0, 3))
-    ds, u = rhs_first_order_dist(sensor_game, M, s, gains, SPEC5)
+    rhs, _ = make_rhs(StrategyTag.FIRST_ORDER_DIST, sensor_game, M=M, gains=GAINS1, sat_spec=SPEC5)
+    ds, u = rhs(s)
     np.testing.assert_array_equal(ds[6:], np.zeros(18))
-    _, u_ref = rhs_sat_gradient_play(sensor_game, X0, SPEC5)
+    _, u_ref = make_rhs(StrategyTag.SAT_GRAD_PLAY, sensor_game, sat_spec=SPEC5)[0](X0)
     np.testing.assert_allclose(u, u_ref, atol=1e-12)
 
 
@@ -199,7 +198,8 @@ def test_first_order_dist_equilibrium(sensor_game, path_graph, x_star):
     M = estimation_matrix(path_graph, 2)
     lay = StateLayout(StrategyTag.FIRST_ORDER_DIST, 3, 2)
     s = lay.pack(x=x_star, y=np.tile(x_star, 3))
-    ds, _ = rhs_first_order_dist(sensor_game, M, s, GainSet(theta=1000.0), SPEC5)
+    rhs, _ = make_rhs(StrategyTag.FIRST_ORDER_DIST, sensor_game, M=M, gains=GAINS1, sat_spec=SPEC5)
+    ds, _ = rhs(s)
     assert np.max(np.abs(ds)) <= 1e-10
 
 
@@ -208,19 +208,21 @@ def test_first_order_dist_all_tens_estimates(sensor_game, path_graph):
     M = estimation_matrix(path_graph, 2)
     lay = StateLayout(StrategyTag.FIRST_ORDER_DIST, 3, 2)
     s = lay.pack(x=X0, y=np.full(18, 10.0))
-    _, u = rhs_first_order_dist(sensor_game, M, s, GainSet(theta=1000.0), SPEC5)
+    rhs, _ = make_rhs(StrategyTag.FIRST_ORDER_DIST, sensor_game, M=M, gains=GAINS1, sat_spec=SPEC5)
+    _, u = rhs(s)
     np.testing.assert_array_equal(u, np.full(6, -5.0))
 
 
 def test_second_order_central_equilibrium(sensor_game, x_star):
-    lay = StateLayout(StrategyTag.SECOND_ORDER_CENTRAL, 3, 2)
-    ds, _ = rhs_second_order_central(sensor_game, lay.pack(x=x_star), GainSet(alpha=1.0, beta=1.0))
+    rhs, lay = make_rhs(StrategyTag.SECOND_ORDER_CENTRAL, sensor_game, gains=GAINS_C)
+    ds, _ = rhs(lay.pack(x=x_star))
     assert np.max(np.abs(ds)) <= 1e-10
 
 
 def test_second_order_central_zero_velocity(sensor_game):
-    lay = StateLayout(StrategyTag.SECOND_ORDER_CENTRAL, 3, 2)
-    ds, u = rhs_second_order_central(sensor_game, lay.pack(x=X0), GainSet(alpha=2.5, beta=1.0))
+    gains = GainSet(alpha=2.5, beta=1.0)
+    rhs, lay = make_rhs(StrategyTag.SECOND_ORDER_CENTRAL, sensor_game, gains=gains)
+    ds, u = rhs(lay.pack(x=X0))
     np.testing.assert_allclose(u, -2.5 * sensor_game.pseudo_gradient(X0), atol=1e-12)
     np.testing.assert_array_equal(ds[:6], np.zeros(6))
 
@@ -228,9 +230,8 @@ def test_second_order_central_zero_velocity(sensor_game):
 def test_second_order_central_benchmark_value(sensor_game):
     # independent oracle: explicit matrix arithmetic -g - nu - H @ nu with
     # H constant; hand value [-45, 9, 19, -31, 1, 5]
-    lay = StateLayout(StrategyTag.SECOND_ORDER_CENTRAL, 3, 2)
-    s = lay.pack(x=X0, nu=np.ones(6))
-    ds, u = rhs_second_order_central(sensor_game, s, GainSet(alpha=1.0, beta=1.0))
+    rhs, lay = make_rhs(StrategyTag.SECOND_ORDER_CENTRAL, sensor_game, gains=GAINS_C)
+    ds, u = rhs(lay.pack(x=X0, nu=np.ones(6)))
     H = sensor_game.game_jacobian(X0)
     oracle = -sensor_game.pseudo_gradient(X0) - np.ones(6) - H @ np.ones(6)
     np.testing.assert_allclose(u, oracle, atol=1e-12)
@@ -238,97 +239,61 @@ def test_second_order_central_benchmark_value(sensor_game):
     np.testing.assert_array_equal(ds[:6], np.ones(6))
 
 
-GAINS2 = GainSet(theta=200.0, theta1=1.0, K=0.1, theta_bar=1.0)
+def _second_order(tag, game, path_graph):
+    M = estimation_matrix(path_graph, 2)
+    return make_rhs(tag, game, M=M, gains=GAINS2, sat_spec=SPEC5)
 
 
 def test_second_order_dist_equilibrium(sensor_game, path_graph, x_star):
-    M = estimation_matrix(path_graph, 2)
-    lay = StateLayout(StrategyTag.SECOND_ORDER_DIST, 3, 2)
-    s = lay.pack(x=x_star, z=x_star, y=np.tile(x_star, 3))
-    ds, _ = rhs_second_order_dist(sensor_game, M, s, GAINS2)
+    rhs, lay = _second_order(StrategyTag.SECOND_ORDER_DIST, sensor_game, path_graph)
+    ds, _ = rhs(lay.pack(x=x_star, z=x_star, y=np.tile(x_star, 3)))
     assert np.max(np.abs(ds)) <= 1e-10
 
 
 def test_second_order_dist_tracking_manifold(sensor_game, path_graph):
     # y on consensus with z, z = x, nu = zdot: velocity error stays zero
-    M = estimation_matrix(path_graph, 2)
-    lay = StateLayout(StrategyTag.SECOND_ORDER_DIST, 3, 2)
+    rhs, lay = _second_order(StrategyTag.SECOND_ORDER_DIST, sensor_game, path_graph)
     z = np.array([1.0, -2.0, 0.5, 0.0, 3.0, 1.5])
     y = np.tile(z, 3)
     zdot = -0.1 * sensor_game.own_gradients_at_estimates(y)
-    s = lay.pack(x=z, nu=zdot, z=z, y=y)
-    ds, u = rhs_second_order_dist(sensor_game, M, s, GAINS2)
+    ds, u = rhs(lay.pack(x=z, nu=zdot, z=z, y=y))
     np.testing.assert_allclose(u, np.zeros(6), atol=1e-12)
     np.testing.assert_array_equal(ds[:6], zdot)
 
 
 def test_second_order_dist_zero_state(sensor_game, path_graph):
     # gradients at the origin reduce to the linear coefficients
-    M = estimation_matrix(path_graph, 2)
-    lay = StateLayout(StrategyTag.SECOND_ORDER_DIST, 3, 2)
-    ds, u = rhs_second_order_dist(sensor_game, M, lay.pack(), GAINS2)
+    rhs, lay = _second_order(StrategyTag.SECOND_ORDER_DIST, sensor_game, path_graph)
+    ds, u = rhs(lay.pack())
     expected_zdot = np.array([-0.2, 0.2, 0.2, 0.2, 0.4, -0.2])
     np.testing.assert_allclose(ds[12:18], expected_zdot, atol=1e-15)
     np.testing.assert_allclose(u, expected_zdot, atol=1e-15)
 
 
 def test_second_order_dist_sat_equilibrium(sensor_game, path_graph, x_star):
-    M = estimation_matrix(path_graph, 2)
-    lay = StateLayout(StrategyTag.SECOND_ORDER_DIST_SAT, 3, 2)
-    s = lay.pack(x=x_star, z=x_star, y=np.tile(x_star, 3))
-    ds, _ = rhs_second_order_dist_sat(sensor_game, M, s, GAINS2, SPEC5)
+    rhs, lay = _second_order(StrategyTag.SECOND_ORDER_DIST_SAT, sensor_game, path_graph)
+    ds, _ = rhs(lay.pack(x=x_star, z=x_star, y=np.tile(x_star, 3)))
     assert np.max(np.abs(ds)) <= 1e-10
 
 
 def test_second_order_dist_sat_matches_unsaturated_inside_bounds(sensor_game, path_graph):
-    M = estimation_matrix(path_graph, 2)
-    lay = StateLayout(StrategyTag.SECOND_ORDER_DIST_SAT, 3, 2)
+    rhs_sat, lay = _second_order(StrategyTag.SECOND_ORDER_DIST_SAT, sensor_game, path_graph)
+    rhs_raw, _ = _second_order(StrategyTag.SECOND_ORDER_DIST, sensor_game, path_graph)
     rng = np.random.default_rng(8)
     for _ in range(10):
         s = rng.uniform(-0.5, 0.5, lay.size)
-        ds_sat, u_sat = rhs_second_order_dist_sat(sensor_game, M, s, GAINS2, SPEC5)
-        ds_raw, u_raw = rhs_second_order_dist(sensor_game, M, s, GAINS2)
+        ds_sat, u_sat = rhs_sat(s)
+        ds_raw, u_raw = rhs_raw(s)
         if np.max(np.abs(u_raw)) < 5.0:
             np.testing.assert_array_equal(u_sat, u_raw)
             np.testing.assert_array_equal(ds_sat, ds_raw)
 
 
 def test_second_order_dist_sat_zero_init_control(sensor_game, path_graph):
-    M = estimation_matrix(path_graph, 2)
-    lay = StateLayout(StrategyTag.SECOND_ORDER_DIST_SAT, 3, 2)
-    _, u = rhs_second_order_dist_sat(sensor_game, M, lay.pack(), GAINS2, SPEC5)
+    rhs, lay = _second_order(StrategyTag.SECOND_ORDER_DIST_SAT, sensor_game, path_graph)
+    _, u = rhs(lay.pack())
     # clamp inactive: |zdot| = 0.4 < 5, so u = zdot
     np.testing.assert_allclose(u, [-0.2, 0.2, 0.2, 0.2, 0.4, -0.2], atol=1e-15)
-
-
-def test_make_rhs_closures_match_reference_bitwise(sensor_game, path_graph):
-    M = estimation_matrix(path_graph, 2)
-    rng = np.random.default_rng(17)
-    cases = [
-        (
-            StrategyTag.FIRST_ORDER_DIST,
-            GainSet(theta=1000.0, theta_bar=1.0),
-            lambda s, g: rhs_first_order_dist(sensor_game, M, s, g, SPEC5),
-        ),
-        (
-            StrategyTag.SECOND_ORDER_DIST,
-            GAINS2,
-            lambda s, g: rhs_second_order_dist(sensor_game, M, s, g),
-        ),
-        (
-            StrategyTag.SECOND_ORDER_DIST_SAT,
-            GAINS2,
-            lambda s, g: rhs_second_order_dist_sat(sensor_game, M, s, g, SPEC5),
-        ),
-    ]
-    for tag, gains, reference in cases:
-        rhs, lay = make_rhs(tag, sensor_game, graph=path_graph, gains=gains, sat_spec=SPEC5)
-        for _ in range(10):
-            s = rng.normal(size=lay.size) * 5.0
-            ds_fast, u_fast = rhs(s)
-            ds_ref, u_ref = reference(s, gains)
-            np.testing.assert_array_equal(ds_fast, ds_ref)
-            np.testing.assert_array_equal(u_fast, u_ref)
 
 
 def test_make_rhs_requires_graph_and_bounds(sensor_game, path_graph):
@@ -336,6 +301,16 @@ def test_make_rhs_requires_graph_and_bounds(sensor_game, path_graph):
         make_rhs(StrategyTag.FIRST_ORDER_DIST, sensor_game, gains=GainSet(theta=1.0), sat_spec=SPEC5)
     with pytest.raises(ValueError, match="saturation"):
         make_rhs(StrategyTag.SAT_GRAD_PLAY, sensor_game)
+
+
+@pytest.mark.parametrize("tag", list(StrategyTag))
+def test_make_rhs_rejects_wrong_state_length(tag, sensor_game, path_graph):
+    gains = GainSet(theta=200.0, theta1=1.0, K=0.1, alpha=1.0, beta=1.0)
+    rhs, lay = make_rhs(tag, sensor_game, graph=path_graph, gains=gains, sat_spec=SPEC5)
+    rhs(lay.pack())  # the right length is accepted
+    for size in (lay.size - 1, lay.size + 1):
+        with pytest.raises(LayoutMismatchError, match=f"length {lay.size}, got {size}"):
+            rhs(np.zeros(size))
 
 
 # --- Lyapunov candidates --------------------------------------------------
