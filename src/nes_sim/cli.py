@@ -166,12 +166,6 @@ def _build_parser():
     )
     parser.add_argument("--dt", type=float, default=None, help="override the sim step size")
     parser.add_argument("--t-end", type=float, default=None, help="override the sim horizon")
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed for randomized utilities (the strategy flows are deterministic)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run an experiment from a config file")

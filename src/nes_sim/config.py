@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import GainSet, SaturationSpec, StateLayout, StrategyTag
+from .dynamics import STRATEGIES, GainSet, SaturationSpec, StateLayout, StrategyTag
 from .errors import ConfigError
 from .games import QuadraticGame
 from .graphs import CommGraph
@@ -33,15 +33,6 @@ _OVERRIDE_KEYS = {"lipschitz_constants", "monotonicity_m", "sup_jacobian_norm"}
 _SIM_KEYS = {"dt", "t_end", "record_stride", "integrator", "convergence_tol", "monitor_lyapunov"}
 _INIT_KEYS = {"x0", "nu0", "z0", "y0"}
 _OUTPUT_KEYS = {"trajectory", "summary"}
-
-_REQUIRED_GAINS = {
-    StrategyTag.SAT_GRAD_PLAY: (),
-    StrategyTag.FIRST_ORDER_DIST: ("theta",),
-    StrategyTag.SECOND_ORDER_CENTRAL: ("alpha", "beta"),
-    StrategyTag.SECOND_ORDER_DIST: ("theta", "theta1", "K"),
-    StrategyTag.SECOND_ORDER_DIST_SAT: ("theta", "theta1", "K"),
-}
-
 
 def _reject_unknown(section, allowed, path):
     if not isinstance(section, dict):
@@ -186,7 +177,7 @@ def parse_config(doc):
 
     gains_sec = strat.get("gains", {})
     _reject_unknown(gains_sec, _GAIN_KEYS, "strategy.gains")
-    for key in _REQUIRED_GAINS[tag]:
+    for key in STRATEGIES[tag].gains:
         _require(gains_sec, key, "strategy.gains")
     kwargs = {}
     for key in ("theta", "theta1", "alpha", "beta"):
@@ -245,13 +236,7 @@ def parse_config(doc):
     init_sec = doc.get("init", {})
     _reject_unknown(init_sec, _INIT_KEYS, "init")
     init = {}
-    block_sizes = {"x": layout.action_size}
-    if layout.has_velocity:
-        block_sizes["nu"] = layout.action_size
-    if layout.has_reference:
-        block_sizes["z"] = layout.action_size
-    if layout.has_estimates:
-        block_sizes["y"] = layout.estimate_size
+    block_sizes = {name: b - a for name, (a, b) in layout.offsets.items()}
     for key, value in init_sec.items():
         block = key[:-1]  # drop the trailing 0
         if block not in block_sizes:

@@ -27,8 +27,9 @@ SECOND_ORDER_DIST_SAT
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +40,8 @@ __all__ = [
     "SaturationSpec",
     "GainSet",
     "StrategyTag",
+    "StrategySpec",
+    "STRATEGIES",
     "StateLayout",
     "sat",
     "sat_integral",
@@ -124,20 +127,26 @@ class StrategyTag(str, Enum):
     SECOND_ORDER_DIST_SAT = "second_order_dist_sat"
 
 
-_SECOND_ORDER = {
-    StrategyTag.SECOND_ORDER_CENTRAL,
-    StrategyTag.SECOND_ORDER_DIST,
-    StrategyTag.SECOND_ORDER_DIST_SAT,
-}
-_DISTRIBUTED = {
-    StrategyTag.FIRST_ORDER_DIST,
-    StrategyTag.SECOND_ORDER_DIST,
-    StrategyTag.SECOND_ORDER_DIST_SAT,
-}
-_SATURATED = {
-    StrategyTag.SAT_GRAD_PLAY,
-    StrategyTag.FIRST_ORDER_DIST,
-    StrategyTag.SECOND_ORDER_DIST_SAT,
+class StrategySpec(NamedTuple):
+    """What a strategy's law needs: its state blocks, gains and clamp."""
+
+    blocks: tuple[str, ...]  # in state order, a subsequence of x | nu | z | y
+    gains: tuple[str, ...]  # GainSet fields the law reads
+    clamped: bool  # the applied control passes through the clamp
+
+
+# The one table of the five laws. Layouts, config validation, the runner
+# and the stability guard all read it; none lists tags of its own.
+STRATEGIES = {
+    StrategyTag.SAT_GRAD_PLAY: StrategySpec(("x",), (), True),
+    StrategyTag.FIRST_ORDER_DIST: StrategySpec(("x", "y"), ("theta",), True),
+    StrategyTag.SECOND_ORDER_CENTRAL: StrategySpec(("x", "nu"), ("alpha", "beta"), False),
+    StrategyTag.SECOND_ORDER_DIST: StrategySpec(
+        ("x", "nu", "z", "y"), ("theta", "theta1", "K"), False
+    ),
+    StrategyTag.SECOND_ORDER_DIST_SAT: StrategySpec(
+        ("x", "nu", "z", "y"), ("theta", "theta1", "K"), True
+    ),
 }
 
 
@@ -145,64 +154,47 @@ _SATURATED = {
 class StateLayout:
     """Block structure of a strategy's flat state vector.
 
-    Blocks appear in the order x | nu | z | y; sizes are Np for x, nu, z
-    and N^2 p for the stacked estimates y.
+    Blocks appear in the order x | nu | z | y, as listed for the tag in
+    ``STRATEGIES``; sizes are Np for x, nu, z and N^2 p for the stacked
+    estimates y. ``offsets`` maps each present block to its ``(start,
+    stop)`` slice bounds.
     """
 
     tag: StrategyTag
     n_players: int
     action_dim: int
+    offsets: dict = field(init=False, repr=False, compare=False)
+    size: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        d = self.n_players * self.action_dim
+        offsets, pos = {}, 0
+        for name in STRATEGIES[self.tag].blocks:
+            width = d * self.n_players if name == "y" else d
+            offsets[name] = (pos, pos + width)
+            pos += width
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "size", pos)
 
     @property
     def action_size(self):
         return self.n_players * self.action_dim
 
     @property
-    def estimate_size(self):
-        return self.n_players * self.n_players * self.action_dim
-
-    @property
     def has_velocity(self):
-        return self.tag in _SECOND_ORDER
+        return "nu" in self.offsets
 
     @property
     def has_reference(self):
-        return self.tag in (StrategyTag.SECOND_ORDER_DIST, StrategyTag.SECOND_ORDER_DIST_SAT)
+        return "z" in self.offsets
 
     @property
     def has_estimates(self):
-        return self.tag in _DISTRIBUTED
+        return "y" in self.offsets
 
     @property
     def is_saturated(self):
-        return self.tag in _SATURATED
-
-    @property
-    def size(self):
-        n = self.action_size
-        total = n
-        if self.has_velocity:
-            total += n
-        if self.has_reference:
-            total += n
-        if self.has_estimates:
-            total += self.estimate_size
-        return total
-
-    def _offsets(self):
-        n = self.action_size
-        off = {"x": (0, n)}
-        pos = n
-        if self.has_velocity:
-            off["nu"] = (pos, pos + n)
-            pos += n
-        if self.has_reference:
-            off["z"] = (pos, pos + n)
-            pos += n
-        if self.has_estimates:
-            off["y"] = (pos, pos + self.estimate_size)
-            pos += self.estimate_size
-        return off
+        return STRATEGIES[self.tag].clamped
 
     def check(self, state):
         state = np.asarray(state, dtype=float).ravel()
@@ -215,19 +207,18 @@ class StateLayout:
     def split(self, state):
         """Views of the state's blocks keyed by block name."""
         state = self.check(state)
-        return {name: state[a:b] for name, (a, b) in self._offsets().items()}
+        return {name: state[a:b] for name, (a, b) in self.offsets.items()}
 
     def pack(self, x=None, nu=None, z=None, y=None):
         """Assemble a flat state; omitted blocks default to zeros."""
         given = {"x": x, "nu": nu, "z": z, "y": y}
         out = np.zeros(self.size)
-        offsets = self._offsets()
         for name, val in given.items():
             if val is None:
                 continue
-            if name not in offsets:
+            if name not in self.offsets:
                 raise LayoutMismatchError(f"layout {self.tag.value} has no block '{name}'")
-            a, b = offsets[name]
+            a, b = self.offsets[name]
             val = np.asarray(val, dtype=float).ravel()
             if val.size != b - a:
                 raise DimensionMismatchError(f"block {name}", b - a, val.size)
@@ -236,7 +227,7 @@ class StateLayout:
 
     def block_name(self, index):
         """Human-readable name of the block holding flat index ``index``."""
-        for name, (a, b) in self._offsets().items():
+        for name, (a, b) in self.offsets.items():
             if a <= index < b:
                 return f"{name}[{index - a}]"
         raise IndexError(index)
@@ -276,6 +267,10 @@ class GainSet:
         if missing:
             raise ValueError(f"missing required gains: {', '.join(missing)}")
 
+    def estimation_gain(self, second_order):
+        """Scalar gain of the estimation flow: theta, times theta1 for second order."""
+        return self.theta * self.theta1 if second_order else self.theta
+
     def theta_bar_vec(self, n_players, action_dim):
         """Diagonal of the per-estimate weight matrix, expanded to N^2 p."""
         n2 = n_players * n_players
@@ -314,27 +309,19 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None, M=None):
     """
     tag = StrategyTag(tag)
     layout = StateLayout(tag, game.n_players, game.action_dim)
-    if tag in _DISTRIBUTED and M is None:
+    if layout.has_estimates and M is None:
         if graph is None:
             raise ValueError(f"strategy {tag.value} requires a communication graph")
         M = estimation_matrix(graph, game.action_dim)
-    if tag in _SATURATED:
+    if layout.is_saturated:
         if sat_spec is None:
             raise ValueError(f"strategy {tag.value} requires saturation bounds")
         sat_spec.check_size(layout.action_size)
     gains = gains if gains is not None else GainSet()
+    gains.require(*STRATEGIES[tag].gains)
 
     n, p, d = game.n_players, game.action_dim, layout.action_size
-    size = layout.size
-    tag_name = tag.value
-
-    def check(s):
-        s = np.asarray(s, dtype=float).ravel()
-        if s.size != size:
-            raise LayoutMismatchError(
-                f"state for {tag_name} must have length {size}, got {s.size}"
-            )
-        return s
+    check = layout.check
 
     if tag is StrategyTag.SAT_GRAD_PLAY:
 
@@ -346,7 +333,6 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None, M=None):
         return rhs, layout
 
     if tag is StrategyTag.SECOND_ORDER_CENTRAL:
-        gains.require("alpha", "beta")
         alpha, beta = gains.alpha, gains.beta
 
         def rhs(s):
@@ -358,9 +344,9 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None, M=None):
 
         return rhs, layout
 
+    coef = -gains.estimation_gain(layout.has_velocity) * gains.theta_bar_vec(n, p)
+
     if tag is StrategyTag.FIRST_ORDER_DIST:
-        gains.require("theta")
-        coef = -gains.theta * gains.theta_bar_vec(n, p)
 
         def rhs(s):
             # clamped gradient at the local estimates; the estimates
@@ -377,8 +363,6 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None, M=None):
     # the consensus estimates (gain theta1 * K), the estimates track the
     # tiled reference, and the double integrator tracks z. The reference
     # rate is substituted algebraically, never differentiated numerically.
-    gains.require("theta", "theta1", "K")
-    coef = -gains.theta * gains.theta1 * gains.theta_bar_vec(n, p)
     neg_kbar = -(gains.theta1 * gains.k_vec(n, p))
 
     if tag is StrategyTag.SECOND_ORDER_DIST:
@@ -405,15 +389,6 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None, M=None):
     return rhs, layout
 
 
-def _symmetric_upper(sat_spec, n):
-    if sat_spec is None:
-        raise ValueError("saturation bounds are required for this Lyapunov candidate")
-    sat_spec.check_size(n)
-    if not sat_spec.is_symmetric:
-        raise ValueError("Lyapunov candidates are defined for symmetric bounds only")
-    return np.broadcast_to(sat_spec.upper, (n,))
-
-
 def lyapunov_value(tag, game, state, *, gains=None, sat_spec=None, P=None, x_star=None):
     """Evaluate the stability certificate matching a strategy at one state.
 
@@ -436,17 +411,28 @@ def lyapunov_value(tag, game, state, *, gains=None, sat_spec=None, P=None, x_sta
     """
     tag = StrategyTag(tag)
     layout = StateLayout(tag, game.n_players, game.action_dim)
-    blocks = layout.split(layout.check(state))
     n = layout.action_size
+    if layout.is_saturated:
+        if sat_spec is None:
+            raise ValueError("saturation bounds are required for this Lyapunov candidate")
+        sat_spec.check_size(n)
+        if not sat_spec.is_symmetric:
+            raise ValueError("Lyapunov candidates are defined for symmetric bounds only")
+        ub = np.broadcast_to(sat_spec.upper, (n,))
+    if layout.has_estimates and P is None:
+        raise ValueError(f"{tag.value} Lyapunov value requires the matrix P")
+    if layout.has_reference:
+        if x_star is None:
+            raise ValueError(f"{tag.value} Lyapunov value requires the equilibrium x_star")
+        x_star = np.asarray(x_star, dtype=float).ravel()
+        if x_star.size != n:
+            raise DimensionMismatchError("x_star", n, x_star.size)
+    blocks = layout.split(state)
 
     if tag is StrategyTag.SAT_GRAD_PLAY:
-        ub = _symmetric_upper(sat_spec, n)
         return float(np.sum(sat_integral(game.pseudo_gradient(blocks["x"]), ub)))
 
     if tag is StrategyTag.FIRST_ORDER_DIST:
-        ub = _symmetric_upper(sat_spec, n)
-        if P is None:
-            raise ValueError("FIRST_ORDER_DIST Lyapunov value requires the matrix P")
         x, y = blocks["x"], blocks["y"]
         e = y - np.tile(x, game.n_players)
         return float(np.sum(sat_integral(game.pseudo_gradient(x), ub)) + e @ P @ e)
@@ -456,14 +442,7 @@ def lyapunov_value(tag, game, state, *, gains=None, sat_spec=None, P=None, x_sta
         g = game.pseudo_gradient(x)
         return float(nu @ nu + 0.5 * g @ g + nu @ g)
 
-    if x_star is None:
-        raise ValueError(f"{tag.value} Lyapunov value requires the equilibrium x_star")
-    if P is None:
-        raise ValueError(f"{tag.value} Lyapunov value requires the matrix P")
     x, nu, z, y = blocks["x"], blocks["nu"], blocks["z"], blocks["y"]
-    x_star = np.asarray(x_star, dtype=float).ravel()
-    if x_star.size != n:
-        raise DimensionMismatchError("x_star", n, x_star.size)
     k = gains.k_vec(game.n_players, game.action_dim)
     zdot = -(gains.theta1 * k) * game.own_gradients_at_estimates(y)
     ez = z - x_star
@@ -475,7 +454,6 @@ def lyapunov_value(tag, game, state, *, gains=None, sat_spec=None, P=None, x_sta
         et = x - z
         return float(base + 0.5 * et @ et + 0.5 * ev @ ev)
 
-    ub = _symmetric_upper(sat_spec, n)
     return float(
         base
         + ev @ ev

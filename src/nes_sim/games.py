@@ -262,11 +262,13 @@ class QuadraticGame(GameDefinition):
         self._c = self.p_vec.ravel().copy()
         self._estimate_matrix = None
 
+        # player i's own gradient is block row i of the affine H x + c
+        rows = [slice(i * p, (i + 1) * p) for i in range(n)]
         super().__init__(
             n,
             p,
             costs=[self._make_cost(i) for i in range(n)],
-            gradients=[self._make_gradient(i) for i in range(n)],
+            gradients=[lambda x, Hi=H[r], ci=self._c[r]: Hi @ x + ci for r in rows],
             jacobian=lambda x: self._H.copy(),
         )
 
@@ -280,16 +282,6 @@ class QuadraticGame(GameDefinition):
             return val
 
         return f
-
-    def _make_gradient(self, i):
-        def g(x):
-            xi = self._block(x, i)
-            out = 2.0 * (self.r[i] @ xi) + self.p_vec[i]
-            for j in np.nonzero(self.m_weights[i])[0]:
-                out = out + 2.0 * self.m_weights[i, j] * (xi - self._block(x, j))
-            return out
-
-        return g
 
     @property
     def jacobian_matrix(self):

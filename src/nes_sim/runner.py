@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tuning
-from .dynamics import StrategyTag, make_rhs
+from .dynamics import make_rhs
 from .errors import NotStronglyMonotoneError
 from .games import QuadraticGame
 from .graphs import estimation_matrix, solve_lyapunov
@@ -38,6 +38,7 @@ class SummaryReport:
     bounds_ok: bool | None
     worst_bound_violation: float | None
     max_lyapunov_increment: float | None
+    lyapunov_error: str | None
     tuner_echo: dict
     wall_clock_s: float
     config_hash: str
@@ -66,6 +67,8 @@ class SummaryReport:
         put("bounds_ok", self.bounds_ok)
         put("worst_bound_violation", self.worst_bound_violation)
         put("max_lyapunov_increment", self.max_lyapunov_increment)
+        if self.lyapunov_error is not None:
+            put("lyapunov_error", self.lyapunov_error)
         for key, val in sorted(self.tuner_echo.items()):
             put(f"tuner_{key}", val)
         put("wall_clock_s", self.wall_clock_s)
@@ -139,10 +142,9 @@ def run_experiment(cfg, write_outputs=True):
     if layout.has_estimates:
         attach_estimation_error(traj)
 
-    max_inc = None
+    max_inc, lyap_error = None, None
     if cfg.sim.monitor_lyapunov:
-        needs_star = tag in (StrategyTag.SECOND_ORDER_DIST, StrategyTag.SECOND_ORDER_DIST_SAT)
-        if not (needs_star and x_star is None):
+        try:
             _, max_inc = monitor_lyapunov(
                 traj,
                 game,
@@ -151,6 +153,8 @@ def run_experiment(cfg, write_outputs=True):
                 P=lyap.P if lyap is not None else None,
                 x_star=x_star,
             )
+        except ValueError as exc:  # the candidate lacks an ingredient
+            lyap_error = str(exc)
 
     bounds_ok, worst = None, None
     if cfg.sat_spec is not None:
@@ -166,6 +170,7 @@ def run_experiment(cfg, write_outputs=True):
         bounds_ok=bounds_ok,
         worst_bound_violation=worst,
         max_lyapunov_increment=max_inc,
+        lyapunov_error=lyap_error,
         tuner_echo=_tuner_echo(cfg, lyap),
         wall_clock_s=wall,
         config_hash=cfg.config_hash(),

@@ -98,7 +98,7 @@ class Trajectory:
 
     def block_history(self, name):
         """All records of one state block, shape (n_records, block size)."""
-        a, b = self.layout._offsets()[name]
+        a, b = self.layout.offsets[name]
         return self.states[:, a:b]
 
     def x_history(self):
@@ -291,11 +291,10 @@ def stability_guard(cfg, tag, gains=None, M=None, game=None):
     rather than aborts: saturation often tames the transient.
     """
     tag = dyn.StrategyTag(tag)
+    blocks = dyn.STRATEGIES[tag].blocks
     rate = 0.0
-    if M is not None and tag in dyn._DISTRIBUTED:
-        scale = gains.theta
-        if tag is not dyn.StrategyTag.FIRST_ORDER_DIST:
-            scale *= gains.theta1
+    if M is not None and "y" in blocks:
+        scale = gains.estimation_gain("nu" in blocks)
         tb_max = float(np.max(np.asarray(gains.theta_bar if gains.theta_bar is not None else 1.0)))
         rate = scale * tb_max * float(np.linalg.eigvalsh(M)[-1])
     elif game is not None:

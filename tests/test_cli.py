@@ -280,3 +280,37 @@ def test_non_integer_record_stride_exits_one(tmp_path, capsys, stride):
     doc["sim"]["record_stride"] = stride
     assert main(["run", _write(tmp_path, doc)]) == 1
     assert "record_stride must be a positive integer" in capsys.readouterr().err
+
+
+_SKEW_SECOND_ORDER = {
+    "game": {"type": "custom", "name": "skew_bilinear"},
+    "graph": {"adjacency": [[0.0, 1.0], [1.0, 0.0]]},
+    "strategy": {"tag": "second_order_dist", "gains": {"theta": 1.0, "theta1": 1.0, "K": 0.1}},
+    "sim": {"dt": 0.01, "t_end": 0.1, "monitor_lyapunov": True},
+}
+
+
+@pytest.mark.parametrize(
+    "case, reason",
+    [
+        ("asymmetric_bounds", "Lyapunov candidates are defined for symmetric bounds only"),
+        ("no_equilibrium", "second_order_dist Lyapunov value requires the equilibrium x_star"),
+    ],
+    ids=["asymmetric_bounds", "no_equilibrium"],
+)
+def test_run_reports_lyapunov_error(tmp_path, capsys, case, reason):
+    # a candidate that cannot be evaluated is skipped with its reason, and
+    # the outputs are still written
+    if case == "asymmetric_bounds":
+        doc = _short_run_doc(tmp_path, "fig2")
+        doc["strategy"]["saturation"] = {"lower": [-4.0] * 6, "upper": [5.0] * 6}
+    else:
+        doc = dict(_SKEW_SECOND_ORDER)
+        doc["output"] = {"trajectory": str(tmp_path / "t.csv"), "summary": str(tmp_path / "s.txt")}
+    assert main(["--t-end", "0.1", "run", _write(tmp_path, doc)]) == 2
+    out = capsys.readouterr().out
+    assert f"lyapunov_error={reason}\n" in out
+    assert "max_lyapunov_increment=none" in out
+    assert f"lyapunov_error={reason}\n" in (tmp_path / "s.txt").read_text()
+    header = (tmp_path / "t.csv").read_text().splitlines()[0].split(",")
+    assert "V" not in header

@@ -3,7 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from nes_sim import ConfigError, QuadraticGame, StrategyTag, load_config, parse_config
+from nes_sim import (
+    ConfigError,
+    GainSet,
+    QuadraticGame,
+    StrategyTag,
+    load_config,
+    make_rhs,
+    parse_config,
+)
+from nes_sim.dynamics import STRATEGIES
 from nes_sim.games import GameDefinition
 from nes_sim.presets import PRESET_NAMES, figure_preset
 
@@ -63,6 +72,27 @@ def test_missing_required_gains():
     del doc["strategy"]["gains"]["K"]
     with pytest.raises(ConfigError, match="strategy.gains.*K"):
         parse_config(doc)
+
+
+ALL_GAINS = {"theta": 1000.0, "theta1": 1.0, "K": 0.1, "alpha": 1.0, "beta": 1.0}
+
+
+@pytest.mark.parametrize("tag", list(StrategyTag))
+def test_required_gains_come_from_the_table(tag):
+    doc = figure_preset("fig2")
+    doc["strategy"]["tag"] = tag.value
+    doc["strategy"]["gains"] = dict(ALL_GAINS)
+    cfg = parse_config(doc)
+    make_rhs(tag, cfg.game, graph=cfg.graph, gains=cfg.gains, sat_spec=cfg.sat_spec)
+    for name in STRATEGIES[tag].gains:
+        partial = {k: v for k, v in ALL_GAINS.items() if k != name}
+        doc["strategy"]["gains"] = partial
+        with pytest.raises(ConfigError, match=f"strategy.gains: missing required key '{name}'"):
+            parse_config(doc)
+        with pytest.raises(ValueError, match=f"missing required gains: {name}$"):
+            make_rhs(
+                tag, cfg.game, graph=cfg.graph, gains=GainSet(**partial), sat_spec=cfg.sat_spec
+            )
 
 
 def test_nonpositive_gain_rejected():

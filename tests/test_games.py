@@ -166,6 +166,19 @@ def test_random_games_gradient_consistency():
         assert check_gradient_consistency(game, rng=1, n_points=20) <= 1e-5
 
 
+def test_partial_gradients_are_blocks_of_pseudo_gradient():
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        game = random_strongly_monotone_game(rng, int(rng.integers(2, 5)), int(rng.integers(1, 3)))
+        p = game.action_dim
+        for _ in range(10):
+            x = rng.uniform(-5, 5, game.profile_dim)
+            g = game.pseudo_gradient(x)
+            for i in range(game.n_players):
+                block = g[i * p : (i + 1) * p]
+                np.testing.assert_allclose(game.partial_gradient(i, x), block, rtol=0, atol=1e-12)
+
+
 def test_random_games_equilibrium_residual():
     rng = np.random.default_rng(3)
     for _ in range(10):

@@ -284,6 +284,21 @@ def test_trajectory_csv_schema_second_order(tmp_path, fig4_run):
     np.testing.assert_array_equal(data[:, 7:13], traj.block_history("nu"))
 
 
+@pytest.mark.parametrize("n, p", [(2, 1), (3, 2)])
+def test_block_history_returns_every_layout_block(n, p):
+    widths = {"x": n * p, "nu": n * p, "z": n * p, "y": n * n * p}
+    for tag in StrategyTag:
+        lay = StateLayout(tag, n, p)
+        states = np.arange(3.0 * lay.size).reshape(3, lay.size)
+        traj = Trajectory(np.arange(3.0), states, np.zeros((3, n * p)), lay)
+        stop = 0
+        for name, (a, b) in lay.offsets.items():
+            assert a == stop and b - a == widths[name]
+            np.testing.assert_array_equal(traj.block_history(name), states[:, a:b])
+            stop = b
+        assert stop == lay.size
+
+
 def test_run_sweep_preserves_submission_order():
     import time
 
