@@ -7,8 +7,8 @@ Subcommands::
     nes-sim oracle <config.json>       print the exact Nash equilibrium
     nes-sim replicate <fig2|fig3|fig4> --out DIR   run a built-in preset
 
-Exit codes: 0 success, 1 configuration or runtime error, 2 the run
-completed but did not converge.
+Exit codes: 0 success, 1 usage, configuration or runtime error, 2 the
+run completed but did not converge.
 """
 
 from __future__ import annotations
@@ -159,8 +159,16 @@ def cmd_replicate(args):
     return 0 if ok else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting 1: its own code 2 means "did not converge" here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nes-sim",
         description="Simulate Nash-equilibrium-seeking strategies with bounded controls.",
     )

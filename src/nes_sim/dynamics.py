@@ -34,6 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, LayoutMismatchError
+from .games import QuadraticGame
 from .graphs import estimation_matrix
 
 __all__ = [
@@ -300,12 +301,14 @@ def rhs_gradient_play(game, state):
 def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None, M=None):
     """Bind a strategy's vector field to its game, graph, and gains.
 
-    Returns ``(rhs, layout)`` where ``rhs(state) -> (dstate, u)``. This is
-    the one place each control law is written. The estimation matrix is
-    assembled once here for the distributed strategies (or pass a
-    precomputed ``M``); gains, bounds and coefficients are validated and
-    hoisted out of the returned closure. A state of the wrong length
-    raises ``LayoutMismatchError``.
+    Returns ``(rhs, layout)`` where ``rhs(state) -> (dstate, u)``. Each
+    control law is written once here, unclamped; one wrapper checks the
+    state length (``LayoutMismatchError``) and clamps the control rows of
+    ``dstate`` in place, so ``u`` is a view of them. For a
+    ``QuadraticGame`` every law is affine, since the pseudo-gradient is
+    ``H x + c``: it is compiled once, here, to ``A s + b``. Any other game
+    evaluates the law on every call. ``M`` is assembled from ``graph``
+    unless given; gains and bounds are validated here.
     """
     tag = StrategyTag(tag)
     layout = StateLayout(tag, game.n_players, game.action_dim)
@@ -313,78 +316,73 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None, M=None):
         if graph is None:
             raise ValueError(f"strategy {tag.value} requires a communication graph")
         M = estimation_matrix(graph, game.action_dim)
-    if layout.is_saturated:
+    clamped = layout.is_saturated
+    if clamped:
         if sat_spec is None:
             raise ValueError(f"strategy {tag.value} requires saturation bounds")
         sat_spec.check_size(layout.action_size)
+        lower, upper = sat_spec.lower, sat_spec.upper
     gains = gains if gains is not None else GainSet()
     gains.require(*STRATEGIES[tag].gains)
 
     n, p, d = game.n_players, game.action_dim, layout.action_size
-    check = layout.check
+    if layout.has_estimates:
+        coef = -gains.estimation_gain(layout.has_velocity) * gains.theta_bar_vec(n, p)
 
     if tag is StrategyTag.SAT_GRAD_PLAY:
+        def law(s):
+            # each action moves against its own gradient; u = dx
+            return -game.pseudo_gradient(s)
 
-        def rhs(s):
-            # each action moves against its clamped own gradient; u = dx
-            u = sat(-game.pseudo_gradient(check(s)), sat_spec)
-            return u.copy(), u
-
-        return rhs, layout
-
-    if tag is StrategyTag.SECOND_ORDER_CENTRAL:
+    elif tag is StrategyTag.SECOND_ORDER_CENTRAL:
         alpha, beta = gains.alpha, gains.beta
 
-        def rhs(s):
+        def law(s):
             # full-information damping through the game Jacobian; unbounded u
-            s = check(s)
             x, nu = s[:d], s[d:]
             u = -alpha * game.pseudo_gradient(x) - beta * nu - game.game_jacobian(x) @ nu
-            return np.concatenate([nu, u]), u
+            return np.concatenate([nu, u])
 
-        return rhs, layout
-
-    coef = -gains.estimation_gain(layout.has_velocity) * gains.theta_bar_vec(n, p)
-
-    if tag is StrategyTag.FIRST_ORDER_DIST:
-
-        def rhs(s):
-            # clamped gradient at the local estimates; the estimates
-            # contract toward the tiled true action through M
-            s = check(s)
+    elif tag is StrategyTag.FIRST_ORDER_DIST:
+        def law(s):
+            # gradient at the local estimates; the estimates contract to tiled x
             x, y = s[:d], s[d:]
-            u = sat(-game.own_gradients_at_estimates(y), sat_spec)
             dy = coef * (M @ (y - np.tile(x, n)))
-            return np.concatenate([u, dy]), u
+            return np.concatenate([-game.own_gradients_at_estimates(y), dy])
 
-        return rhs, layout
+    else:
+        # Distributed second order: z descends the gradient at the estimates
+        # (gain theta1 * K), the estimates track tiled z, and the double
+        # integrator tracks z with the rate zdot substituted algebraically.
+        neg_kbar = -(gains.theta1 * gains.k_vec(n, p))
 
-    # Distributed second order: the reference z descends the gradient at
-    # the consensus estimates (gain theta1 * K), the estimates track the
-    # tiled reference, and the double integrator tracks z. The reference
-    # rate is substituted algebraically, never differentiated numerically.
-    neg_kbar = -(gains.theta1 * gains.k_vec(n, p))
-
-    if tag is StrategyTag.SECOND_ORDER_DIST:
-
-        def rhs(s):
-            s = check(s)
+        def law(s):
             x, nu, z, y = s[:d], s[d : 2 * d], s[2 * d : 3 * d], s[3 * d :]
             zdot = neg_kbar * game.own_gradients_at_estimates(y)
-            u = -(x - z) - (nu - zdot)
             dy = coef * (M @ (y - np.tile(z, n)))
-            return np.concatenate([nu, u, zdot, dy]), u
+            return np.concatenate([nu, -(x - z) - (nu - zdot), zdot, dy])
 
-        return rhs, layout
+    field = law
+    if isinstance(game, QuadraticGame):
+        # the law is affine: column k of A is law(e_k) - law(0)
+        b = law(np.zeros(layout.size))
+        A = np.column_stack([law(e) - b for e in np.eye(layout.size)])
+
+        def field(s):
+            v = A @ s
+            v += b
+            return v
+
+    ua, ub = layout.offsets["nu" if layout.has_velocity else "x"]
+    check = layout.check
 
     def rhs(s):
-        # SECOND_ORDER_DIST_SAT: the tracking control is clamped
-        s = check(s)
-        x, nu, z, y = s[:d], s[d : 2 * d], s[2 * d : 3 * d], s[3 * d :]
-        zdot = neg_kbar * game.own_gradients_at_estimates(y)
-        u = sat(-((x - z) + (nu - zdot)), sat_spec)
-        dy = coef * (M @ (y - np.tile(z, n)))
-        return np.concatenate([nu, u, zdot, dy]), u
+        ds = field(check(s))
+        u = ds[ua:ub]
+        if clamped:
+            np.maximum(u, lower, out=u)
+            np.minimum(u, upper, out=u)
+        return ds, u
 
     return rhs, layout
 

@@ -40,6 +40,8 @@ class SummaryReport:
     max_lyapunov_increment: float | None
     lyapunov_error: str | None
     tuner_echo: dict
+    n_steps: int
+    rhs_evals: int
     wall_clock_s: float
     config_hash: str
 
@@ -71,6 +73,8 @@ class SummaryReport:
             put("lyapunov_error", self.lyapunov_error)
         for key, val in sorted(self.tuner_echo.items()):
             put(f"tuner_{key}", val)
+        put("n_steps", self.n_steps)
+        put("rhs_evals", self.rhs_evals)
         put("wall_clock_s", self.wall_clock_s)
         put("config_hash", self.config_hash)
         return n_rows
@@ -172,6 +176,8 @@ def run_experiment(cfg, write_outputs=True):
         max_lyapunov_increment=max_inc,
         lyapunov_error=lyap_error,
         tuner_echo=_tuner_echo(cfg, lyap),
+        n_steps=cfg.sim.n_steps,
+        rhs_evals=cfg.sim.rhs_evals,
         wall_clock_s=wall,
         config_hash=cfg.config_hash(),
     )

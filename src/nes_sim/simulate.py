@@ -74,6 +74,11 @@ class SimConfig:
     def n_steps(self):
         return max(1, int(round(self.t_end / self.dt)))
 
+    @property
+    def rhs_evals(self):
+        """Vector-field calls of a run: 4 per RK4 step (1 per Euler step) plus the last."""
+        return (1 if self.integrator == "euler" else 4) * self.n_steps + 1
+
 
 @dataclass
 class Trajectory:

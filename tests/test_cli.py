@@ -314,3 +314,33 @@ def test_run_reports_lyapunov_error(tmp_path, capsys, case, reason):
     assert f"lyapunov_error={reason}\n" in (tmp_path / "s.txt").read_text()
     header = (tmp_path / "t.csv").read_text().splitlines()[0].split(",")
     assert "V" not in header
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--seed", "3", "replicate", "fig2", "--out", "OUT"],
+        ["bogus"],
+        ["replicate", "fig2"],
+    ],
+    ids=["stale_seed_flag", "unknown_subcommand", "missing_out"],
+)
+def test_usage_errors_exit_one(tmp_path, capsys, argv):
+    # argparse would exit 2, the code reserved for a run that did not converge
+    argv = [str(tmp_path) if arg == "OUT" else arg for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("integrator, evals_per_step", [("rk4", 4), ("euler", 1)])
+def test_summary_reports_steps_and_rhs_evals(tmp_path, capsys, integrator, evals_per_step):
+    doc = _short_run_doc(tmp_path, "fig2")
+    doc["sim"]["integrator"] = integrator
+    assert main(["--t-end", "0.5", "run", _write(tmp_path, doc)]) == 2
+    out = capsys.readouterr().out
+    assert _key(out, "n_steps") == "500"
+    assert _key(out, "rhs_evals") == str(evals_per_step * 500 + 1)
+    assert out.index("rhs_evals=") < out.index("wall_clock_s=")

@@ -4,6 +4,7 @@ import scipy.integrate
 
 from nes_sim import (
     GainSet,
+    GameDefinition,
     LayoutMismatchError,
     SaturationSpec,
     StateLayout,
@@ -11,6 +12,8 @@ from nes_sim import (
     estimation_matrix,
     lyapunov_value,
     make_rhs,
+    random_connected_graph,
+    random_strongly_monotone_game,
     rhs_gradient_play,
     sat,
     sat_integral,
@@ -311,6 +314,49 @@ def test_make_rhs_rejects_wrong_state_length(tag, sensor_game, path_graph):
     for size in (lay.size - 1, lay.size + 1):
         with pytest.raises(LayoutMismatchError, match=f"length {lay.size}, got {size}"):
             rhs(np.zeros(size))
+
+
+def _per_call_twin(game):
+    # the same quadratic game as a plain GameDefinition with its analytic
+    # gradients and Jacobian, so make_rhs evaluates the law on every call
+    n = game.n_players
+    return GameDefinition(
+        n,
+        game.action_dim,
+        costs=[lambda x, i=i: game.cost(i, x) for i in range(n)],
+        gradients=[lambda x, i=i: game.partial_gradient(i, x) for i in range(n)],
+        jacobian=lambda x: game.jacobian_matrix,
+    )
+
+
+@pytest.mark.parametrize("tag", list(StrategyTag))
+def test_compiled_field_matches_per_call_law(tag):
+    # quadratic games run the compiled A s + b; it must agree with the law
+    # evaluated per call to 1e-12 relative, and clamp u inside the bounds
+    rng = np.random.default_rng(41)
+    for _ in range(6):
+        n, p = int(rng.integers(2, 5)), int(rng.integers(1, 3))
+        game = random_strongly_monotone_game(rng, n_players=n, action_dim=p)
+        graph = random_connected_graph(rng, n)
+        gains = GainSet(
+            theta=rng.uniform(1.0, 300.0),
+            theta1=rng.uniform(0.5, 3.0),
+            theta_bar=rng.uniform(0.5, 2.0, n * n),
+            K=rng.uniform(0.05, 1.0, n),
+            alpha=rng.uniform(0.5, 3.0),
+            beta=rng.uniform(0.5, 3.0),
+        )
+        spec = SaturationSpec(-rng.uniform(0.5, 3.0, n * p), rng.uniform(0.5, 3.0, n * p))
+        compiled, lay = make_rhs(tag, game, graph=graph, gains=gains, sat_spec=spec)
+        per_call, _ = make_rhs(tag, _per_call_twin(game), graph=graph, gains=gains, sat_spec=spec)
+        for s in rng.normal(scale=3.0, size=(100, lay.size)):
+            ds, u = compiled(s)
+            ds_ref, u_ref = per_call(s)
+            scale = max(1.0, float(np.max(np.abs(ds_ref))))
+            assert np.max(np.abs(ds - ds_ref)) <= 1e-12 * scale
+            assert np.max(np.abs(u - u_ref)) <= 1e-12 * scale
+            if lay.is_saturated:
+                assert np.all(spec.lower <= u) and np.all(u <= spec.upper)
 
 
 # --- Lyapunov candidates --------------------------------------------------

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from nes_sim import (
+    GAME_REGISTRY,
+    CommGraph,
     DivergenceError,
     GainSet,
     SaturationSpec,
@@ -319,3 +321,34 @@ def test_run_sweep_executes_real_runs(sensor_game):
 
     peaks = run_sweep([1.0, 5.0, 100.0], runner, max_workers=3)
     assert peaks[0] == 1.0 and peaks[1] == 5.0 and peaks[2] < 100.0
+
+
+@pytest.mark.parametrize("integrator", ["rk4", "euler"])
+def test_rhs_evals_counts_vector_field_calls(integrator):
+    calls = []
+
+    def counted(s):
+        calls.append(1)
+        return _decay_rhs(s)
+
+    cfg = SimConfig(dt=0.1, t_end=1.0, integrator=integrator)
+    integrate(counted, np.array([1.0]), cfg, SCALAR_LAYOUT)
+    assert len(calls) == cfg.rhs_evals == (4 if integrator == "rk4" else 1) * 10 + 1
+
+
+@pytest.mark.parametrize(
+    "tag", [StrategyTag.FIRST_ORDER_DIST, StrategyTag.SECOND_ORDER_DIST_SAT]
+)
+def test_generic_game_runs_the_per_call_law(tag):
+    # a non-quadratic game is not compiled: its law is evaluated every call
+    game = GAME_REGISTRY["decoupled_quartic"]()
+    graph = CommGraph([[0.0, 1.0], [1.0, 0.0]])
+    spec = SaturationSpec.symmetric(1.0)
+    gains = GainSet(theta=10.0, theta1=1.0, K=0.1)
+    rhs, lay = make_rhs(tag, game, graph=graph, gains=gains, sat_spec=spec)
+    x0, x_star = np.array([3.0, 0.0]), np.array([1.0, -2.0])
+    traj = integrate(rhs, lay.pack(x=x0), SimConfig(dt=0.01, t_end=3.0), lay)
+    assert check_control_bounds(traj, spec)[1] == 0.0
+    assert np.isfinite(traj.states).all()
+    x_end = traj.x_history()[-1]
+    assert np.linalg.norm(x_end - x_star) < np.linalg.norm(x0 - x_star)
