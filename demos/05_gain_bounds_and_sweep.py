@@ -84,7 +84,7 @@ def run_one(theta):
     return float(np.max(np.abs(traj.final_state()[:6] - game.exact_ne()))), float(est[-1])
 
 thetas = [20.0, 60.0, 200.0, 600.0, 2000.0]
-results = run_sweep(thetas, run_one, max_workers=5)
+results = run_sweep(thetas, run_one)
 print("   theta    |x - x*|_inf at 3 s    estimation error at 3 s")
 for theta, (dist, est) in zip(thetas, results):
     print(f"  {theta:7.0f}   {dist:12.2e}          {est:12.2e}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -23,26 +24,16 @@ import numpy as np
 
 from . import tuning
 from .config import ConfigError, parse_config, read_document
-from .errors import (
-    DisconnectedGraphError,
-    DivergenceError,
-    IllConditionedError,
-    NotStronglyMonotoneError,
-)
+from .errors import DivergenceError, NotStronglyMonotoneError
 from .games import QuadraticGame
 from .graphs import estimation_matrix, solve_lyapunov
 from .presets import PRESET_NAMES, figure_preset
 from .runner import run_experiment
 from .simulate import run_sweep
 
-_USER_ERRORS = (
-    ConfigError,
-    NotStronglyMonotoneError,
-    DisconnectedGraphError,
-    IllConditionedError,
-    DivergenceError,
-    ValueError,
-)
+# every package error but DivergenceError is a ValueError; OSError covers
+# output files that cannot be written
+_USER_ERRORS = (ValueError, DivergenceError, OSError)
 
 
 def _apply_overrides(doc, args):
@@ -73,17 +64,20 @@ def cmd_run(args):
         raise ConfigError("run requires an output section (trajectory and summary paths)")
 
     if base_cfg.sweep:
-        variants = []
+        variants, writers = [], {}
         for idx, overrides in enumerate(base_cfg.sweep):
             variant = copy.deepcopy(doc)
             variant.pop("sweep", None)
             for dotted, value in overrides.items():
                 _set_dotted(variant, dotted, value)
             variants.append(parse_config(variant))
-            if variants[-1].output == base_cfg.output and len(base_cfg.sweep) > 1:
-                raise ConfigError(
-                    f"sweep entry {idx}: override the output paths so runs do not collide"
-                )
+            for path in variants[-1].output.values():
+                other = writers.setdefault(os.path.realpath(path), idx)
+                if other != idx:
+                    raise ConfigError(
+                        f"sweep entries {other} and {idx} both write {path}; "
+                        "override the output paths so runs do not collide"
+                    )
         results = run_sweep(variants, lambda c: run_experiment(c)[0])
         all_converged = True
         for idx, summary in enumerate(results):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,7 +132,10 @@ def _parse_vector(value, length, path):
             except ValueError:
                 raise ConfigError(f"{path}: malformed broadcast keyword '{value}'") from None
         raise ConfigError(f"{path}: expected a vector, 'zeros', or 'broadcast:<scalar>'")
-    arr = np.asarray(value, dtype=float).ravel()
+    try:
+        arr = np.asarray(value, dtype=float).ravel()
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}: expected a flat list of numbers") from None
     if arr.size != length:
         raise ConfigError(f"{path}: expected length {length}, got {arr.size}")
     return arr
@@ -218,9 +222,21 @@ def parse_config(doc):
 
     overrides = strat.get("tuner_overrides", {})
     _reject_unknown(overrides, _OVERRIDE_KEYS, "strategy.tuner_overrides")
+    for key, val in overrides.items():
+        path = f"strategy.tuner_overrides.{key}"
+        if key == "lipschitz_constants":
+            if not isinstance(val, list) or len(val) != n:
+                raise ConfigError(f"{path}: expected a list of {n} numbers, one per player")
+            for v in val:
+                _positive(v, path)
+        else:
+            _positive(val, path)
 
     sim_sec = doc["sim"]
     _reject_unknown(sim_sec, _SIM_KEYS, "sim")
+    monitor = sim_sec.get("monitor_lyapunov", False)
+    if not isinstance(monitor, bool):
+        raise ConfigError("sim.monitor_lyapunov: expected true or false")
     try:
         sim = SimConfig(
             dt=float(_require(sim_sec, "dt", "sim")),
@@ -228,7 +244,7 @@ def parse_config(doc):
             record_stride=sim_sec.get("record_stride", 1),
             integrator=sim_sec.get("integrator", "rk4"),
             convergence_tol=sim_sec.get("convergence_tol", 1e-3),
-            monitor_lyapunov=bool(sim_sec.get("monitor_lyapunov", False)),
+            monitor_lyapunov=monitor,
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"sim: {exc}") from exc
@@ -252,6 +268,8 @@ def parse_config(doc):
             "trajectory": str(_require(doc["output"], "trajectory", "output")),
             "summary": str(_require(doc["output"], "summary", "output")),
         }
+        if os.path.realpath(output["trajectory"]) == os.path.realpath(output["summary"]):
+            raise ConfigError("output: trajectory and summary must be different files")
 
     sweep = None
     if "sweep" in doc:

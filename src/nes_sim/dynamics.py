@@ -388,10 +388,12 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None, M=None):
 
 
 def lyapunov_value(tag, game, state, *, gains=None, sat_spec=None, P=None, x_star=None):
-    """Evaluate the stability certificate matching a strategy at one state.
+    """Evaluate the stability certificate matching a strategy.
 
-    The value is a monitored diagnostic, never part of any control law.
-    Candidates per strategy:
+    ``state`` is one flat state, which gives a float, or a stack of them,
+    one per row, which gives one value per row; the ingredients are
+    checked once either way. The value is a monitored diagnostic, never
+    part of any control law. Candidates per strategy:
 
     - SAT_GRAD_PLAY: sum of clamp integrals of the own-gradient channels.
     - FIRST_ORDER_DIST: the above plus the estimation error's quadratic
@@ -425,36 +427,49 @@ def lyapunov_value(tag, game, state, *, gains=None, sat_spec=None, P=None, x_sta
         x_star = np.asarray(x_star, dtype=float).ravel()
         if x_star.size != n:
             raise DimensionMismatchError("x_star", n, x_star.size)
-    blocks = layout.split(state)
+    states = np.asarray(state, dtype=float)
+    single = states.ndim < 2
+    if single:
+        states = layout.check(states)[None]
+    elif states.ndim != 2 or states.shape[1] != layout.size:
+        raise LayoutMismatchError(
+            f"states for {tag.value} must be rows of length {layout.size}, got {states.shape}"
+        )
+    blocks = {name: states[..., a:b] for name, (a, b) in layout.offsets.items()}
+    x, nu, z, y = (blocks.get(name) for name in ("x", "nu", "z", "y"))
+
+    def rows(grad, block):
+        # the game's own gradient per row, so generic games need no batched form
+        return np.array([grad(r) for r in block]).reshape(len(block), n)
+
+    def dot(a, b):
+        return np.sum(a * b, axis=-1)
+
+    def sat_sum(g):
+        return np.sum(sat_integral(g, ub), axis=-1)
 
     if tag is StrategyTag.SAT_GRAD_PLAY:
-        return float(np.sum(sat_integral(game.pseudo_gradient(blocks["x"]), ub)))
+        v = sat_sum(rows(game.pseudo_gradient, x))
 
-    if tag is StrategyTag.FIRST_ORDER_DIST:
-        x, y = blocks["x"], blocks["y"]
+    elif tag is StrategyTag.FIRST_ORDER_DIST:
         e = y - np.tile(x, game.n_players)
-        return float(np.sum(sat_integral(game.pseudo_gradient(x), ub)) + e @ P @ e)
+        v = sat_sum(rows(game.pseudo_gradient, x)) + dot(e @ P, e)
 
-    if tag is StrategyTag.SECOND_ORDER_CENTRAL:
-        x, nu = blocks["x"], blocks["nu"]
-        g = game.pseudo_gradient(x)
-        return float(nu @ nu + 0.5 * g @ g + nu @ g)
+    elif tag is StrategyTag.SECOND_ORDER_CENTRAL:
+        g = rows(game.pseudo_gradient, x)
+        v = dot(nu, nu) + 0.5 * dot(g, g) + dot(nu, g)
 
-    x, nu, z, y = blocks["x"], blocks["nu"], blocks["z"], blocks["y"]
-    k = gains.k_vec(game.n_players, game.action_dim)
-    zdot = -(gains.theta1 * k) * game.own_gradients_at_estimates(y)
-    ez = z - x_star
-    ee = y - np.tile(z, game.n_players)
-    ev = nu - zdot
-    base = 0.5 * ez @ (ez / k) + ee @ P @ ee
+    else:
+        k = gains.k_vec(game.n_players, game.action_dim)
+        zdot = -(gains.theta1 * k) * rows(game.own_gradients_at_estimates, y)
+        ez = z - x_star
+        ee = y - np.tile(z, game.n_players)
+        ev = nu - zdot
+        base = 0.5 * dot(ez, ez / k) + dot(ee @ P, ee)
+        if tag is StrategyTag.SECOND_ORDER_DIST:
+            et = x - z
+            v = base + 0.5 * dot(et, et) + 0.5 * dot(ev, ev)
+        else:
+            v = base + dot(ev, ev) + sat_sum(x - z) + sat_sum(x - z + ev)
 
-    if tag is StrategyTag.SECOND_ORDER_DIST:
-        et = x - z
-        return float(base + 0.5 * et @ et + 0.5 * ev @ ev)
-
-    return float(
-        base
-        + ev @ ev
-        + np.sum(sat_integral(x - z, ub))
-        + np.sum(sat_integral(x - z + ev, ub))
-    )
+    return float(v[0]) if single else v

@@ -8,8 +8,6 @@ Kronecker constructions.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from .errors import DimensionMismatchError, NotStronglyMonotoneError
@@ -74,10 +72,6 @@ class GameDefinition:
     def profile_dim(self):
         """Length N*p of a stacked action profile."""
         return self.n_players * self.action_dim
-
-    @property
-    def has_analytic_gradients(self):
-        return self._gradients is not None
 
     def _check_profile(self, x, what="action profile"):
         x = np.asarray(x, dtype=float).ravel()
@@ -190,14 +184,6 @@ class GameDefinition:
             best = min(best, num / denom)
         return float(best), False
 
-    def digest(self):
-        """Short stable identifier used in trajectory metadata."""
-        h = hashlib.sha256()
-        h.update(f"{self.n_players}:{self.action_dim}".encode())
-        for f in self._costs:
-            h.update(getattr(f, "__qualname__", repr(f)).encode())
-        return h.hexdigest()[:16]
-
 
 class QuadraticGame(GameDefinition):
     """Quadratic-cost family with pairwise distance couplings.
@@ -288,11 +274,6 @@ class QuadraticGame(GameDefinition):
         """The constant stacked-Jacobian matrix H."""
         return self._H
 
-    @property
-    def gradient_offset(self):
-        """Constant part c of the affine pseudo-gradient H x + c."""
-        return self._c
-
     def pseudo_gradient(self, x):
         x = self._check_profile(x)
         return self._H @ x + self._c
@@ -344,12 +325,6 @@ class QuadraticGame(GameDefinition):
                 "game is not strongly monotone; no unique Nash equilibrium certificate"
             )
         return np.linalg.solve(self._H, -self._c)
-
-    def digest(self):
-        h = hashlib.sha256()
-        for a in (self.r, self.p_vec, self.q, self.m_weights):
-            h.update(np.ascontiguousarray(a).tobytes())
-        return h.hexdigest()[:16]
 
 
 def check_gradient_consistency(game, rng=None, n_points=100, radius=5.0):

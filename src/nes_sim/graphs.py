@@ -112,8 +112,8 @@ class LyapunovPair:
     """Solution P of  P Tb M + M Tb P = Q  with its verification residual.
 
     ``residual`` is the Frobenius norm of the defect after substituting P
-    back; callers should treat a pair with residual > 1e-8 * ||Q||_F as
-    unusable.
+    back; :func:`solve_lyapunov` refuses a pair with residual above
+    1e-8 * ||Q||_F.
     """
 
     P: np.ndarray
@@ -150,8 +150,9 @@ def solve_lyapunov(M, theta_bar=1.0, Q=None):
     Raises
     ------
     IllConditionedError
-        If the condition estimate of the weighted system exceeds 1e12;
-        shrink the network or rescale ``theta_bar``.
+        If the condition estimate of the weighted system exceeds 1e12, or
+        the substitution residual exceeds 1e-8 * ||Q||_F; shrink the
+        network or rescale ``theta_bar``.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
@@ -203,6 +204,11 @@ def solve_lyapunov(M, theta_bar=1.0, Q=None):
     P = np.linalg.solve(system, Qm.ravel()).reshape(n, n)
     P = 0.5 * (P + P.T)
     residual = float(np.linalg.norm(P @ (tb[:, None] * M) + mt @ P - Qm, "fro"))
+    if residual > 1e-8 * np.linalg.norm(Qm, "fro"):
+        raise IllConditionedError(
+            f"Lyapunov solve residual {residual:.3e} exceeds 1e-8 * ||Q||_F; "
+            "reduce the network size or rescale theta_bar"
+        )
     if np.linalg.eigvalsh(P)[0] <= 0.0:
         raise ValueError("Lyapunov solve produced a non-positive-definite P")
     return LyapunovPair(P=P, Q=Qm, residual=residual)

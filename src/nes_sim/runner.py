@@ -123,19 +123,8 @@ def run_experiment(cfg, write_outputs=True):
             x_star = None
 
     rhs, layout = make_rhs(tag, game, gains=cfg.gains, sat_spec=cfg.sat_spec, M=M, graph=graph)
-    gain_meta = {
-        name: (val.tolist() if isinstance(val, np.ndarray) else val)
-        for name in ("theta", "theta1", "theta_bar", "K", "alpha", "beta")
-        if (val := getattr(cfg.gains, name)) is not None
-    }
     start = time.perf_counter()
-    traj = integrate(
-        rhs,
-        cfg.initial_state(),
-        cfg.sim,
-        layout,
-        metadata={"game_hash": game.digest(), "gains": gain_meta},
-    )
+    traj = integrate(rhs, cfg.initial_state(), cfg.sim, layout)
     wall = time.perf_counter() - start
 
     converged, t_hit, final_dist = False, None, None

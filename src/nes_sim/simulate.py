@@ -95,7 +95,6 @@ class Trajectory:
     controls: np.ndarray
     layout: dyn.StateLayout
     diagnostics: dict = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
 
     @property
     def n_records(self):
@@ -140,7 +139,7 @@ class Trajectory:
                 fh.write(",".join(format(v, ".17g") for v in row) + "\n")
 
 
-def integrate(rhs, state0, cfg, layout, metadata=None):
+def integrate(rhs, state0, cfg, layout):
     """Advance an autonomous vector field at fixed step and record.
 
     Parameters
@@ -192,16 +191,11 @@ def integrate(rhs, state0, cfg, layout, metadata=None):
     _, u_final = rhs(s)
     record(n_steps, s, u_final)
 
-    meta = dict(metadata or {})
-    meta.setdefault("integrator", cfg.integrator)
-    meta.setdefault("dt", dt)
-    meta.setdefault("strategy", layout.tag.value)
     return Trajectory(
         times=np.asarray(rec_times),
         states=np.vstack(rec_states),
         controls=np.vstack(rec_controls),
         layout=layout,
-        metadata=meta,
     )
 
 
@@ -262,24 +256,14 @@ def check_control_bounds(traj, spec):
 def monitor_lyapunov(traj, game, *, gains=None, sat_spec=None, P=None, x_star=None):
     """Evaluate the strategy's Lyapunov candidate at every record.
 
-    Attaches the series as diagnostic ``V`` and returns
+    One call of :func:`nes_sim.dynamics.lyapunov_value` over the record
+    matrix. Attaches the series as diagnostic ``V`` and returns
     ``(values, max_increment)`` where the increment is the largest
     positive jump between consecutive records (0.0 for a monotone
     series).
     """
-    values = np.array(
-        [
-            dyn.lyapunov_value(
-                traj.layout.tag,
-                game,
-                s,
-                gains=gains,
-                sat_spec=sat_spec,
-                P=P,
-                x_star=x_star,
-            )
-            for s in traj.states
-        ]
+    values = dyn.lyapunov_value(
+        traj.layout.tag, game, traj.states, gains=gains, sat_spec=sat_spec, P=P, x_star=x_star
     )
     traj.diagnostics["V"] = values
     increments = np.diff(values)
@@ -320,7 +304,7 @@ def stability_guard(cfg, tag, gains=None, M=None, game=None):
     return product
 
 
-def run_sweep(configs, runner, max_workers=None):
+def run_sweep(configs, runner):
     """Execute independent runs concurrently, results in submission order.
 
     ``runner`` must be a pure function of one configuration with no shared
@@ -330,5 +314,5 @@ def run_sweep(configs, runner, max_workers=None):
     configs = list(configs)
     if not configs:
         return []
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+    with ThreadPoolExecutor() as pool:
         return list(pool.map(runner, configs))

@@ -344,3 +344,37 @@ def test_summary_reports_steps_and_rhs_evals(tmp_path, capsys, integrator, evals
     assert _key(out, "n_steps") == "500"
     assert _key(out, "rhs_evals") == str(evals_per_step * 500 + 1)
     assert out.index("rhs_evals=") < out.index("wall_clock_s=")
+
+
+def test_run_unwritable_output_exits_one(tmp_path, capsys):
+    doc = _fast_run_doc(tmp_path, t_end=0.5)
+    doc["output"]["trajectory"] = str(tmp_path / "missing" / "traj.csv")
+    assert main(["run", _write(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing" in err
+
+
+def test_tune_unwritable_out_exits_one(tmp_path, capsys):
+    doc = figure_preset("fig3")
+    doc.pop("output", None)
+    out = str(tmp_path / "missing" / "x.json")
+    assert main(["tune", _write(tmp_path, doc), "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing" in err
+
+
+def test_sweep_entries_must_not_share_outputs(tmp_path, capsys):
+    # the entries differ from the base paths but not from each other
+    doc = _fast_run_doc(tmp_path, t_end=0.5)
+    doc["sweep"] = [
+        {
+            "strategy.saturation.u_bar": u_bar,
+            "output.trajectory": str(tmp_path / f"{u_bar}.csv"),
+            "output.summary": str(tmp_path / "same.txt"),
+        }
+        for u_bar in (1.0, 2.0)
+    ]
+    assert main(["run", _write(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert "sweep entries 0 and 1 both write" in err and "same.txt" in err
+    assert not (tmp_path / "same.txt").exists()

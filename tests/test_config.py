@@ -217,6 +217,51 @@ def test_sweep_section_validation():
         parse_config(doc)
 
 
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_monitor_lyapunov_must_be_a_boolean(value):
+    doc = figure_preset("fig2")
+    doc["sim"]["monitor_lyapunov"] = value
+    with pytest.raises(ConfigError, match="sim.monitor_lyapunov: expected true or false"):
+        parse_config(doc)
+
+
+@pytest.mark.parametrize("value", [{"a": 1}, [[1.0, 2.0], [3.0]], ["a"] * 6])
+def test_init_vector_must_hold_numbers(value):
+    doc = figure_preset("fig2")
+    doc["init"] = {"x0": value}
+    with pytest.raises(ConfigError, match="init.x0: expected a flat list of numbers"):
+        parse_config(doc)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("lipschitz_constants", [1.0], "expected a list of 3 numbers"),
+        ("lipschitz_constants", 2.0, "expected a list of 3 numbers"),
+        ("lipschitz_constants", [1.0, -1.0, 1.0], "must be strictly positive"),
+        ("sup_jacobian_norm", -3.0, "must be strictly positive"),
+        ("monotonicity_m", 0.0, "must be strictly positive"),
+        ("monotonicity_m", "abc", "expected a number"),
+    ],
+)
+def test_tuner_overrides_validated(key, value, message):
+    doc = figure_preset("fig3")
+    doc["strategy"]["tuner_overrides"] = {key: value}
+    with pytest.raises(ConfigError, match=f"strategy.tuner_overrides.{key}: {message}"):
+        parse_config(doc)
+    doc["strategy"]["tuner_overrides"] = {
+        "lipschitz_constants": [1.0, 2.0, 3.0], "sup_jacobian_norm": 3.0, "monotonicity_m": 1
+    }
+    assert parse_config(doc).tuner_overrides["monotonicity_m"] == 1
+
+
+def test_output_paths_must_differ(tmp_path):
+    doc = figure_preset("fig2")
+    doc["output"] = {"trajectory": str(tmp_path / "x"), "summary": str(tmp_path / "." / "x")}
+    with pytest.raises(ConfigError, match="trajectory and summary must be different files"):
+        parse_config(doc)
+
+
 def test_load_config_errors(tmp_path):
     missing = tmp_path / "missing.json"
     with pytest.raises(ConfigError, match="cannot read"):

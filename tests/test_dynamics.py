@@ -3,6 +3,8 @@ import pytest
 import scipy.integrate
 
 from nes_sim import (
+    GAME_REGISTRY,
+    CommGraph,
     GainSet,
     GameDefinition,
     LayoutMismatchError,
@@ -415,6 +417,43 @@ def test_lyapunov_central_zero_velocity_is_half_gradient_norm(sensor_game):
     g = sensor_game.pseudo_gradient(X0)
     val = lyapunov_value(StrategyTag.SECOND_ORDER_CENTRAL, sensor_game, lay.pack(x=X0))
     assert val == pytest.approx(0.5 * float(g @ g), rel=1e-12)
+
+
+def _stacked_matches_per_state(tag, game, states, **kwargs):
+    stacked = lyapunov_value(tag, game, states, **kwargs)
+    assert stacked.shape == (len(states),)
+    for row, v in zip(states, stacked):
+        ref = lyapunov_value(tag, game, row, **kwargs)
+        assert isinstance(ref, float)
+        assert abs(v - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("tag", list(StrategyTag))
+def test_stacked_lyapunov_matches_per_state(tag):
+    # one call over a stack of states gives each row's single-state value
+    rng = np.random.default_rng(17)
+    for _ in range(4):
+        n, p = int(rng.integers(2, 5)), int(rng.integers(1, 3))
+        game = random_strongly_monotone_game(rng, n_players=n, action_dim=p)
+        graph = random_connected_graph(rng, n)
+        gains = GainSet(theta=10.0, theta1=rng.uniform(0.5, 3.0), K=rng.uniform(0.05, 1.0, n))
+        P = solve_lyapunov(estimation_matrix(graph, p), 1.0, 1.0).P
+        spec = SaturationSpec.symmetric(rng.uniform(0.5, 3.0, n * p))
+        states = rng.normal(scale=3.0, size=(25, StateLayout(tag, n, p).size))
+        _stacked_matches_per_state(
+            tag, game, states, gains=gains, sat_spec=spec, P=P, x_star=game.exact_ne()
+        )
+
+
+def test_stacked_lyapunov_on_a_generic_game():
+    # a non-quadratic game takes its gradients row by row through its own methods
+    tag, game = StrategyTag.FIRST_ORDER_DIST, GAME_REGISTRY["decoupled_quartic"]()
+    P = solve_lyapunov(estimation_matrix(CommGraph([[0.0, 1.0], [1.0, 0.0]]), 1), 1.0, 1.0).P
+    spec = SaturationSpec.symmetric(1.0)
+    states = np.random.default_rng(5).normal(scale=2.0, size=(25, 6))
+    _stacked_matches_per_state(tag, game, states, sat_spec=spec, P=P)
+    with pytest.raises(LayoutMismatchError, match="rows of length 6"):
+        lyapunov_value(tag, game, states[:, :5], sat_spec=spec, P=P)
 
 
 def test_lyapunov_missing_ingredients(sensor_game, path_graph, x_star):

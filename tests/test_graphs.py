@@ -155,6 +155,16 @@ def test_solve_lyapunov_path_graph_roundtrip():
     assert np.linalg.eigvalsh(pair.P)[0] > 0.0
 
 
+def test_solve_lyapunov_refuses_a_large_residual(monkeypatch):
+    # a dense solve whose P is off by 1e-6 relative leaves a residual far
+    # above 1e-8 * ||Q||_F
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-6))
+    m = estimation_matrix(CommGraph(path_graph_adjacency()), 2)
+    with pytest.raises(IllConditionedError, match="residual"):
+        solve_lyapunov(m, 1.0, 1.0)
+
+
 def test_solve_lyapunov_against_scipy():
     rng = np.random.default_rng(12)
     g = random_connected_graph(rng, 3)

@@ -155,6 +155,24 @@ def test_monitor_lyapunov_equilibrium_run(sensor_game, x_star):
     assert max_inc == 0.0
 
 
+def test_monitor_lyapunov_evaluates_the_candidate_once(sensor_game, monkeypatch):
+    import nes_sim.dynamics as dyn
+
+    calls = []
+    candidate = dyn.lyapunov_value
+
+    def counted(*args, **kwargs):
+        calls.append(args[2].shape)
+        return candidate(*args, **kwargs)
+
+    monkeypatch.setattr(dyn, "lyapunov_value", counted)
+    rhs, lay = make_rhs(StrategyTag.SAT_GRAD_PLAY, sensor_game, sat_spec=SPEC5)
+    traj = integrate(rhs, X0, SimConfig(dt=0.01, t_end=0.5, record_stride=5), lay)
+    values, _ = monitor_lyapunov(traj, sensor_game, sat_spec=SPEC5)
+    assert calls == [traj.states.shape]
+    assert values.shape == (traj.n_records,) == (11,)
+
+
 def test_stability_guard_warns(sensor_game, path_graph):
     M = estimation_matrix(path_graph, 2)
     gains = GainSet(theta=1000.0, theta_bar=1.0)
@@ -308,7 +326,7 @@ def test_run_sweep_preserves_submission_order():
         time.sleep(0.02 * (5 - k))  # later submissions finish earlier
         return k * k
 
-    assert run_sweep(range(5), worker, max_workers=4) == [0, 1, 4, 9, 16]
+    assert run_sweep(range(5), worker) == [0, 1, 4, 9, 16]
     assert run_sweep([], worker) == []
 
 
@@ -319,7 +337,7 @@ def test_run_sweep_executes_real_runs(sensor_game):
         traj = integrate(rhs, X0, SimConfig(dt=1e-2, t_end=5.0), lay)
         return float(np.max(np.abs(traj.controls)))
 
-    peaks = run_sweep([1.0, 5.0, 100.0], runner, max_workers=3)
+    peaks = run_sweep([1.0, 5.0, 100.0], runner)
     assert peaks[0] == 1.0 and peaks[1] == 5.0 and peaks[2] < 100.0
 
 
