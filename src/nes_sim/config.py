@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -25,7 +26,8 @@ from .simulate import SimConfig
 __all__ = ["ExperimentConfig", "parse_config", "read_document", "load_config"]
 
 _TOP_KEYS = {"game", "graph", "strategy", "sim", "init", "output", "sweep"}
-_GAME_KEYS = {"type", "r", "p_vec", "q", "m_weights", "name"}
+_QUADRATIC_KEYS = ("r", "p_vec", "q", "m_weights")
+_GAME_KEYS = {"type", "name", *_QUADRATIC_KEYS}
 _GRAPH_KEYS = {"adjacency", "lyapunov_q"}
 _STRATEGY_KEYS = {"tag", "gains", "saturation", "tuner_overrides"}
 _GAIN_KEYS = {"theta", "theta1", "theta_bar", "K", "alpha", "beta"}
@@ -49,11 +51,23 @@ def _require(section, key, path):
     return section[key]
 
 
+def _number(value, path):
+    """A JSON number as a float; strings and booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{path}: expected a number")
+    return float(value)
+
+
+def _numbers(value, path):
+    """A JSON number or rectangular nested list of numbers, as a float array."""
+    arr = np.asarray(value, dtype=object)  # a ragged row stays a list and is refused
+    for item in arr.flat:
+        _number(item, path)
+    return arr.astype(float)
+
+
 def _positive(value, path):
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}: expected a number") from None
+    v = _number(value, path)
     if not v > 0.0:
         raise ConfigError(f"{path}: must be strictly positive")
     return v
@@ -96,22 +110,18 @@ def _parse_game(section):
     _reject_unknown(section, _GAME_KEYS, "game")
     kind = _require(section, "type", "game")
     if kind == "quadratic":
-        for key in ("r", "p_vec", "q", "m_weights"):
+        for key in _QUADRATIC_KEYS:
             _require(section, key, "game")
         if "name" in section:
             raise ConfigError("game: 'name' is only valid for type custom")
+        arrays = {key: _numbers(section[key], f"game.{key}") for key in _QUADRATIC_KEYS}
         try:
-            return QuadraticGame(
-                r=section["r"],
-                p_vec=section["p_vec"],
-                q=section["q"],
-                m_weights=section["m_weights"],
-            )
+            return QuadraticGame(**arrays)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"game: {exc}") from exc
     if kind == "custom":
         name = _require(section, "name", "game")
-        extra = set(section) & {"r", "p_vec", "q", "m_weights"}
+        extra = set(section) & set(_QUADRATIC_KEYS)
         if extra:
             raise ConfigError(f"game: keys {sorted(extra)} are only valid for type quadratic")
         if name not in GAME_REGISTRY:
@@ -133,8 +143,8 @@ def _parse_vector(value, length, path):
                 raise ConfigError(f"{path}: malformed broadcast keyword '{value}'") from None
         raise ConfigError(f"{path}: expected a vector, 'zeros', or 'broadcast:<scalar>'")
     try:
-        arr = np.asarray(value, dtype=float).ravel()
-    except (TypeError, ValueError):
+        arr = _numbers(value, path).ravel()
+    except ConfigError:
         raise ConfigError(f"{path}: expected a flat list of numbers") from None
     if arr.size != length:
         raise ConfigError(f"{path}: expected length {length}, got {arr.size}")
@@ -152,7 +162,7 @@ def parse_config(doc):
 
     graph_sec = doc["graph"]
     _reject_unknown(graph_sec, _GRAPH_KEYS, "graph")
-    adjacency = np.asarray(_require(graph_sec, "adjacency", "graph"), dtype=float)
+    adjacency = _numbers(_require(graph_sec, "adjacency", "graph"), "graph.adjacency")
     if adjacency.shape != (n, n):
         raise ConfigError(f"graph.adjacency: expected shape ({n}, {n}), got {adjacency.shape}")
     try:
@@ -160,13 +170,13 @@ def parse_config(doc):
     except ValueError as exc:
         raise ConfigError(f"graph.adjacency: {exc}") from exc
     lyap_q = graph_sec.get("lyapunov_q", 1.0)
-    if not np.isscalar(lyap_q):
-        lyap_q = np.asarray(lyap_q, dtype=float)
+    if isinstance(lyap_q, (list, np.ndarray)):
+        lyap_q = _numbers(lyap_q, "graph.lyapunov_q")
         n2p = n * n * p
         if lyap_q.shape != (n2p, n2p):
             raise ConfigError(f"graph.lyapunov_q: expected a scalar or a {n2p}x{n2p} matrix")
-    elif not float(lyap_q) > 0.0:
-        raise ConfigError("graph.lyapunov_q: must be strictly positive")
+    else:
+        lyap_q = _positive(lyap_q, "graph.lyapunov_q")
 
     strat = doc["strategy"]
     _reject_unknown(strat, _STRATEGY_KEYS, "strategy")
@@ -189,8 +199,8 @@ def parse_config(doc):
             kwargs[key] = _positive(gains_sec[key], f"strategy.gains.{key}")
     for key in ("theta_bar", "K"):
         if key in gains_sec:
-            val = gains_sec[key]
-            kwargs[key] = float(val) if np.isscalar(val) else np.asarray(val, dtype=float)
+            val = _numbers(gains_sec[key], f"strategy.gains.{key}")
+            kwargs[key] = float(val) if val.ndim == 0 else val
     try:
         gains = GainSet(**kwargs)
         gains.theta_bar_vec(n, p)
@@ -206,14 +216,13 @@ def parse_config(doc):
         _reject_unknown(sat_sec, _SAT_KEYS, "strategy.saturation")
         if "u_bar" in sat_sec and ("lower" in sat_sec or "upper" in sat_sec):
             raise ConfigError("strategy.saturation: give either u_bar or lower/upper, not both")
+        symmetric = "u_bar" in sat_sec
+        bounds = [
+            _numbers(_require(sat_sec, key, "strategy.saturation"), f"strategy.saturation.{key}")
+            for key in (("u_bar",) if symmetric else ("lower", "upper"))
+        ]
         try:
-            if "u_bar" in sat_sec:
-                sat_spec = SaturationSpec.symmetric(sat_sec["u_bar"])
-            else:
-                sat_spec = SaturationSpec(
-                    _require(sat_sec, "lower", "strategy.saturation"),
-                    _require(sat_sec, "upper", "strategy.saturation"),
-                )
+            sat_spec = SaturationSpec.symmetric(*bounds) if symmetric else SaturationSpec(*bounds)
         except ValueError as exc:
             raise ConfigError(f"strategy.saturation: {exc}") from exc
         sat_spec.check_size(layout.action_size)
@@ -237,16 +246,19 @@ def parse_config(doc):
     monitor = sim_sec.get("monitor_lyapunov", False)
     if not isinstance(monitor, bool):
         raise ConfigError("sim.monitor_lyapunov: expected true or false")
+    dt = _number(_require(sim_sec, "dt", "sim"), "sim.dt")
+    t_end = _number(_require(sim_sec, "t_end", "sim"), "sim.t_end")
+    tol = _number(sim_sec.get("convergence_tol", 1e-3), "sim.convergence_tol")
     try:
         sim = SimConfig(
-            dt=float(_require(sim_sec, "dt", "sim")),
-            t_end=float(_require(sim_sec, "t_end", "sim")),
+            dt=dt,
+            t_end=t_end,
             record_stride=sim_sec.get("record_stride", 1),
             integrator=sim_sec.get("integrator", "rk4"),
-            convergence_tol=sim_sec.get("convergence_tol", 1e-3),
+            convergence_tol=tol,
             monitor_lyapunov=monitor,
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"sim: {exc}") from exc
 
     init_sec = doc.get("init", {})

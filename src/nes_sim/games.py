@@ -246,7 +246,6 @@ class QuadraticGame(GameDefinition):
                     H[i * p : (i + 1) * p, j * p : (j + 1) * p] = -2.0 * w[i, j] * eye
         self._H = H
         self._c = self.p_vec.ravel().copy()
-        self._estimate_matrix = None
 
         # player i's own gradient is block row i of the affine H x + c
         rows = [slice(i * p, (i + 1) * p) for i in range(n)]
@@ -283,24 +282,9 @@ class QuadraticGame(GameDefinition):
         n, d = self.n_players, self.profile_dim
         if y.size != n * d:
             raise DimensionMismatchError("stacked profile estimates", n * d, y.size)
-        return self.estimate_gradient_matrix @ y + self._c
-
-    @property
-    def estimate_gradient_matrix(self):
-        """Block-diagonal map from stacked estimates to stacked own-gradients.
-
-        Row block i holds player i's block-row of H, placed in the columns
-        of estimate i, so ``own_gradients_at_estimates(y)`` is a single
-        matrix-vector product. Its spectral norm is the largest per-player
-        Lipschitz constant.
-        """
-        if self._estimate_matrix is None:
-            n, p, d = self.n_players, self.action_dim, self.profile_dim
-            B = np.zeros((d, n * d))
-            for i in range(n):
-                B[i * p : (i + 1) * p, i * d : (i + 1) * d] = self._H[i * p : (i + 1) * p, :]
-            self._estimate_matrix = B
-        return self._estimate_matrix
+        # player i's block-row of H applied to estimate i, for all i at once
+        H = self._H.reshape(n, self.action_dim, d)
+        return (H @ y.reshape(n, d, 1)).ravel() + self._c
 
     def monotonicity_constant(self, n_pairs=None, radius=None, rng=None):
         """Exact constant: smallest eigenvalue of the symmetric part of H.

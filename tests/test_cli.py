@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from nes_sim import CommGraph, estimation_matrix
 from nes_sim.cli import main
 from nes_sim.presets import figure_preset
 
@@ -282,6 +283,34 @@ def test_non_integer_record_stride_exits_one(tmp_path, capsys, stride):
     assert "record_stride must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "dotted, value",
+    [
+        ("graph.lyapunov_q", "1"),
+        ("graph.lyapunov_q", True),
+        ("strategy.gains.theta", "1000"),
+        ("strategy.gains.theta", True),
+        ("strategy.gains.theta_bar", "2"),
+        ("strategy.gains.theta_bar", "abc"),
+        ("strategy.saturation.u_bar", "5"),
+        ("sim.dt", "0.0001"),
+        ("sim.convergence_tol", "0.01"),
+        ("game.q", ["3", 3.0, 6.0]),
+        ("graph.adjacency", [[0, 1, 0], [1, 0, True], [0, True, 0]]),
+    ],
+)
+def test_numbers_must_be_json_numbers(tmp_path, capsys, dotted, value):
+    doc = _short_run_doc(tmp_path, "fig3")
+    *parents, key = dotted.split(".")
+    node = doc
+    for name in parents:
+        node = node[name]
+    node[key] = value
+    assert main(["--t-end", "0.01", "run", _write(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == f"error: {dotted}: expected a number\n"
+    assert not (tmp_path / "s.txt").exists()
+
+
 _SKEW_SECOND_ORDER = {
     "game": {"type": "custom", "name": "skew_bilinear"},
     "graph": {"adjacency": [[0.0, 1.0], [1.0, 0.0]]},
@@ -378,3 +407,42 @@ def test_sweep_entries_must_not_share_outputs(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "sweep entries 0 and 1 both write" in err and "same.txt" in err
     assert not (tmp_path / "same.txt").exists()
+
+
+def test_tune_and_monitored_run_on_a_twenty_player_ring(tmp_path, capsys):
+    # n = N^2 p = 800 estimates: the Lyapunov solve must not build the
+    # n^2 x n^2 Kronecker system, which would need terabytes
+    n_players = 20
+    ring = np.roll(np.eye(n_players), 1, axis=1) + np.roll(np.eye(n_players), -1, axis=1)
+    rng = np.random.default_rng(3)
+    doc = {
+        "game": {
+            "type": "quadratic",
+            "r": [np.eye(2).tolist()] * n_players,
+            "p_vec": rng.uniform(-4.0, 4.0, (n_players, 2)).tolist(),
+            "q": rng.uniform(0.0, 6.0, n_players).tolist(),
+            "m_weights": ring.tolist(),
+        },
+        "graph": {"adjacency": ring.tolist()},
+        "strategy": {
+            "tag": "second_order_dist_sat",
+            "gains": {"theta": 1e9, "theta1": 1.0, "K": 0.1, "theta_bar": 1.0},
+            "saturation": {"u_bar": 5.0},
+        },
+        "sim": {"dt": 1e-3, "t_end": 1.0, "record_stride": 10, "monitor_lyapunov": True},
+        "init": {"x0": "zeros"},
+        "output": {"trajectory": str(tmp_path / "t.csv"), "summary": str(tmp_path / "s.txt")},
+    }
+    assert main(["tune", _write(tmp_path, doc)]) == 0
+    theta_star = float(_key(capsys.readouterr().out, "theta_star"))
+    assert np.isfinite(theta_star) and theta_star > 0.0
+
+    theta = 2.0 * theta_star
+    lam_max = np.linalg.eigvalsh(estimation_matrix(CommGraph(ring), 2))[-1]
+    dt = 2.0 / (theta * 1.0 * lam_max)  # theta1 = 1
+    doc["strategy"]["gains"]["theta"] = theta
+    doc["sim"].update(dt=dt, t_end=50 * dt)
+    assert main(["run", _write(tmp_path, doc)]) in (0, 2)
+    out = capsys.readouterr().out
+    assert np.isfinite(float(_key(out, "max_lyapunov_increment")))
+    assert "lyapunov_error=" not in out

@@ -156,22 +156,31 @@ def test_solve_lyapunov_path_graph_roundtrip():
 
 
 def test_solve_lyapunov_refuses_a_large_residual(monkeypatch):
-    # a dense solve whose P is off by 1e-6 relative leaves a residual far
-    # above 1e-8 * ||Q||_F
-    solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-6))
+    # eigenvalues off by 1e-6 relative put P off by about as much, which
+    # leaves a residual far above 1e-8 * ||Q||_F
+    eigh = np.linalg.eigh
+
+    def perturbed(a):
+        eigs, vecs = eigh(a)
+        return eigs * (1.0 + 1e-6), vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
     m = estimation_matrix(CommGraph(path_graph_adjacency()), 2)
     with pytest.raises(IllConditionedError, match="residual"):
         solve_lyapunov(m, 1.0, 1.0)
 
 
-def test_solve_lyapunov_against_scipy():
+@pytest.mark.parametrize("n_nodes", [3, 6, 20])
+def test_solve_lyapunov_against_scipy(n_nodes):
     rng = np.random.default_rng(12)
-    g = random_connected_graph(rng, 3)
-    m = estimation_matrix(g, 2)
-    tb = rng.uniform(0.5, 2.0, m.shape[0])
+    ring = np.roll(np.eye(n_nodes), 1, axis=1) + np.roll(np.eye(n_nodes), -1, axis=1)
+    m = estimation_matrix(CommGraph(ring), 2)
+    n = m.shape[0]
+    tb = rng.uniform(0.5, 2.0, n)
     a = rng.normal(size=m.shape)
-    q = a @ a.T + m.shape[0] * np.eye(m.shape[0])
+    # scaled so that ||Q|| does not grow with n: the elementwise tolerance
+    # below is only reachable in float64 while ||P|| stays moderate
+    q = a @ a.T / n + np.eye(n)
     pair = solve_lyapunov(m, tb, q)
     # independent route: scipy's Bartels-Stewart on  (M Tb) P + P (M Tb)^T = Q
     expected = scipy.linalg.solve_continuous_lyapunov(m * tb[None, :], q)
