@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Gain bounds as a design tool, plus a concurrent parameter sweep.
+"""Gain bounds as a design tool, plus a parameter sweep.
 
 First: compute the sufficient consensus-gain floor theta_star for a batch
 of random strongly monotone games and check the promise it makes -- at
 theta = 1.1 * theta_star every run converges.
 
 Second: sweep theta across two orders of magnitude on the sensor
-benchmark (independent runs executed concurrently, results in submission
-order) to see how the estimate quality at a fixed horizon responds.
+benchmark (independent runs executed one at a time, in submission order:
+the integrator's BLAS calls release the GIL, so concurrent runs would only
+convoy on it) to see how the estimate quality at a fixed horizon responds.
 """
 
 import numpy as np

@@ -369,7 +369,7 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None, M=None):
         A = np.column_stack([law(e) - b for e in np.eye(layout.size)])
 
         def field(s):
-            v = A @ s
+            v = A.dot(s)
             v += b
             return v
 

