@@ -3,7 +3,9 @@
 Every strategy is written as a right-hand side over a flat state vector
 whose blocks follow the order x | nu | z | y (blocks absent from a layout
 are skipped). All vector fields return the pair ``(dstate, u)`` so the
-recorder can log and bound-check control inputs without recomputation.
+recorder can log and bound-check control inputs without recomputation;
+``rhs(state, out=row)`` writes ``dstate`` straight into the integrator's
+stage row.
 
 Strategies
 ----------
@@ -301,14 +303,19 @@ def rhs_gradient_play(game, state):
 def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None, M=None):
     """Bind a strategy's vector field to its game, graph, and gains.
 
-    Returns ``(rhs, layout)`` where ``rhs(state) -> (dstate, u)``. Each
-    control law is written once here, unclamped; one wrapper checks the
-    state length (``LayoutMismatchError``) and clamps the control rows of
-    ``dstate`` in place, so ``u`` is a view of them. For a
-    ``QuadraticGame`` every law is affine, since the pseudo-gradient is
-    ``H x + c``: it is compiled once, here, to ``A s + b``. Any other game
-    evaluates the law on every call. ``M`` is assembled from ``graph``
-    unless given; gains and bounds are validated here.
+    Returns ``(rhs, layout)`` where ``rhs(state, out=None) -> (dstate, u)``.
+    Each control law is written once here, unclamped; one wrapper clamps
+    the control rows of ``dstate`` in place, so ``u`` is a view of them.
+    Without ``out``, the state length is checked (``LayoutMismatchError``)
+    and ``dstate`` is a fresh array. With ``out``, a float array of
+    ``layout.size`` entries that does not overlap the state, ``dstate`` is
+    written into it and ``dstate is out``; the compiled path then skips
+    the length check, and a wrong-length state raises ``ValueError`` from
+    the product instead. For a ``QuadraticGame`` every law is affine,
+    since the pseudo-gradient is ``H x + c``: it is compiled once, here,
+    to ``A s + b``. Any other game evaluates the law on every call. ``M``
+    is assembled from ``graph`` unless given; gains and bounds are
+    validated here.
     """
     tag = StrategyTag(tag)
     layout = StateLayout(tag, game.n_players, game.action_dim)
@@ -362,22 +369,32 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None, M=None):
             dy = coef * (M @ (y - np.tile(z, n)))
             return np.concatenate([nu, -(x - z) - (nu - zdot), zdot, dy])
 
-    field = law
+    ua, ub = layout.offsets["nu" if layout.has_velocity else "x"]
+    check = layout.check
+
     if isinstance(game, QuadraticGame):
         # the law is affine: column k of A is law(e_k) - law(0)
         b = law(np.zeros(layout.size))
         A = np.column_stack([law(e) - b for e in np.eye(layout.size)])
 
-        def field(s):
-            v = A.dot(s)
+        def field(s, out):
+            # with out the state goes unchecked: the product still refuses
+            # any length but layout.size
+            v = A.dot(check(s) if out is None else s, out)
             v += b
             return v
 
-    ua, ub = layout.offsets["nu" if layout.has_velocity else "x"]
-    check = layout.check
+    else:
 
-    def rhs(s):
-        ds = field(check(s))
+        def field(s, out):
+            v = law(check(s))
+            if out is None:
+                return v
+            out[:] = v
+            return out
+
+    def rhs(s, out=None):
+        ds = field(s, out)
         u = ds[ua:ub]
         if clamped:
             np.maximum(u, lower, out=u)

@@ -42,6 +42,8 @@ class SummaryReport:
     tuner_echo: dict
     n_steps: int
     rhs_evals: int
+    guard_product: float
+    guard_limit: float
     wall_clock_s: float
     config_hash: str
 
@@ -75,6 +77,8 @@ class SummaryReport:
             put(f"tuner_{key}", val)
         put("n_steps", self.n_steps)
         put("rhs_evals", self.rhs_evals)
+        put("guard_product", self.guard_product)
+        put("guard_limit", self.guard_limit)
         put("wall_clock_s", self.wall_clock_s)
         put("config_hash", self.config_hash)
         return n_rows
@@ -108,7 +112,7 @@ def run_experiment(cfg, write_outputs=True):
     layout = cfg.layout
 
     M = estimation_matrix(graph, game.action_dim) if layout.has_estimates else None
-    stability_guard(cfg.sim, tag, gains=cfg.gains, M=M, game=game)
+    guard = stability_guard(cfg.sim, tag, gains=cfg.gains, M=M, game=game)
 
     lyap = None
     if layout.has_estimates and cfg.sim.monitor_lyapunov:
@@ -167,6 +171,8 @@ def run_experiment(cfg, write_outputs=True):
         tuner_echo=_tuner_echo(cfg, lyap),
         n_steps=cfg.sim.n_steps,
         rhs_evals=cfg.sim.rhs_evals,
+        guard_product=guard,
+        guard_limit=cfg.sim.guard_limit,
         wall_clock_s=wall,
         config_hash=cfg.config_hash(),
     )

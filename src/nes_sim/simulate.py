@@ -97,6 +97,11 @@ class SimConfig:
         """Vector-field calls of a run: one per stage of each step, plus the last."""
         return len(_SCHEMES[self.integrator].weights) * self.n_steps + 1
 
+    @property
+    def guard_limit(self):
+        """The scheme's stability-guard threshold on dt * fastest-mode-rate."""
+        return _SCHEMES[self.integrator].guard
+
 
 @dataclass
 class Trajectory:
@@ -167,9 +172,12 @@ def integrate(rhs, state0, cfg, layout):
     Parameters
     ----------
     rhs : callable
-        ``rhs(state) -> (dstate, u)``, called once per stage of every step
-        and once more for the final record (``cfg.rhs_evals`` calls).
-        ``dstate`` is copied before ``rhs`` is called again.
+        ``rhs(state, out=None) -> (dstate, u)``, called once per stage of
+        every step and once more for the final record (``cfg.rhs_evals``
+        calls). Each stage passes its derivative row as ``out``; a
+        ``dstate`` other than ``out`` is copied into the row, so a field
+        that accepts ``out`` and ignores it still works. ``u`` is read
+        before ``rhs`` is called again.
     state0 : array_like
         Initial flat state in ``layout`` order.
     cfg : SimConfig
@@ -180,7 +188,9 @@ def integrate(rhs, state0, cfg, layout):
     ------
     DivergenceError
         On the first non-finite state component, naming the step and the
-        offending block.
+        offending block. Floating-point overflow inside the loop, the
+        vector field's included, does not warn: a state that overflows to
+        infinity raises this error instead.
     """
     scheme = _SCHEMES[cfg.integrator]
     dt = cfg.dt
@@ -208,24 +218,32 @@ def integrate(rhs, state0, cfg, layout):
         rec_states.append(s.copy())
         rec_controls.append(np.asarray(u, dtype=float).copy())
 
-    for step in range(n_steps):
-        k, u1 = rhs(s)
-        if step % stride == 0:
-            record(step, u1)
-        k1[:] = k
-        for stage_dot, src, dst in stages:
-            stage_dot(src, buf)
-            dst[:] = rhs(buf)[0]
-        step_dot(ks, buf)
-        s += buf
-        # s.s is finite unless an entry is non-finite or |s| passes ~1e154;
-        # only then does the exact test run
-        if not isfinite(s_dot(s)) and not np.isfinite(s).all():
-            bad = int(np.flatnonzero(~np.isfinite(s))[0])
-            raise DivergenceError(
-                f"non-finite state at step {step + 1} "
-                f"(t={(step + 1) * dt:.6g}) in block {layout.block_name(bad)}"
-            )
+    # the screen s.s overflows once |s| passes ~1e154 while every entry is
+    # still finite; entered once, so the loop pays nothing per step
+    with np.errstate(over="ignore"):
+        for step in range(n_steps):
+            # each stage writes its derivative into its own row; a field
+            # that ignores out has its result copied there
+            k, u1 = rhs(s, out=k1)
+            if k is not k1:
+                k1[:] = k
+            if step % stride == 0:
+                record(step, u1)
+            for stage_dot, src, dst in stages:
+                stage_dot(src, buf)
+                k = rhs(buf, out=dst)[0]
+                if k is not dst:
+                    dst[:] = k
+            step_dot(ks, buf)
+            s += buf
+            # s.s is finite unless an entry is non-finite or |s| passes
+            # ~1e154; only then does the exact test run
+            if not isfinite(s_dot(s)) and not np.isfinite(s).all():
+                bad = int(np.flatnonzero(~np.isfinite(s))[0])
+                raise DivergenceError(
+                    f"non-finite state at step {step + 1} "
+                    f"(t={(step + 1) * dt:.6g}) in block {layout.block_name(bad)}"
+                )
     _, u_final = rhs(s)
     record(n_steps, u_final)
 
@@ -331,7 +349,7 @@ def stability_guard(cfg, tag, gains=None, M=None, game=None):
         else:
             rate = h_norm
     product = cfg.dt * rate
-    limit = _SCHEMES[cfg.integrator].guard
+    limit = cfg.guard_limit
     if product > limit:
         warnings.warn(
             f"stability guard: dt * fastest-mode-rate = {product:.3g} exceeds "

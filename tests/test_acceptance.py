@@ -191,7 +191,7 @@ def test_criterion_7_property_suites(sensor_game):
 
     # RK4 order factor
     lay1 = StateLayout(StrategyTag.SAT_GRAD_PLAY, 1, 1)
-    decay = lambda s: (-s, -s)
+    decay = lambda s, out=None: (-s, -s)
 
     def endpoint_error(dt):
         traj = integrate(decay, np.array([1.0]), SimConfig(dt=dt, t_end=1.0), lay1)
@@ -213,7 +213,7 @@ def test_criterion_7_property_suites(sensor_game):
 def test_criterion_8_unsaturated_limit_equivalence(sensor_game):
     big = SaturationSpec.symmetric(1e12)
     rhs_sat, lay = make_rhs(StrategyTag.SAT_GRAD_PLAY, sensor_game, sat_spec=big)
-    rhs_plain = lambda s: rhs_gradient_play(sensor_game, s)
+    rhs_plain = lambda s, out=None: rhs_gradient_play(sensor_game, s)
     cfg = SimConfig(dt=1e-3, t_end=5.0, record_stride=10)
     a = integrate(rhs_sat, X0, cfg, lay)
     b = integrate(rhs_plain, X0, cfg, lay)

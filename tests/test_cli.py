@@ -386,6 +386,21 @@ def test_summary_reports_steps_and_rhs_evals(tmp_path, capsys, integrator, evals
     assert out.index("rhs_evals=") < out.index("wall_clock_s=")
 
 
+@pytest.mark.parametrize("integrator, limit", [("rk4", 2.5), ("euler", 1.8)])
+def test_summary_reports_the_stability_guard(tmp_path, capsys, integrator, limit):
+    doc = _short_run_doc(tmp_path, "fig3")
+    doc["sim"]["integrator"] = integrator
+    main(["--t-end", "0.01", "run", _write(tmp_path, doc)])
+    out = capsys.readouterr().out
+    # fig3's fastest mode is the consensus flow: dt * theta * max(theta_bar) * lambda_max(M)
+    graph = CommGraph(np.array(doc["graph"]["adjacency"]))
+    rate = 1000.0 * 1.0 * np.linalg.eigvalsh(estimation_matrix(graph, 2))[-1]
+    assert float(_key(out, "guard_product")) == pytest.approx(1e-4 * rate, rel=1e-12)
+    assert float(_key(out, "guard_limit")) == limit
+    keys = ("rhs_evals=", "guard_product=", "guard_limit=", "wall_clock_s=")
+    assert [out.index(key) for key in keys] == sorted(out.index(key) for key in keys)
+
+
 def test_run_unwritable_output_exits_one(tmp_path, capsys):
     doc = _fast_run_doc(tmp_path, t_end=0.5)
     doc["output"]["trajectory"] = str(tmp_path / "missing" / "traj.csv")

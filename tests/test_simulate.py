@@ -34,7 +34,7 @@ SPEC5 = SaturationSpec.symmetric(5.0)
 SCALAR_LAYOUT = StateLayout(StrategyTag.SAT_GRAD_PLAY, 1, 1)
 
 
-def _decay_rhs(s):
+def _decay_rhs(s, out=None):
     return -s, -s
 
 
@@ -67,7 +67,7 @@ def test_euler_is_first_order():
 
 
 def test_zero_field_constant_trajectory():
-    rhs = lambda s: (np.zeros_like(s), np.zeros_like(s))
+    rhs = lambda s, out=None: (np.zeros_like(s), np.zeros_like(s))
     traj = integrate(rhs, np.array([2.5]), SimConfig(dt=0.1, t_end=1.0), SCALAR_LAYOUT)
     np.testing.assert_array_equal(traj.states, np.full((11, 1), 2.5))
     # s.s overflows here, but every entry is finite: no divergence
@@ -95,7 +95,7 @@ def test_determinism_bitwise(sensor_game):
 
 
 def test_divergence_abort_names_block():
-    rhs = lambda s: (s * s * 1e150, s)
+    rhs = lambda s, out=None: (s * s * 1e150, s)
     with np.errstate(over="ignore"), pytest.raises(DivergenceError, match=r"step \d+.*x\[0\]"):
         integrate(rhs, np.array([1e200]), SimConfig(dt=1.0, t_end=5.0), SCALAR_LAYOUT)
 
@@ -114,6 +114,22 @@ def test_divergence_of_a_compiled_field_warns_only_of_overflow(sensor_game, path
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError, match=r"non-finite state at step \d+ .* in block y\["):
             integrate(rhs, s0, SimConfig(dt=1e-2, t_end=100.0, integrator=integrator), lay)
+
+
+@pytest.mark.parametrize("integrator", ["rk4", "euler"])
+def test_the_finiteness_screen_never_warns(sensor_game, path_graph, integrator):
+    # the divergence above: s.s overflows for many steps before the state
+    # turns non-finite, yet the run warns of overflow at most once
+    gains = GainSet(theta=1000.0, theta_bar=1.0)
+    rhs, lay = make_rhs(
+        StrategyTag.FIRST_ORDER_DIST, sensor_game, graph=path_graph, gains=gains, sat_spec=SPEC5
+    )
+    s0 = lay.pack(x=X0, y=np.full(18, 10.0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DivergenceError):
+            integrate(rhs, s0, SimConfig(dt=1e-2, t_end=100.0, integrator=integrator), lay)
+    assert sum("overflow" in str(w.message) for w in caught) <= 1
 
 
 def test_sim_config_validation():
@@ -384,9 +400,9 @@ def test_rhs_evals_counts_vector_field_calls(integrator, sensor_game):
     for (field, s0, layout), stride in zip(fields * 2, (1, 1, 3, 3)):
         calls = []
 
-        def counted(s):
+        def counted(s, out=None):
             calls.append(1)
-            return field(s)
+            return field(s, out=out)
 
         cfg = SimConfig(dt=0.1, t_end=1.0, integrator=integrator, record_stride=stride)
         integrate(counted, s0, cfg, layout)
@@ -410,7 +426,7 @@ def _random_compiled_fields(tag, seed, count):
         # bounds this tight make the clamp bind at many stages
         spec = SaturationSpec(-rng.uniform(0.5, 3.0, n * p), rng.uniform(0.5, 3.0, n * p))
         rhs, lay = make_rhs(tag, game, graph=graph, gains=gains, sat_spec=spec)
-        yield rng, rhs, lay
+        yield rng, rhs, lay, spec
 
 
 @pytest.mark.parametrize("tag", list(StrategyTag))
@@ -418,7 +434,7 @@ def test_rk4_step_matches_the_textbook_step(tag):
     # the tableau loop forms stage states and the update as BLAS products,
     # so it may round differently from the textbook formula: 1e-13 relative
     dt = 1e-3
-    for rng, rhs, lay in _random_compiled_fields(tag, 23, 4):
+    for rng, rhs, lay, _ in _random_compiled_fields(tag, 23, 4):
         for s in rng.normal(scale=3.0, size=(10, lay.size)):
             k1 = rhs(s)[0].copy()
             k2 = rhs(s + (0.5 * dt) * k1)[0].copy()
@@ -432,7 +448,7 @@ def test_rk4_step_matches_the_textbook_step(tag):
 @pytest.mark.parametrize("tag", list(StrategyTag))
 def test_euler_is_bitwise_the_textbook_step(tag):
     dt, n_steps = 1e-3, 40
-    for rng, rhs, lay in _random_compiled_fields(tag, 29, 2):
+    for rng, rhs, lay, _ in _random_compiled_fields(tag, 29, 2):
         s = rng.normal(scale=3.0, size=lay.size)
         traj = integrate(rhs, s, SimConfig(dt=dt, t_end=n_steps * dt, integrator="euler"), lay)
         states, controls = [], []
@@ -443,6 +459,32 @@ def test_euler_is_bitwise_the_textbook_step(tag):
             s = s + dt * k
         np.testing.assert_array_equal(traj.states, states)
         np.testing.assert_array_equal(traj.controls, controls)
+
+
+@pytest.mark.parametrize("tag", list(StrategyTag))
+def test_rhs_writes_its_derivative_into_out(tag):
+    # rhs(s, out=row) gives the derivative of rhs(s) in row itself, u a view of it
+    generic = GAME_REGISTRY["decoupled_quartic"]()
+    spec = SaturationSpec.symmetric(1.0)
+    gains = GainSet(theta=10.0, theta1=1.0, K=0.1, alpha=1.0, beta=1.0)
+    graph = CommGraph([[0.0, 1.0], [1.0, 0.0]])
+    fields = [(rhs, lay, sp) for _, rhs, lay, sp in _random_compiled_fields(tag, 37, 3)]
+    fields.append((*make_rhs(tag, generic, graph=graph, gains=gains, sat_spec=spec), spec))
+    rng = np.random.default_rng(41)
+    for rhs, lay, sp in fields:
+        for s in rng.normal(scale=3.0, size=(5, lay.size)):
+            s0, buf = s.copy(), np.full(lay.size, np.nan)
+            ds, u = rhs(s, out=buf)
+            assert ds is buf
+            assert np.array_equal(buf, rhs(s)[0])
+            assert np.shares_memory(u, buf)
+            if lay.is_saturated:
+                assert np.all(sp.lower <= u) and np.all(u <= sp.upper)
+            assert np.array_equal(s, s0)
+        for size in (lay.size - 1, lay.size + 1):
+            # LayoutMismatchError from the check, or ValueError from the product
+            with pytest.raises(ValueError):
+                rhs(np.ones(size), out=np.empty(lay.size))
 
 
 @pytest.mark.parametrize(
