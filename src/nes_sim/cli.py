@@ -32,8 +32,9 @@ from .runner import run_experiment
 from .simulate import run_sweep
 
 # every package error but DivergenceError is a ValueError; OSError covers
-# output files that cannot be written
-_USER_ERRORS = (ValueError, DivergenceError, OSError)
+# output files that cannot be written, MemoryError record arrays that
+# cannot be allocated
+_USER_ERRORS = (ValueError, DivergenceError, OSError, MemoryError)
 
 
 def _apply_overrides(doc, args):

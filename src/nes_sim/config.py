@@ -138,9 +138,12 @@ def _parse_vector(value, length, path):
             return np.zeros(length)
         if value.startswith("broadcast:"):
             try:
-                return np.full(length, float(value.split(":", 1)[1]))
+                scalar = float(value.split(":", 1)[1])
             except ValueError:
                 raise ConfigError(f"{path}: malformed broadcast keyword '{value}'") from None
+            if not np.isfinite(scalar):
+                raise ConfigError(f"{path}: {value} is not a finite number")
+            return np.full(length, scalar)
         raise ConfigError(f"{path}: expected a vector, 'zeros', or 'broadcast:<scalar>'")
     try:
         arr = _numbers(value, path).ravel()
@@ -347,7 +350,7 @@ def read_document(path):
     """Read a JSON configuration file into a dict without validating it.
 
     Strict JSON: ``NaN``, ``Infinity`` and literals that overflow to
-    infinity are refused.
+    infinity, integers included, are refused.
     """
 
     def finite(text):
@@ -356,9 +359,13 @@ def read_document(path):
             raise ConfigError(f"{path}: {text} is not a finite number")
         return val
 
+    def integer(text):
+        finite(text)  # an integer literal past the float range reads as inf
+        return int(text)
+
     try:
         with open(path) as fh:
-            doc = json.load(fh, parse_float=finite, parse_constant=finite)
+            doc = json.load(fh, parse_float=finite, parse_int=integer, parse_constant=finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -304,8 +304,8 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None, M=None):
     """Bind a strategy's vector field to its game, graph, and gains.
 
     Returns ``(rhs, layout)`` where ``rhs(state, out=None) -> (dstate, u)``.
-    Each control law is written once here, unclamped; one wrapper clamps
-    the control rows of ``dstate`` in place, so ``u`` is a view of them.
+    Each control law is written once here, unclamped; ``rhs`` clamps the
+    control rows of ``dstate`` in place, so ``u`` is a view of them.
     Without ``out``, the state length is checked (``LayoutMismatchError``)
     and ``dstate`` is a fresh array. With ``out``, a float array of
     ``layout.size`` entries that does not overlap the state, ``dstate`` is
@@ -370,36 +370,28 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None, M=None):
             return np.concatenate([nu, -(x - z) - (nu - zdot), zdot, dy])
 
     ua, ub = layout.offsets["nu" if layout.has_velocity else "x"]
-    check = layout.check
-
+    check, size = layout.check, layout.size
+    A = None
     if isinstance(game, QuadraticGame):
         # the law is affine: column k of A is law(e_k) - law(0)
-        b = law(np.zeros(layout.size))
-        A = np.column_stack([law(e) - b for e in np.eye(layout.size)])
-
-        def field(s, out):
-            # with out the state goes unchecked: the product still refuses
-            # any length but layout.size
-            v = A.dot(check(s) if out is None else s, out)
-            v += b
-            return v
-
-    else:
-
-        def field(s, out):
-            v = law(check(s))
-            if out is None:
-                return v
-            out[:] = v
-            return out
+        b = law(np.zeros(size))
+        A = np.column_stack([law(e) - b for e in np.eye(size)])
 
     def rhs(s, out=None):
-        ds = field(s, out)
-        u = ds[ua:ub]
+        if out is None:
+            s, out = check(s), np.empty(size)
+        if A is None:
+            out[:] = law(check(s))
+        else:
+            # with out given the state goes unchecked: the product still
+            # refuses any length but layout.size
+            A.dot(s, out)
+            out += b
+        u = out[ua:ub]
         if clamped:
             np.maximum(u, lower, out=u)
             np.minimum(u, upper, out=u)
-        return ds, u
+        return out, u
 
     return rhs, layout
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,6 +23,16 @@ from .simulate import (
 )
 
 __all__ = ["SummaryReport", "run_experiment"]
+
+
+def _summary_value(val):
+    if val is None:
+        return "none"
+    if isinstance(val, bool):
+        return "true" if val else "false"
+    if isinstance(val, float):
+        return format(val, ".17g")
+    return str(val)
 
 
 @dataclass
@@ -48,40 +58,20 @@ class SummaryReport:
     config_hash: str
 
     def lines(self):
-        n_rows = []
-
-        def put(key, val):
-            if val is None:
-                out = "none"
-            elif isinstance(val, bool):
-                out = "true" if val else "false"
-            elif isinstance(val, float):
-                out = format(val, ".17g")
+        """One key=value line per field, in declaration order."""
+        rows = []
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if f.name == "max_abs_u_per_channel":
+                items = [(f"max_abs_u_ch{k + 1}", float(v)) for k, v in enumerate(val)]
+            elif f.name == "tuner_echo":
+                items = [(f"tuner_{key}", v) for key, v in sorted(val.items())]
+            elif f.name == "lyapunov_error" and val is None:
+                items = []
             else:
-                out = str(val)
-            n_rows.append(f"{key}={out}")
-
-        put("strategy", self.strategy)
-        put("converged", self.converged)
-        put("t_hit", self.t_hit)
-        put("final_dist_inf", self.final_dist_inf)
-        put("max_abs_u", self.max_abs_u)
-        for idx, val in enumerate(self.max_abs_u_per_channel):
-            put(f"max_abs_u_ch{idx + 1}", float(val))
-        put("bounds_ok", self.bounds_ok)
-        put("worst_bound_violation", self.worst_bound_violation)
-        put("max_lyapunov_increment", self.max_lyapunov_increment)
-        if self.lyapunov_error is not None:
-            put("lyapunov_error", self.lyapunov_error)
-        for key, val in sorted(self.tuner_echo.items()):
-            put(f"tuner_{key}", val)
-        put("n_steps", self.n_steps)
-        put("rhs_evals", self.rhs_evals)
-        put("guard_product", self.guard_product)
-        put("guard_limit", self.guard_limit)
-        put("wall_clock_s", self.wall_clock_s)
-        put("config_hash", self.config_hash)
-        return n_rows
+                items = [(f.name, val)]
+            rows += [f"{key}={_summary_value(v)}" for key, v in items]
+        return rows
 
     def write(self, path):
         with open(path, "w") as fh:

@@ -141,25 +141,15 @@ class Trajectory:
         digits so the file round-trips float64 exactly.
         """
         n, p = self.layout.n_players, self.layout.action_dim
-        cols = ["t"]
-        series = [self.times]
-        x = self.x_history()
-        cols += [f"x_{i + 1}_{d + 1}" for i in range(n) for d in range(p)]
-        series += [x[:, k] for k in range(n * p)]
-        if self.layout.has_velocity:
-            nu = self.block_history("nu")
-            cols += [f"nu_{i + 1}_{d + 1}" for i in range(n) for d in range(p)]
-            series += [nu[:, k] for k in range(n * p)]
-        cols += [f"u_{i + 1}_{d + 1}" for i in range(n) for d in range(p)]
-        series += [self.controls[:, k] for k in range(n * p)]
-        for key in ("V", "dist_ne", "est_err"):
-            if key in self.diagnostics:
-                cols.append(key)
-                series.append(self.diagnostics[key])
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for row in zip(*series):
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+        blocks = ["x", "nu"] if self.layout.has_velocity else ["x"]
+        diags = [key for key in ("V", "dist_ne", "est_err") if key in self.diagnostics]
+        names = [f"{b}_{i + 1}_{d + 1}" for b in blocks + ["u"] for i in range(n) for d in range(p)]
+        table = np.column_stack(
+            [self.times, *map(self.block_history, blocks), self.controls]
+            + [self.diagnostics[key] for key in diags]
+        )
+        header = ",".join(["t", *names, *diags])
+        np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def integrate(rhs, state0, cfg, layout):
@@ -167,7 +157,9 @@ def integrate(rhs, state0, cfg, layout):
 
     One explicit Runge-Kutta loop serves every scheme. The state and the
     stage derivatives are the rows of one preallocated array; each stage
-    state and each step update is one BLAS product over those rows.
+    state and each step update is one BLAS product over those rows. The
+    records, every ``record_stride``-th step from step 0 and then the last
+    step, are preallocated too: ``(n_steps - 1) // record_stride + 2`` rows.
 
     Parameters
     ----------
@@ -176,8 +168,9 @@ def integrate(rhs, state0, cfg, layout):
         every step and once more for the final record (``cfg.rhs_evals``
         calls). Each stage passes its derivative row as ``out``; a
         ``dstate`` other than ``out`` is copied into the row, so a field
-        that accepts ``out`` and ignores it still works. ``u`` is read
-        before ``rhs`` is called again.
+        that accepts ``out`` and ignores it still works. ``u`` must have
+        ``layout.action_size`` entries; it is read before ``rhs`` is
+        called again.
     state0 : array_like
         Initial flat state in ``layout`` order.
     cfg : SimConfig
@@ -186,6 +179,8 @@ def integrate(rhs, state0, cfg, layout):
 
     Raises
     ------
+    MemoryError, ValueError
+        Before the first step, when the records cannot be allocated.
     DivergenceError
         On the first non-finite state component, naming the step and the
         offending block. Floating-point overflow inside the loop, the
@@ -211,12 +206,10 @@ def integrate(rhs, state0, cfg, layout):
     step_dot = np.array([dt * w for w in scheme.weights]).dot
     s_dot, isfinite = s.dot, math.isfinite
 
-    rec_times, rec_states, rec_controls = [], [], []
-
-    def record(step, u):
-        rec_times.append(step * dt)
-        rec_states.append(s.copy())
-        rec_controls.append(np.asarray(u, dtype=float).copy())
+    n_rec = (n_steps - 1) // stride + 2
+    states = np.empty((n_rec, layout.size))
+    controls = np.empty((n_rec, layout.action_size))
+    times = np.r_[0:n_steps:stride, n_steps] * dt
 
     # the screen s.s overflows once |s| passes ~1e154 while every entry is
     # still finite; entered once, so the loop pays nothing per step
@@ -228,7 +221,8 @@ def integrate(rhs, state0, cfg, layout):
             if k is not k1:
                 k1[:] = k
             if step % stride == 0:
-                record(step, u1)
+                states[step // stride] = s
+                controls[step // stride] = u1
             for stage_dot, src, dst in stages:
                 stage_dot(src, buf)
                 k = rhs(buf, out=dst)[0]
@@ -244,15 +238,9 @@ def integrate(rhs, state0, cfg, layout):
                     f"non-finite state at step {step + 1} "
                     f"(t={(step + 1) * dt:.6g}) in block {layout.block_name(bad)}"
                 )
-    _, u_final = rhs(s)
-    record(n_steps, u_final)
-
-    return Trajectory(
-        times=np.asarray(rec_times),
-        states=np.vstack(rec_states),
-        controls=np.vstack(rec_controls),
-        layout=layout,
-    )
+    states[-1] = s
+    controls[-1] = rhs(s)[1]
+    return Trajectory(times=times, states=states, controls=controls, layout=layout)
 
 
 def attach_distance(traj, x_star):

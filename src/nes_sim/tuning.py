@@ -12,7 +12,7 @@ convergence, but smaller/larger gains may still work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class TunerReport:
 
     strategy: StrategyTag
     m: float
-    lbar: np.ndarray | None = None
     l1: float | None = None
     l2: float | None = None
     l3: float | None = None
@@ -55,35 +54,27 @@ class TunerReport:
     theta1_star: float | None = None
     alpha_star: float | None = None
     beta_star: float | None = None
+    lbar: np.ndarray | None = None
     eps1_window: tuple[float, float] | None = None
     caveats: tuple[str, ...] = field(default_factory=tuple)
 
     def as_dict(self):
-        """Flat key/value view with None entries dropped (for printing)."""
-        out = {"strategy": self.strategy.value, "m": self.m}
-        for name in (
-            "l1",
-            "l2",
-            "l3",
-            "l4",
-            "eps1",
-            "eps2",
-            "lambda_min_q",
-            "lambda_min_a1",
-            "theta_star",
-            "theta1_star",
-            "alpha_star",
-            "beta_star",
-        ):
-            val = getattr(self, name)
-            if val is not None:
-                out[name] = float(val)
-        if self.lbar is not None:
-            out["lbar"] = [float(v) for v in self.lbar]
-        if self.eps1_window is not None:
-            out["eps1_window_low"], out["eps1_window_high"] = map(float, self.eps1_window)
-        if self.caveats:
-            out["caveats"] = "; ".join(self.caveats)
+        """Flat key/value view in field order, None entries dropped (for printing)."""
+        out = {}
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if val is None or (f.name == "caveats" and not val):
+                continue
+            if f.name == "strategy":
+                out[f.name] = val.value
+            elif f.name == "lbar":
+                out[f.name] = [float(v) for v in val]
+            elif f.name == "eps1_window":
+                out["eps1_window_low"], out["eps1_window_high"] = map(float, val)
+            elif f.name == "caveats":
+                out[f.name] = "; ".join(val)
+            else:
+                out[f.name] = float(val)
         return out
 
 

@@ -280,6 +280,27 @@ def test_non_finite_numbers_exit_one(tmp_path, capsys, token):
     assert "not a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("zeros", [400, 5000])
+def test_integer_too_large_for_a_float_exits_one_without_traceback(tmp_path, zeros):
+    import subprocess
+    import sys
+
+    huge = "1" + "0" * zeros
+    text = json.dumps(_short_run_doc(tmp_path, "fig2")).replace('"t_end": 20.0', f'"t_end": {huge}')
+    assert huge in text
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "nes_sim.cli", "run", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {path}: {huge} is not a finite number\n"
+    assert "Traceback" not in proc.stderr
+
+
 def test_infinite_t_end_flag_exits_one(tmp_path, capsys):
     path = _write(tmp_path, _short_run_doc(tmp_path, "fig2"))
     assert main(["--t-end", "inf", "run", path]) == 1
@@ -472,3 +493,65 @@ def test_tune_and_monitored_run_on_a_twenty_player_ring(tmp_path, capsys):
     out = capsys.readouterr().out
     assert np.isfinite(float(_key(out, "max_lyapunov_increment")))
     assert "lyapunov_error=" not in out
+
+
+@pytest.mark.parametrize(
+    "dt, reason",
+    [
+        # fig2 keeps every 10th of 2e17 steps: 2e16 records of 6 states, 9.6e17 B >= 2**58 B,
+        # more than any 64-bit address space holds
+        ("1e-16", "Unable to allocate"),
+        # 2e19 steps: 2e18 records, 9.6e19 B > 2**63 B
+        ("1e-18", "array is too big"),
+    ],
+)
+def test_records_that_cannot_be_allocated_exit_one_before_the_first_step(
+    tmp_path, capsys, dt, reason
+):
+    assert main(["--dt", dt, "replicate", "fig2", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert reason in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "fig2_trajectory.csv").exists()
+
+
+def test_summary_and_tune_print_keys_in_field_order(tmp_path, capsys):
+    path = _write(tmp_path, _short_run_doc(tmp_path, "fig4"))
+    assert main(["--t-end", "0.5", "run", path]) == 2
+    keys = [line.split("=", 1)[0] for line in capsys.readouterr().out.splitlines()]
+    assert keys == [
+        "strategy",
+        "converged",
+        "t_hit",
+        "final_dist_inf",
+        "max_abs_u",
+        *(f"max_abs_u_ch{k}" for k in range(1, 7)),
+        "bounds_ok",
+        "worst_bound_violation",
+        "max_lyapunov_increment",
+        "tuner_m",
+        "tuner_theta1_star",
+        "tuner_theta_star",
+        "n_steps",
+        "rhs_evals",
+        "guard_product",
+        "guard_limit",
+        "wall_clock_s",
+        "config_hash",
+    ]
+    assert main(["tune", path]) == 0
+    keys = [line.split("=", 1)[0] for line in capsys.readouterr().out.splitlines()]
+    assert keys == [
+        "strategy",
+        "m",
+        "l1",
+        "l2",
+        "l3",
+        "lambda_min_q",
+        "lambda_min_a1",
+        "theta_star",
+        "theta1_star",
+        "lbar",
+        "caveats",
+    ]

@@ -137,6 +137,14 @@ def test_init_keywords():
         parse_config(doc)
 
 
+@pytest.mark.parametrize("scalar", ["nan", "inf", "1e999"])
+def test_broadcast_must_be_finite(scalar):
+    doc = figure_preset("fig3")
+    doc["init"]["y0"] = f"broadcast:{scalar}"
+    with pytest.raises(ConfigError, match=f"init.y0: broadcast:{scalar} is not a finite number"):
+        parse_config(doc)
+
+
 def test_init_blocks_must_match_layout():
     doc = figure_preset("fig2")
     doc["init"]["nu0"] = "zeros"

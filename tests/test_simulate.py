@@ -76,12 +76,40 @@ def test_zero_field_constant_trajectory():
     np.testing.assert_array_equal(traj.states, np.full((11, 1), 1e200))
 
 
-def test_recording_stride_and_endpoints():
-    cfg = SimConfig(dt=0.1, t_end=1.0, record_stride=3)
+@pytest.mark.parametrize(
+    "n_steps, stride, steps",
+    [
+        (10, 1, range(11)),
+        (10, 3, [0, 3, 6, 9, 10]),  # steps 0, 3, 6, 9 plus the always-recorded final step
+        (10, 5, [0, 5, 10]),  # a stride dividing n_steps records the final step once
+        (10, 10, [0, 10]),
+        (10, 25, [0, 10]),
+        (7, 2, [0, 2, 4, 6, 7]),
+        (1, 1, [0, 1]),
+    ],
+    ids=[
+        "every-step",
+        "stride-3",
+        "stride-divides",
+        "stride-is-n",
+        "stride-past-n",
+        "odd-n",
+        "one-step",
+    ],
+)
+def test_recording_stride_and_endpoints(n_steps, stride, steps):
+    dt = 0.1
+    every = SimConfig(dt=dt, t_end=n_steps * dt)
+    full = integrate(_decay_rhs, np.array([1.0]), every, SCALAR_LAYOUT)
+    cfg = SimConfig(dt=dt, t_end=n_steps * dt, record_stride=stride)
     traj = integrate(_decay_rhs, np.array([1.0]), cfg, SCALAR_LAYOUT)
-    # steps 0, 3, 6, 9 plus the always-recorded final step 10
-    np.testing.assert_allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0], atol=1e-12)
+    assert cfg.n_steps == n_steps
+    assert traj.n_records == (n_steps - 1) // stride + 2 == len(steps)
+    # the times are step * dt exactly, and each record is the state at its step
+    assert traj.times.tolist() == [k * dt for k in steps]
     assert np.all(np.diff(traj.times) > 0.0)
+    np.testing.assert_array_equal(traj.states, full.states[list(steps)])
+    np.testing.assert_array_equal(traj.controls, full.controls[list(steps)])
 
 
 def test_determinism_bitwise(sensor_game):
