@@ -37,24 +37,21 @@ from .simulate import run_sweep
 _USER_ERRORS = (ValueError, DivergenceError, OSError, MemoryError)
 
 
-def _apply_overrides(doc, args):
-    if args.dt is not None:
-        doc["sim"]["dt"] = args.dt
-    if args.t_end is not None:
-        doc["sim"]["t_end"] = args.t_end
-    return doc
-
-
 def _set_dotted(doc, dotted, value):
-    keys = dotted.split(".")
+    *parents, last = dotted.split(".")
     node = doc
-    for key in keys[:-1]:
-        if not isinstance(node, dict) or key not in node:
-            raise ConfigError(f"sweep override '{dotted}': no such config path")
-        node = node[key]
+    for key in parents:
+        node = node.get(key) if isinstance(node, dict) else None
     if not isinstance(node, dict):
-        raise ConfigError(f"sweep override '{dotted}': no such config path")
-    node[keys[-1]] = value
+        raise ConfigError(f"override '{dotted}': no such config path")
+    node[last] = value
+
+
+def _apply_overrides(doc, args):
+    """Apply ``--dt``/``--t-end`` as the dotted overrides ``sim.dt``/``sim.t_end``."""
+    for dotted, value in (("sim.dt", args.dt), ("sim.t_end", args.t_end)):
+        if value is not None:
+            _set_dotted(doc, dotted, value)
     return doc
 
 
@@ -69,9 +66,12 @@ def cmd_run(args):
         for idx, overrides in enumerate(base_cfg.sweep):
             variant = copy.deepcopy(doc)
             variant.pop("sweep", None)
-            for dotted, value in overrides.items():
-                _set_dotted(variant, dotted, value)
-            variants.append(parse_config(variant))
+            try:
+                for dotted, value in overrides.items():
+                    _set_dotted(variant, dotted, value)
+                variants.append(parse_config(variant))
+            except ValueError as exc:
+                raise ConfigError(f"sweep[{idx}]: {exc}") from exc
             for path in variants[-1].output.values():
                 other = writers.setdefault(os.path.realpath(path), idx)
                 if other != idx:
@@ -95,8 +95,7 @@ def cmd_run(args):
 
 
 def cmd_tune(args):
-    doc = _apply_overrides(read_document(args.config), args)
-    cfg = parse_config(doc)
+    cfg = parse_config(_apply_overrides(read_document(args.config), args))
     lyap = None
     if cfg.layout.has_estimates:
         game = cfg.game
@@ -121,8 +120,7 @@ def cmd_tune(args):
 
 
 def cmd_oracle(args):
-    doc = _apply_overrides(read_document(args.config), args)
-    cfg = parse_config(doc)
+    cfg = parse_config(_apply_overrides(read_document(args.config), args))
     if not isinstance(cfg.game, QuadraticGame):
         raise NotStronglyMonotoneError(
             "the exact equilibrium oracle is only available for quadratic games"
@@ -142,10 +140,7 @@ def cmd_replicate(args):
     _apply_overrides(preset, args)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    preset["output"] = {
-        "trajectory": str(outdir / f"{args.figure}_trajectory.csv"),
-        "summary": str(outdir / f"{args.figure}_summary.txt"),
-    }
+    preset["output"] = {key: str(outdir / path) for key, path in preset["output"].items()}
     cfg = parse_config(preset)
     summary, _ = run_experiment(cfg)
     for line in summary.lines():

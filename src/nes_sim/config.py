@@ -12,7 +12,7 @@ import hashlib
 import json
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -33,14 +33,14 @@ _STRATEGY_KEYS = {"tag", "gains", "saturation", "tuner_overrides"}
 _GAIN_KEYS = {"theta", "theta1", "theta_bar", "K", "alpha", "beta"}
 _SAT_KEYS = {"u_bar", "lower", "upper"}
 _OVERRIDE_KEYS = {"lipschitz_constants", "monotonicity_m", "sup_jacobian_norm"}
-_SIM_KEYS = {"dt", "t_end", "record_stride", "integrator", "convergence_tol", "monitor_lyapunov"}
+_SIM_KEYS = {f.name for f in fields(SimConfig)}
 _INIT_KEYS = {"x0", "nu0", "z0", "y0"}
-_OUTPUT_KEYS = {"trajectory", "summary"}
+_OUTPUT_KEYS = ("trajectory", "summary")
 
 def _reject_unknown(section, allowed, path):
     if not isinstance(section, dict):
         raise ConfigError(f"{path}: expected an object")
-    unknown = set(section) - allowed
+    unknown = set(section).difference(allowed)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
 
@@ -155,7 +155,13 @@ def _parse_vector(value, length, path):
 
 
 def parse_config(doc):
-    """Validate a configuration dict and build the experiment objects."""
+    """Validate a configuration dict and build the experiment objects.
+
+    The normalized form (``to_dict``, ``config_hash``) is a copy of ``doc``
+    with the parsed values written back: floats where numbers are read, the
+    whole ``sim`` section, every init block, symmetric bounds as ``u_bar``,
+    and no empty ``gains`` or ``tuner_overrides``.
+    """
     _reject_unknown(doc, _TOP_KEYS, "config")
     for key in ("game", "graph", "strategy", "sim"):
         _require(doc, key, "config")
@@ -246,21 +252,15 @@ def parse_config(doc):
 
     sim_sec = doc["sim"]
     _reject_unknown(sim_sec, _SIM_KEYS, "sim")
-    monitor = sim_sec.get("monitor_lyapunov", False)
-    if not isinstance(monitor, bool):
+    given = dict(sim_sec)  # SimConfig fills in the keys not given
+    if "monitor_lyapunov" in given and not isinstance(given["monitor_lyapunov"], bool):
         raise ConfigError("sim.monitor_lyapunov: expected true or false")
-    dt = _number(_require(sim_sec, "dt", "sim"), "sim.dt")
-    t_end = _number(_require(sim_sec, "t_end", "sim"), "sim.t_end")
-    tol = _number(sim_sec.get("convergence_tol", 1e-3), "sim.convergence_tol")
+    for key in ("dt", "t_end"):
+        given[key] = _number(_require(sim_sec, key, "sim"), f"sim.{key}")
+    if "convergence_tol" in given:
+        given["convergence_tol"] = _number(given["convergence_tol"], "sim.convergence_tol")
     try:
-        sim = SimConfig(
-            dt=dt,
-            t_end=t_end,
-            record_stride=sim_sec.get("record_stride", 1),
-            integrator=sim_sec.get("integrator", "rk4"),
-            convergence_tol=tol,
-            monitor_lyapunov=monitor,
-        )
+        sim = SimConfig(**given)
     except ValueError as exc:
         raise ConfigError(f"sim: {exc}") from exc
 
@@ -279,10 +279,10 @@ def parse_config(doc):
     output = None
     if "output" in doc:
         _reject_unknown(doc["output"], _OUTPUT_KEYS, "output")
-        output = {
-            "trajectory": str(_require(doc["output"], "trajectory", "output")),
-            "summary": str(_require(doc["output"], "summary", "output")),
-        }
+        output = dict(doc["output"])
+        for key in _OUTPUT_KEYS:
+            if not isinstance(_require(output, key, "output"), str):
+                raise ConfigError(f"output.{key}: expected a file path")
         if os.path.realpath(output["trajectory"]) == os.path.realpath(output["summary"]):
             raise ConfigError("output: trajectory and summary must be different files")
 
@@ -292,43 +292,20 @@ def parse_config(doc):
         if not isinstance(sweep, list) or not all(isinstance(e, dict) for e in sweep):
             raise ConfigError("sweep: expected a list of override objects")
 
-    normalized = {
-        "game": dict(doc["game"]),
-        "graph": {"adjacency": adjacency.tolist()},
-        "strategy": {"tag": tag.value},
-        "sim": {
-            "dt": sim.dt,
-            "t_end": sim.t_end,
-            "record_stride": sim.record_stride,
-            "integrator": sim.integrator,
-            "convergence_tol": sim.convergence_tol,
-            "monitor_lyapunov": sim.monitor_lyapunov,
-        },
-        "init": {f"{k}0": v.tolist() for k, v in sorted(init.items())},
-    }
-    if "lyapunov_q" in graph_sec:
-        q = graph_sec["lyapunov_q"]
-        normalized["graph"]["lyapunov_q"] = q if np.isscalar(q) else np.asarray(q).tolist()
-    if kwargs:
-        normalized["strategy"]["gains"] = {
-            k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in kwargs.items()
-        }
+    # the document itself, with each value the parse reads or fills in written back
+    normalized = json.loads(json.dumps(doc))
+    normalized["graph"]["adjacency"] = adjacency.tolist()
+    strategy = normalized["strategy"]
+    strategy["gains"] = {k: np.asarray(v).tolist() for k, v in kwargs.items()}
+    for key in ("gains", "tuner_overrides"):  # dropped when empty
+        if not strategy.get(key):
+            strategy.pop(key, None)
     if sat_spec is not None:
-        if sat_spec.is_symmetric:
-            normalized["strategy"]["saturation"] = {
-                "u_bar": sat_spec.upper.tolist() if sat_spec.upper.ndim else float(sat_spec.upper)
-            }
-        else:
-            normalized["strategy"]["saturation"] = {
-                "lower": sat_spec.lower.tolist(),
-                "upper": sat_spec.upper.tolist(),
-            }
-    if overrides:
-        normalized["strategy"]["tuner_overrides"] = dict(overrides)
-    if output is not None:
-        normalized["output"] = dict(output)
-    if sweep is not None:
-        normalized["sweep"] = [dict(e) for e in sweep]
+        lower, upper = sat_spec.lower.tolist(), sat_spec.upper.tolist()
+        symmetric = sat_spec.is_symmetric  # symmetric lower/upper fold to u_bar
+        strategy["saturation"] = {"u_bar": upper} if symmetric else {"lower": lower, "upper": upper}
+    normalized["sim"] = asdict(sim)
+    normalized["init"] = {f"{k}0": v.tolist() for k, v in sorted(init.items())}
 
     return ExperimentConfig(
         game=game,
@@ -342,7 +319,7 @@ def parse_config(doc):
         tuner_overrides=dict(overrides),
         output=output,
         sweep=sweep,
-        normalized=json.loads(json.dumps(normalized)),
+        normalized=normalized,
     )
 
 

@@ -10,6 +10,8 @@ convergence check in this package.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from .games import GameDefinition, QuadraticGame
@@ -58,85 +60,60 @@ def _sensor_game_section():
     }
 
 
+# What differs per figure; figure_preset's template holds everything else.
+_X0 = [10.0, 0.0, 0.0, 5.0, 0.0, 0.0]
+_FIGURES = {
+    # name: (adjacency, dt, t_end, record_stride, convergence_tol, init, strategy)
+    "fig2": (complete_graph_adjacency(), 1e-3, 20.0, 10, 1e-3, {"x0": _X0},
+             {"tag": "sat_grad_play"}),
+    "fig3": (path_graph_adjacency(), 1e-4, 20.0, 100, 1e-2, {"x0": _X0, "y0": "broadcast:10"},
+             {"tag": "first_order_dist", "gains": {"theta": 1000.0, "theta_bar": 1.0}}),
+    "fig4": (path_graph_adjacency(), 1e-3, 200.0, 100, 1e-2, {"x0": "zeros"},
+             {"tag": "second_order_dist_sat",
+              "gains": {"theta": 200.0, "theta1": 1.0, "K": 0.1, "theta_bar": 1.0}}),
+}
+PRESET_NAMES = tuple(_FIGURES)
+
+
 def figure_preset(name):
     """Self-contained experiment configuration for a replication run.
 
-    Presets (communication topologies are an assumption of this package:
-    the gradient-play scenario uses the complete triangle since that law
-    needs every action anyway, the distributed scenarios use the 3-node
-    path, which is connected but sparser than the physical coupling):
+    One template: every preset plays the three-sensor game with bound
+    ``u_bar = 5``, integrates with rk4, monitors the Lyapunov candidate and
+    writes ``<name>_trajectory.csv`` and ``<name>_summary.txt``. The rest
+    comes from the figure's row of ``_FIGURES``. Communication topologies
+    are an assumption of this package: the gradient-play scenario uses the
+    complete triangle since that law needs every action anyway, the
+    distributed scenarios use the 3-node path, which is connected but
+    sparser than the physical coupling.
 
-    - ``fig2``: saturated gradient play from x(0) = [10,0,0,5,0,0] with
-      bound 5.
+    - ``fig2``: saturated gradient play from x(0) = [10,0,0,5,0,0].
     - ``fig3``: distributed first-order seeking, estimate gains 1000,
       all estimate channels initialised at 10.
     - ``fig4``: saturated distributed second-order seeking from the all
       zero state, reference gains 0.1, estimate gains 200, horizon 200 s.
 
     Output paths are relative; the replicate command rewrites them into
-    its output directory.
+    its output directory. Each call returns a fresh document.
     """
-    x0 = [10.0, 0.0, 0.0, 5.0, 0.0, 0.0]
-    if name == "fig2":
-        return {
-            "game": _sensor_game_section(),
-            "graph": {"adjacency": complete_graph_adjacency().tolist()},
-            "strategy": {"tag": "sat_grad_play", "saturation": {"u_bar": 5.0}},
-            "sim": {
-                "dt": 1e-3,
-                "t_end": 20.0,
-                "record_stride": 10,
-                "integrator": "rk4",
-                "convergence_tol": 1e-3,
-                "monitor_lyapunov": True,
-            },
-            "init": {"x0": x0},
-            "output": {"trajectory": "fig2_trajectory.csv", "summary": "fig2_summary.txt"},
-        }
-    if name == "fig3":
-        return {
-            "game": _sensor_game_section(),
-            "graph": {"adjacency": path_graph_adjacency().tolist()},
-            "strategy": {
-                "tag": "first_order_dist",
-                "gains": {"theta": 1000.0, "theta_bar": 1.0},
-                "saturation": {"u_bar": 5.0},
-            },
-            "sim": {
-                "dt": 1e-4,
-                "t_end": 20.0,
-                "record_stride": 100,
-                "integrator": "rk4",
-                "convergence_tol": 1e-2,
-                "monitor_lyapunov": True,
-            },
-            "init": {"x0": x0, "y0": "broadcast:10"},
-            "output": {"trajectory": "fig3_trajectory.csv", "summary": "fig3_summary.txt"},
-        }
-    if name == "fig4":
-        return {
-            "game": _sensor_game_section(),
-            "graph": {"adjacency": path_graph_adjacency().tolist()},
-            "strategy": {
-                "tag": "second_order_dist_sat",
-                "gains": {"theta": 200.0, "theta1": 1.0, "K": 0.1, "theta_bar": 1.0},
-                "saturation": {"u_bar": 5.0},
-            },
-            "sim": {
-                "dt": 1e-3,
-                "t_end": 200.0,
-                "record_stride": 100,
-                "integrator": "rk4",
-                "convergence_tol": 1e-2,
-                "monitor_lyapunov": True,
-            },
-            "init": {"x0": "zeros"},
-            "output": {"trajectory": "fig4_trajectory.csv", "summary": "fig4_summary.txt"},
-        }
-    raise KeyError(f"unknown preset '{name}'; available: {', '.join(PRESET_NAMES)}")
-
-
-PRESET_NAMES = ("fig2", "fig3", "fig4")
+    if name not in _FIGURES:
+        raise KeyError(f"unknown preset '{name}'; available: {', '.join(PRESET_NAMES)}")
+    adjacency, dt, t_end, stride, tol, init, strategy = copy.deepcopy(_FIGURES[name])
+    return {
+        "game": _sensor_game_section(),
+        "graph": {"adjacency": adjacency.tolist()},
+        "strategy": {**strategy, "saturation": {"u_bar": 5.0}},
+        "sim": {
+            "dt": dt,
+            "t_end": t_end,
+            "record_stride": stride,
+            "integrator": "rk4",
+            "convergence_tol": tol,
+            "monitor_lyapunov": True,
+        },
+        "init": init,
+        "output": {"trajectory": f"{name}_trajectory.csv", "summary": f"{name}_summary.txt"},
+    }
 
 
 def _skew_bilinear():

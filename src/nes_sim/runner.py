@@ -91,12 +91,12 @@ def _tuner_echo(cfg, lyap):
     return {key: val for key, val in report.items() if key in _ECHO_KEYS}
 
 
-def run_experiment(cfg, write_outputs=True):
+def run_experiment(cfg):
     """Run one configured experiment and summarise it.
 
     Returns ``(summary, trajectory)``. When the configuration carries an
-    output section and ``write_outputs`` is true, the trajectory CSV and
-    the summary key=value file are written to those paths.
+    output section, the trajectory CSV and the summary key=value file are
+    written to those paths.
     """
     game, graph, tag = cfg.game, cfg.graph, cfg.tag
     layout = cfg.layout
@@ -167,7 +167,7 @@ def run_experiment(cfg, write_outputs=True):
         config_hash=cfg.config_hash(),
     )
 
-    if write_outputs and cfg.output is not None:
+    if cfg.output is not None:
         traj.to_csv(cfg.output["trajectory"])
         summary.write(cfg.output["summary"])
     return summary, traj

@@ -78,6 +78,8 @@ class SimConfig:
             raise ValueError("t_end must be finite")
         if self.dt > self.t_end:
             raise ValueError("dt must not exceed t_end")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValueError("t_end / dt, the step count, must be finite")
         stride = self.record_stride
         if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
             raise ValueError("record_stride must be a positive integer")

@@ -555,3 +555,66 @@ def test_summary_and_tune_print_keys_in_field_order(tmp_path, capsys):
         "lbar",
         "caveats",
     ]
+
+
+def _cli(argv):
+    import subprocess
+    import sys
+
+    return subprocess.run(
+        [sys.executable, "-m", "nes_sim.cli", *argv], capture_output=True, text=True, timeout=120
+    )
+
+
+@pytest.mark.parametrize("route", ["flags", "config"])
+def test_step_count_that_overflows_exits_one_without_traceback(tmp_path, route):
+    doc = _short_run_doc(tmp_path, "fig2")
+    flags = ["--t-end", "1e300", "--dt", "1e-300"]
+    if route == "config":
+        doc["sim"].update(dt=1e-300, t_end=1e300)
+        flags = []
+    proc = _cli(flags + ["run", _write(tmp_path, doc)])
+    assert proc.returncode == 1
+    assert proc.stderr == "error: sim: t_end / dt, the step count, must be finite\n"
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("value", [5, None, ["a"]], ids=["number", "null", "list"])
+def test_output_paths_must_be_strings(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.chdir(tmp_path)  # where a path such as str(5) would land
+    for key in ("trajectory", "summary"):
+        doc = _short_run_doc(tmp_path, "fig2")
+        doc["output"][key] = value
+        assert main(["--t-end", "0.01", "run", _write(tmp_path, doc)]) == 1
+        assert capsys.readouterr().err == f"error: output.{key}: expected a file path\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"sim.dt": "0.1"}, "sim.dt: expected a number"),
+        ({"sim.step.size": 0.1}, "override 'sim.step.size': no such config path"),
+    ],
+    ids=["parse", "override"],
+)
+def test_failing_sweep_entry_is_named(tmp_path, capsys, entry, message):
+    doc = _fast_run_doc(tmp_path, t_end=0.5)
+    good = {"output.trajectory": str(tmp_path / "a.csv"), "output.summary": str(tmp_path / "a.txt")}
+    doc["sweep"] = [good, entry]
+    assert main(["run", _write(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == f"error: sweep[1]: {message}\n"
+    assert not (tmp_path / "a.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "tune", "oracle"])
+@pytest.mark.parametrize("sim", ["missing", 5, [1.0]], ids=["missing", "number", "list"])
+@pytest.mark.parametrize("flag, dotted", [("--dt", "sim.dt"), ("--t-end", "sim.t_end")])
+def test_flag_overrides_need_a_sim_object(tmp_path, capsys, command, sim, flag, dotted):
+    doc = _short_run_doc(tmp_path, "fig2")
+    if sim == "missing":
+        doc.pop("sim")
+    else:
+        doc["sim"] = sim
+    assert main([flag, "0.001", command, _write(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == f"error: override '{dotted}': no such config path\n"

@@ -286,3 +286,54 @@ def test_load_config_errors(tmp_path):
     good.write_text(json.dumps(figure_preset("fig2")))
     cfg = load_config(good)
     assert cfg.tag is StrategyTag.SAT_GRAD_PLAY
+
+
+@pytest.mark.parametrize(
+    "name, config_hash, text_sha",
+    [
+        ("fig2", "d7fd5a31c78c9740", "3a00caa5cfa37a93"),
+        ("fig3", "7c6f31e0ddf93182", "eac1c3f08dfa2f62"),
+        ("fig4", "e2bb9b0c3f3bd507", "adb689038aa4bb35"),
+    ],
+)
+def test_presets_are_pinned(name, config_hash, text_sha):
+    # the preset text, key order included, and the hash of its parse
+    import hashlib
+
+    doc = figure_preset(name)
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest()[:16] == text_sha
+    assert parse_config(doc).config_hash() == config_hash
+
+
+def test_normalized_form_is_the_document_with_parsed_values_written_back():
+    doc = figure_preset("fig2")
+    doc["graph"]["adjacency"] = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+    doc["strategy"] = {
+        "tag": "sat_grad_play",
+        "gains": {},
+        "saturation": {"lower": -2, "upper": 2},
+        "tuner_overrides": {},
+    }
+    doc["sim"] = {"dt": 1, "t_end": 4}
+    doc.pop("init")
+    doc["sweep"] = [{"sim.dt": 2}]
+    before = json.loads(json.dumps(doc))
+    normalized = parse_config(doc).to_dict()
+    assert doc == before
+    assert normalized == {
+        "game": doc["game"],
+        "graph": {"adjacency": [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]},
+        "strategy": {"tag": "sat_grad_play", "saturation": {"u_bar": 2.0}},
+        "sim": {
+            "dt": 1.0,
+            "t_end": 4.0,
+            "record_stride": 1,
+            "integrator": "rk4",
+            "convergence_tol": 1e-3,
+            "monitor_lyapunov": False,
+        },
+        "init": {"x0": [0.0] * 6},
+        "output": doc["output"],
+        "sweep": [{"sim.dt": 2}],
+    }
+    assert type(normalized["sim"]["dt"]) is float
