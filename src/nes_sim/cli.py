@@ -14,7 +14,6 @@ run completed but did not converge.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import os
 import sys
@@ -28,13 +27,21 @@ from .errors import DivergenceError, NotStronglyMonotoneError
 from .games import QuadraticGame
 from .graphs import estimation_matrix, solve_lyapunov
 from .presets import PRESET_NAMES, figure_preset
-from .runner import run_experiment
+from .runner import check_output_paths, run_experiment
 from .simulate import run_sweep
+
+
+class SweepEntryError(Exception):
+    """A user error in building or running one sweep entry; the message names the entry."""
+
+    def __init__(self, idx, exc):
+        super().__init__(f"sweep[{idx}]: {exc}")
+
 
 # every package error but DivergenceError is a ValueError; OSError covers
 # output files that cannot be written, MemoryError record arrays that
 # cannot be allocated
-_USER_ERRORS = (ValueError, DivergenceError, OSError, MemoryError)
+_USER_ERRORS = (ValueError, DivergenceError, OSError, MemoryError, SweepEntryError)
 
 
 def _set_dotted(doc, dotted, value):
@@ -62,16 +69,21 @@ def cmd_run(args):
         raise ConfigError("run requires an output section (trajectory and summary paths)")
 
     if base_cfg.sweep:
+        # every entry starts from the base document alone, so the cost of
+        # building one entry does not grow with the length of the sweep
+        base = json.dumps({key: val for key, val in doc.items() if key != "sweep"})
         variants, writers = [], {}
         for idx, overrides in enumerate(base_cfg.sweep):
-            variant = copy.deepcopy(doc)
-            variant.pop("sweep", None)
+            variant = json.loads(base)
             try:
                 for dotted, value in overrides.items():
                     _set_dotted(variant, dotted, value)
+                if "sweep" in variant:
+                    raise ConfigError("an entry may not set its own sweep")
                 variants.append(parse_config(variant))
+                check_output_paths(variants[-1].output)
             except ValueError as exc:
-                raise ConfigError(f"sweep[{idx}]: {exc}") from exc
+                raise SweepEntryError(idx, exc) from exc
             for path in variants[-1].output.values():
                 other = writers.setdefault(os.path.realpath(path), idx)
                 if other != idx:
@@ -79,7 +91,15 @@ def cmd_run(args):
                         f"sweep entries {other} and {idx} both write {path}; "
                         "override the output paths so runs do not collide"
                     )
-        results = run_sweep(variants, lambda c: run_experiment(c)[0])
+        index = {id(cfg): idx for idx, cfg in enumerate(variants)}
+
+        def run_entry(cfg):
+            try:
+                return run_experiment(cfg)[0]
+            except _USER_ERRORS as exc:
+                raise SweepEntryError(index[id(cfg)], exc) from exc
+
+        results = run_sweep(variants, run_entry)
         all_converged = True
         for idx, summary in enumerate(results):
             print(f"# sweep[{idx}]")

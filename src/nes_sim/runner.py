@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, fields
 
@@ -9,7 +10,7 @@ import numpy as np
 
 from . import tuning
 from .dynamics import make_rhs
-from .errors import NotStronglyMonotoneError
+from .errors import ConfigError, NotStronglyMonotoneError
 from .games import QuadraticGame
 from .graphs import estimation_matrix, solve_lyapunov
 from .simulate import (
@@ -22,7 +23,7 @@ from .simulate import (
     stability_guard,
 )
 
-__all__ = ["SummaryReport", "run_experiment"]
+__all__ = ["SummaryReport", "check_output_paths", "run_experiment"]
 
 
 def _summary_value(val):
@@ -91,13 +92,27 @@ def _tuner_echo(cfg, lyap):
     return {key: val for key, val in report.items() if key in _ECHO_KEYS}
 
 
+def check_output_paths(output):
+    """Refuse output paths whose directory is missing or that name a directory.
+
+    Called before any run time is spent, so a path that cannot be written
+    is found before the integration, not after it.
+    """
+    for key, path in (output or {}).items():
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"output.{key}: the directory of {path} does not exist")
+        if os.path.isdir(path):
+            raise ConfigError(f"output.{key}: {path} is a directory")
+
+
 def run_experiment(cfg):
     """Run one configured experiment and summarise it.
 
     Returns ``(summary, trajectory)``. When the configuration carries an
     output section, the trajectory CSV and the summary key=value file are
-    written to those paths.
+    written to those paths, which are checked before the run starts.
     """
+    check_output_paths(cfg.output)
     game, graph, tag = cfg.game, cfg.graph, cfg.tag
     layout = cfg.layout
 

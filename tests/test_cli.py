@@ -1,8 +1,11 @@
+import copy
 import json
 
 import numpy as np
 import pytest
 
+import nes_sim.cli
+import nes_sim.runner
 from nes_sim import CommGraph, estimation_matrix
 from nes_sim.cli import main
 from nes_sim.presets import figure_preset
@@ -618,3 +621,91 @@ def test_flag_overrides_need_a_sim_object(tmp_path, capsys, command, sim, flag, 
         doc["sim"] = sim
     assert main([flag, "0.001", command, _write(tmp_path, doc)]) == 1
     assert capsys.readouterr().err == f"error: override '{dotted}': no such config path\n"
+
+
+def _entry_outputs(tmp_path, name, directory=None):
+    where = tmp_path if directory is None else tmp_path / directory
+    return {
+        "output.trajectory": str(where / f"{name}.csv"),
+        "output.summary": str(where / f"{name}.txt"),
+    }
+
+
+def test_unwritable_output_fails_before_the_run(tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("integrate entered although the output cannot be written")
+
+    monkeypatch.setattr(nes_sim.runner, "integrate", never)
+    doc = _short_run_doc(tmp_path, "fig4")
+    missing = str(tmp_path / "missing" / "t.csv")
+    doc["output"]["trajectory"] = missing
+    assert main(["run", _write(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: output.trajectory: the directory of {missing} does not exist\n"
+    )
+    doc["output"]["trajectory"] = str(tmp_path)
+    assert main(["run", _write(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == f"error: output.trajectory: {tmp_path} is a directory\n"
+
+
+def test_unwritable_sweep_entry_stops_the_sweep_before_any_entry_runs(tmp_path, capsys):
+    doc = _fast_run_doc(tmp_path, t_end=0.5)
+    doc["sweep"] = [_entry_outputs(tmp_path, "a"), _entry_outputs(tmp_path, "b", "missing")]
+    assert main(["run", _write(tmp_path, doc)]) == 1
+    missing = tmp_path / "missing" / "b.csv"
+    assert capsys.readouterr().err == (
+        f"error: sweep[1]: output.trajectory: the directory of {missing} does not exist\n"
+    )
+    assert not (tmp_path / "a.csv").exists() and not (tmp_path / "a.txt").exists()
+
+
+def test_run_time_error_names_its_entry_and_later_entries_still_run(tmp_path, capsys):
+    doc = _short_run_doc(tmp_path, "fig3")
+    doc["sim"]["t_end"] = 0.05
+    diverging = {"sim.dt": 1e-2, "sim.t_end": 1.0, **_entry_outputs(tmp_path, "b")}
+    doc["sweep"] = [_entry_outputs(tmp_path, "a"), diverging, _entry_outputs(tmp_path, "c")]
+    assert main(["run", _write(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err  # the stability guard's warning comes first
+    assert err.splitlines()[-1].startswith("error: sweep[1]: non-finite state at step ")
+    assert "Traceback" not in err
+    assert (tmp_path / "a.csv").exists() and (tmp_path / "c.txt").exists()
+    assert not (tmp_path / "b.csv").exists()
+
+
+def test_sweep_entry_may_not_set_a_sweep(tmp_path, capsys):
+    doc = _fast_run_doc(tmp_path, t_end=0.5)
+    nested = {"sweep": [{"sim.t_end": 0.2}], **_entry_outputs(tmp_path, "b")}
+    doc["sweep"] = [_entry_outputs(tmp_path, "a"), nested]
+    assert main(["run", _write(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == "error: sweep[1]: an entry may not set its own sweep\n"
+    assert not (tmp_path / "a.csv").exists()
+
+
+def test_sweep_entries_are_built_from_the_base_document_alone(tmp_path, monkeypatch):
+    doc = _fast_run_doc(tmp_path, t_end=0.5)
+    doc["strategy"]["gains"] = {"theta": 3.0}
+    doc["sweep"] = [
+        {
+            "strategy.saturation.u_bar": 2.0,
+            "strategy.gains.theta": 7.0,
+            **_entry_outputs(tmp_path, "a"),
+        },
+        _entry_outputs(tmp_path, "b"),
+    ]
+    read = copy.deepcopy(doc)
+    captured = []
+
+    def capture(configs, runner):
+        captured.extend(configs)
+        return []
+
+    monkeypatch.setattr(nes_sim.cli, "read_document", lambda path: read)
+    monkeypatch.setattr(nes_sim.cli, "run_sweep", capture)
+    assert main(["run", "config.json"]) == 0
+    assert read == doc
+    first, second = (cfg.to_dict() for cfg in captured)
+    assert first["strategy"]["saturation"] == {"u_bar": 2.0}
+    assert first["strategy"]["gains"] == {"theta": 7.0}
+    assert second["strategy"]["saturation"] == {"u_bar": doc["strategy"]["saturation"]["u_bar"]}
+    assert second["strategy"]["gains"] == {"theta": 3.0}
+    assert all("sweep" not in cfg.normalized for cfg in captured)
