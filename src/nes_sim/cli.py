@@ -94,19 +94,23 @@ def cmd_run(args):
         index = {id(cfg): idx for idx, cfg in enumerate(variants)}
 
         def run_entry(cfg):
+            # returned, not raised: a raise would cancel the entries after it
             try:
                 return run_experiment(cfg)[0]
             except _USER_ERRORS as exc:
-                raise SweepEntryError(index[id(cfg)], exc) from exc
+                return SweepEntryError(index[id(cfg)], exc)
 
-        results = run_sweep(variants, run_entry)
-        all_converged = True
-        for idx, summary in enumerate(results):
+        failed, all_converged = False, True
+        for idx, result in enumerate(run_sweep(variants, run_entry)):
+            if isinstance(result, SweepEntryError):
+                print(f"error: {result}", file=sys.stderr)
+                failed = True
+                continue
             print(f"# sweep[{idx}]")
-            for line in summary.lines():
+            for line in result.lines():
                 print(line)
-            all_converged &= summary.converged
-        return 0 if all_converged else 2
+            all_converged &= result.converged
+        return 1 if failed else 0 if all_converged else 2
 
     summary, _ = run_experiment(base_cfg)
     for line in summary.lines():
@@ -121,7 +125,7 @@ def cmd_tune(args):
         game = cfg.game
         tb = cfg.gains.theta_bar_vec(game.n_players, game.action_dim)
         M = estimation_matrix(cfg.graph, game.action_dim)
-        lyap = solve_lyapunov(M, tb, cfg.lyapunov_q)
+        lyap = solve_lyapunov(M, tb, cfg.lyapunov_q, game.action_dim)
     report = tuning.gain_report(cfg, lyap)
 
     flat = report.as_dict()

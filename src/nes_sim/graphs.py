@@ -109,34 +109,50 @@ def estimation_matrix(graph, action_dim):
 
 @dataclass
 class LyapunovPair:
-    """Solution P of  P Tb M + M Tb P = Q  with its verification residual.
+    """Solution P of  P Tb M + M Tb P = Q  with its verification numbers.
 
     ``residual`` is the Frobenius norm of the defect after substituting P
-    back; :func:`solve_lyapunov` refuses a pair with residual above
-    1e-8 * ||Q||_F.
+    back and ``cond`` the condition estimate of the weighted system;
+    :func:`solve_lyapunov` refuses a pair with residual above
+    1e-8 * ||Q||_F or cond above 1e12. ``kron_dim`` is the p of a factored
+    solve: P and Q are then kron(X1, I_p), and their spectra are read from
+    the blocks X1 = X[::p, ::p].
     """
 
     P: np.ndarray
     Q: np.ndarray
     residual: float
+    cond: float | None = None
+    kron_dim: int = 1
 
     @property
     def p_norm(self):
         """Spectral norm of P (used by the gain bounds): its largest eigenvalue, P being SPD."""
-        return float(np.linalg.eigvalsh(self.P)[-1])
+        p = self.kron_dim
+        return float(np.linalg.eigvalsh(self.P[::p, ::p])[-1])
 
     @property
     def lambda_min_q(self):
-        return float(np.linalg.eigvalsh(self.Q)[0])
+        p = self.kron_dim
+        return float(np.linalg.eigvalsh(self.Q[::p, ::p])[0])
 
 
-def solve_lyapunov(M, theta_bar=1.0, Q=None):
+def solve_lyapunov(M, theta_bar=1.0, Q=None, action_dim=1):
     """Solve  P Tb M + M Tb P = Q  for symmetric positive definite P.
 
     ``Tb`` is the diagonal matrix of per-estimate gain weights. The
     equation is solved in the eigenbasis of S M S, S = sqrt(Tb), which also
     gives the condition estimate: O(n^3) time, O(n^2) memory. The
-    substitution residual is recorded on the returned pair.
+    substitution residual and the condition estimate are recorded on the
+    returned pair.
+
+    With ``action_dim`` p > 1 the caller declares M = M1 (x) I_p and a
+    ``theta_bar`` that repeats over p, as :func:`estimation_matrix` and
+    ``Gains.theta_bar_vec`` build them. For a scalar Q the equation then
+    splits into p copies of the one for M1, which is solved at size n / p,
+    and P = P1 (x) I_p. The gates apply to the full equation: the condition
+    estimate is the same, the residual is sqrt(p) ||R1||_F, and P is
+    positive definite exactly when P1 is. A matrix Q keeps the full solve.
 
     Parameters
     ----------
@@ -146,6 +162,8 @@ def solve_lyapunov(M, theta_bar=1.0, Q=None):
         Positive scalar or length-n vector of diagonal weights.
     Q : None, float, or ndarray
         Right-hand side; ``None`` or a scalar q means q * identity.
+    action_dim : int
+        The p of M = M1 (x) I_p; 1 (the default) declares no structure.
 
     Raises
     ------
@@ -153,6 +171,8 @@ def solve_lyapunov(M, theta_bar=1.0, Q=None):
         If the condition estimate of the weighted system exceeds 1e12, or
         the substitution residual exceeds 1e-8 * ||Q||_F; shrink the
         network or rescale ``theta_bar``.
+    ValueError
+        If M or ``theta_bar`` does not repeat over a declared p > 1.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
@@ -168,11 +188,11 @@ def solve_lyapunov(M, theta_bar=1.0, Q=None):
         raise ValueError("theta_bar entries must be strictly positive")
 
     if Q is None:
-        Qm = np.eye(n)
-    elif np.isscalar(Q):
+        Q = 1.0
+    if np.isscalar(Q):
         if Q <= 0.0:
             raise ValueError("scalar Q must be positive")
-        Qm = float(Q) * np.eye(n)
+        Qm = None
     else:
         Qm = np.asarray(Q, dtype=float)
         if Qm.shape != (n, n):
@@ -181,6 +201,24 @@ def solve_lyapunov(M, theta_bar=1.0, Q=None):
             raise ValueError("Q must be symmetric")
         if np.linalg.eigvalsh(Qm)[0] <= 0.0:
             raise ValueError("Q must be positive definite")
+
+    p = int(action_dim)
+    if p < 1:
+        raise ValueError("action_dim must be a positive integer")
+    if p > 1:
+        m1, tb1 = M[::p, ::p], tb[::p]
+        kron = np.array_equal(M, np.kron(m1, np.eye(p)))
+        if not (kron and np.array_equal(tb, np.repeat(tb1, p))):
+            raise ValueError(
+                f"M and theta_bar must repeat over the declared action_dim {p}: "
+                "M = M1 (x) I_p, theta_bar constant over each p-block"
+            )
+        if Qm is None:  # the equation is p copies of the one for M1
+            M, tb = m1, tb1
+        else:
+            p = 1
+    if Qm is None:
+        Qm = float(Q) * np.eye(M.shape[0])
 
     # S M S = U diag(eigs) U^T, S = sqrt(Tb): the condition estimate and the solve
     s = np.sqrt(tb)
@@ -204,15 +242,19 @@ def solve_lyapunov(M, theta_bar=1.0, Q=None):
     P = V @ X @ V.T
     P = 0.5 * (P + P.T)
     mt = M * tb[None, :]  # M Tb
-    residual = float(np.linalg.norm(P @ (tb[:, None] * M) + mt @ P - Qm, "fro"))
-    if residual > 1e-8 * np.linalg.norm(Qm, "fro"):
+    # the full defect is R1 (x) I_p, so its norms are sqrt(p) times R1's and Q1's
+    scale = np.sqrt(p)
+    residual = float(scale * np.linalg.norm(P @ (tb[:, None] * M) + mt @ P - Qm, "fro"))
+    if residual > 1e-8 * scale * np.linalg.norm(Qm, "fro"):
         raise IllConditionedError(
             f"Lyapunov solve residual {residual:.3e} exceeds 1e-8 * ||Q||_F; "
             "reduce the network size or rescale theta_bar"
         )
     if np.linalg.eigvalsh(P)[0] <= 0.0:
         raise ValueError("Lyapunov solve produced a non-positive-definite P")
-    return LyapunovPair(P=P, Q=Qm, residual=residual)
+    if p > 1:
+        P, Qm = np.kron(P, np.eye(p)), np.kron(Qm, np.eye(p))
+    return LyapunovPair(P=P, Q=Qm, residual=residual, cond=float(cond), kron_dim=p)
 
 
 def random_connected_graph(rng, n_nodes, edge_prob=0.5):

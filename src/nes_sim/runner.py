@@ -50,6 +50,8 @@ class SummaryReport:
     worst_bound_violation: float | None
     max_lyapunov_increment: float | None
     lyapunov_error: str | None
+    lyap_residual: float | None
+    lyap_cond: float | None
     tuner_echo: dict
     n_steps: int
     rhs_evals: int
@@ -116,13 +118,15 @@ def run_experiment(cfg):
     game, graph, tag = cfg.game, cfg.graph, cfg.tag
     layout = cfg.layout
 
-    M = estimation_matrix(graph, game.action_dim) if layout.has_estimates else None
-    guard = stability_guard(cfg.sim, tag, gains=cfg.gains, M=M, game=game)
+    M = M1 = None
+    if layout.has_estimates:
+        M, M1 = estimation_matrix(graph, game.action_dim), estimation_matrix(graph, 1)
+    guard = stability_guard(cfg.sim, tag, gains=cfg.gains, M=M1, game=game)
 
     lyap = None
     if layout.has_estimates and cfg.sim.monitor_lyapunov:
         tb = cfg.gains.theta_bar_vec(game.n_players, game.action_dim)
-        lyap = solve_lyapunov(M, tb, cfg.lyapunov_q)
+        lyap = solve_lyapunov(M, tb, cfg.lyapunov_q, game.action_dim)
 
     x_star = None
     if isinstance(game, QuadraticGame):
@@ -173,6 +177,8 @@ def run_experiment(cfg):
         worst_bound_violation=worst,
         max_lyapunov_increment=max_inc,
         lyapunov_error=lyap_error,
+        lyap_residual=lyap.residual if lyap is not None else None,
+        lyap_cond=lyap.cond if lyap is not None else None,
         tuner_echo=_tuner_echo(cfg, lyap),
         n_steps=cfg.sim.n_steps,
         rhs_evals=cfg.sim.rhs_evals,

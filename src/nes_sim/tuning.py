@@ -246,9 +246,9 @@ def theta_bounds_second_order(
     # block-diagonal estimate Jacobian: spectral norm is the largest
     # per-player Lipschitz constant (exact for quadratic games)
     sup_hbar = float(lbar.max())
-    M = estimation_matrix(graph, game.action_dim)
-    tb = gains.theta_bar_vec(n, game.action_dim)
-    l3 = float(np.max(k)) * sup_hbar * float(np.linalg.norm(tb[:, None] * M, 2))
+    # Tb M = (Tb1 M1) (x) I_p has the spectral norm of Tb1 M1, the p = 1 matrices
+    tb_m1 = gains.theta_bar_vec(n, 1)[:, None] * estimation_matrix(graph, 1)
+    l3 = float(np.max(k)) * sup_hbar * float(np.linalg.norm(tb_m1, 2))
 
     theta_star = l1 * l1 / (4.0 * m * lam_q) + l2 / lam_q
 

@@ -6,7 +6,7 @@ import pytest
 
 import nes_sim.cli
 import nes_sim.runner
-from nes_sim import CommGraph, estimation_matrix
+from nes_sim import CommGraph, estimation_matrix, parse_config, solve_lyapunov
 from nes_sim.cli import main
 from nes_sim.presets import figure_preset
 
@@ -533,6 +533,8 @@ def test_summary_and_tune_print_keys_in_field_order(tmp_path, capsys):
         "bounds_ok",
         "worst_bound_violation",
         "max_lyapunov_increment",
+        "lyap_residual",
+        "lyap_cond",
         "tuner_m",
         "tuner_theta1_star",
         "tuner_theta_star",
@@ -709,3 +711,64 @@ def test_sweep_entries_are_built_from_the_base_document_alone(tmp_path, monkeypa
     assert second["strategy"]["saturation"] == {"u_bar": doc["strategy"]["saturation"]["u_bar"]}
     assert second["strategy"]["gains"] == {"theta": 3.0}
     assert all("sweep" not in cfg.normalized for cfg in captured)
+
+
+def test_failed_sweep_entries_do_not_stop_the_others(tmp_path, capsys):
+    doc = _short_run_doc(tmp_path, "fig3")
+    doc["sim"]["t_end"] = 0.05
+    diverging = {"sim.dt": 1e-2, "sim.t_end": 1.0}
+    doc["sweep"] = [
+        {**(diverging if k in (1, 3) else {}), **_entry_outputs(tmp_path, name)}
+        for k, name in enumerate("abcde")
+    ]
+    assert main(["run", _write(tmp_path, doc)]) == 1
+    captured = capsys.readouterr()
+    headers = [line for line in captured.out.splitlines() if line.startswith("# sweep")]
+    assert headers == ["# sweep[0]", "# sweep[2]", "# sweep[4]"]
+    assert captured.out.count("strategy=first_order_dist\n") == 3
+    errors = [line for line in captured.err.splitlines() if line.startswith("error: ")]
+    assert [line.split(": ")[1] for line in errors] == ["sweep[1]", "sweep[3]"]
+    assert all("non-finite state at step " in line for line in errors)
+    assert "Traceback" not in captured.err
+    for name in "ace":
+        assert (tmp_path / f"{name}.csv").exists() and (tmp_path / f"{name}.txt").exists()
+    for name in "bd":
+        assert not (tmp_path / f"{name}.csv").exists() and not (tmp_path / f"{name}.txt").exists()
+
+
+def _estimation_system(doc):
+    cfg = parse_config(doc)
+    n, p = cfg.game.n_players, cfg.game.action_dim
+    return estimation_matrix(cfg.graph, p), cfg.gains.theta_bar_vec(n, p), cfg.lyapunov_q, p
+
+
+def test_summary_reports_the_lyapunov_residual(tmp_path, capsys):
+    doc = _short_run_doc(tmp_path, "fig3")
+    assert main(["--t-end", "0.01", "run", _write(tmp_path, doc)]) == 2
+    out = capsys.readouterr().out
+    M, tb, q, p = _estimation_system(doc)
+    pair = solve_lyapunov(M, tb, q, p)
+    assert float(_key(out, "lyap_residual")) == pair.residual
+    assert 0.0 <= pair.residual <= 1e-8 * np.linalg.norm(pair.Q, "fro")
+    assert f"lyap_residual={_key(out, 'lyap_residual')}\n" in (tmp_path / "s.txt").read_text()
+    # no solve ran: no estimates (fig2), or no monitor
+    assert main(["--t-end", "0.01", "run", _write(tmp_path, _short_run_doc(tmp_path, "fig2"))]) == 2
+    assert _key(capsys.readouterr().out, "lyap_residual") == "none"
+    doc["sim"]["monitor_lyapunov"] = False
+    assert main(["--t-end", "0.01", "run", _write(tmp_path, doc)]) == 2
+    assert _key(capsys.readouterr().out, "lyap_residual") == "none"
+
+
+def test_summary_reports_the_lyapunov_condition(tmp_path, capsys):
+    doc = _short_run_doc(tmp_path, "fig4")
+    doc["strategy"]["gains"]["theta_bar"] = np.linspace(0.5, 2.0, 9).tolist()
+    assert main(["--t-end", "0.01", "run", _write(tmp_path, doc)]) == 2
+    out = capsys.readouterr().out
+    # condition of S M S, S = sqrt(Tb), evaluated at full size
+    M, tb, _, _ = _estimation_system(doc)
+    s = np.sqrt(tb)
+    eigs = np.linalg.eigvalsh(M * np.outer(s, s))
+    assert float(_key(out, "lyap_cond")) == pytest.approx(eigs[-1] / eigs[0], rel=1e-12)
+    assert float(_key(out, "lyap_cond")) > 1.0
+    assert main(["--t-end", "0.01", "run", _write(tmp_path, _short_run_doc(tmp_path, "fig2"))]) == 2
+    assert _key(capsys.readouterr().out, "lyap_cond") == "none"

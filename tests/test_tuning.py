@@ -233,3 +233,17 @@ def test_a1_positive_definite_above_theta_star(sensor_game, path_graph):
         det = rep.m * d - rep.l1**2 / 4.0
         assert det > 0.0 and rep.m + d > 0.0
         assert rep.lambda_min_a1 > 0.0
+
+
+@pytest.mark.parametrize("theta_bar", [1.0, "per_estimate"])
+def test_l3_from_m1_matches_the_full_size_norm(sensor_game, path_graph, theta_bar):
+    # l3 takes ||Tb M||_2 from the p = 1 matrices, since Tb M = (Tb1 M1) (x) I_p
+    n, p = sensor_game.n_players, sensor_game.action_dim
+    if theta_bar == "per_estimate":
+        theta_bar = np.random.default_rng(4).uniform(0.5, 2.0, n * n).tolist()
+    gains = GainSet(theta=200.0, theta1=1.0, K=[0.1, 0.3, 0.2], theta_bar=theta_bar)
+    lyap = solve_lyapunov(estimation_matrix(path_graph, p), gains.theta_bar_vec(n, p), 1.0)
+    rep = theta_bounds_second_order(sensor_game, path_graph, lyap, gains)
+    tb_m = gains.theta_bar_vec(n, p)[:, None] * estimation_matrix(path_graph, p)
+    full_size = 0.3 * float(lipschitz_constants(sensor_game).max()) * np.linalg.norm(tb_m, 2)
+    assert rep.l3 == pytest.approx(full_size, rel=1e-12)
