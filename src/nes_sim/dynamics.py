@@ -313,9 +313,10 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None, M=None):
     the length check, and a wrong-length state raises ``ValueError`` from
     the product instead. For a ``QuadraticGame`` every law is affine,
     since the pseudo-gradient is ``H x + c``: it is compiled once, here,
-    to ``A s + b``. Any other game evaluates the law on every call. ``M``
-    is assembled from ``graph`` unless given; gains and bounds are
-    validated here.
+    to ``A s + b`` from two law calls: ``b = law(0)``, and ``law(I)``,
+    since each law also takes a stack of states, one per row. Any other
+    game evaluates the law on every call. ``M`` is assembled from
+    ``graph`` unless given; gains and bounds are validated here.
     """
     tag = StrategyTag(tag)
     layout = StateLayout(tag, game.n_players, game.action_dim)
@@ -336,6 +337,8 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None, M=None):
     if layout.has_estimates:
         coef = -gains.estimation_gain(layout.has_velocity) * gains.theta_bar_vec(n, p)
 
+    # Each law takes one state or a stack of them, one per row, so matrix
+    # products are written (M @ v.T).T, which is M @ v for one state.
     if tag is StrategyTag.SAT_GRAD_PLAY:
         def law(s):
             # each action moves against its own gradient; u = dx
@@ -346,16 +349,16 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None, M=None):
 
         def law(s):
             # full-information damping through the game Jacobian; unbounded u
-            x, nu = s[:d], s[d:]
-            u = -alpha * game.pseudo_gradient(x) - beta * nu - game.game_jacobian(x) @ nu
-            return np.concatenate([nu, u])
+            x, nu = s[..., :d], s[..., d:]
+            u = -alpha * game.pseudo_gradient(x) - beta * nu - (game.game_jacobian(x) @ nu.T).T
+            return np.concatenate([nu, u], axis=-1)
 
     elif tag is StrategyTag.FIRST_ORDER_DIST:
         def law(s):
             # gradient at the local estimates; the estimates contract to tiled x
-            x, y = s[:d], s[d:]
-            dy = coef * (M @ (y - np.tile(x, n)))
-            return np.concatenate([-game.own_gradients_at_estimates(y), dy])
+            x, y = s[..., :d], s[..., d:]
+            dy = coef * (M @ (y - np.tile(x, n)).T).T
+            return np.concatenate([-game.own_gradients_at_estimates(y), dy], axis=-1)
 
     else:
         # Distributed second order: z descends the gradient at the estimates
@@ -364,18 +367,18 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None, M=None):
         neg_kbar = -(gains.theta1 * gains.k_vec(n, p))
 
         def law(s):
-            x, nu, z, y = s[:d], s[d : 2 * d], s[2 * d : 3 * d], s[3 * d :]
+            x, nu, z, y = s[..., :d], s[..., d : 2 * d], s[..., 2 * d : 3 * d], s[..., 3 * d :]
             zdot = neg_kbar * game.own_gradients_at_estimates(y)
-            dy = coef * (M @ (y - np.tile(z, n)))
-            return np.concatenate([nu, -(x - z) - (nu - zdot), zdot, dy])
+            dy = coef * (M @ (y - np.tile(z, n)).T).T
+            return np.concatenate([nu, -(x - z) - (nu - zdot), zdot, dy], axis=-1)
 
     ua, ub = layout.offsets["nu" if layout.has_velocity else "x"]
     check, size = layout.check, layout.size
     A = None
     if isinstance(game, QuadraticGame):
-        # the law is affine: column k of A is law(e_k) - law(0)
+        # the law is affine and row k of law(I) is law(e_k): A = (law(I) - law(0)).T
         b = law(np.zeros(size))
-        A = np.column_stack([law(e) - b for e in np.eye(size)])
+        A = np.ascontiguousarray((law(np.eye(size)) - b).T)
 
     def rhs(s, out=None):
         if out is None:

@@ -273,18 +273,42 @@ class QuadraticGame(GameDefinition):
         """The constant stacked-Jacobian matrix H."""
         return self._H
 
+    # Each evaluator below also takes a stack of inputs, one per row of a 2-D
+    # array, and gives one result row per input row; one input keeps the 1-D path.
+
+    def _check_rows(self, x, width, what):
+        if x.shape[1] != width:
+            raise DimensionMismatchError(what, width, x.shape[1])
+        return x
+
     def pseudo_gradient(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            x = self._check_rows(x, self.profile_dim, "action profiles")
+            return (self._H @ x.T).T + self._c
         x = self._check_profile(x)
         return self._H @ x + self._c
 
     def own_gradients_at_estimates(self, y):
-        y = np.asarray(y, dtype=float).ravel()
+        y = np.asarray(y, dtype=float)
         n, d = self.n_players, self.profile_dim
-        if y.size != n * d:
-            raise DimensionMismatchError("stacked profile estimates", n * d, y.size)
         # player i's block-row of H applied to estimate i, for all i at once
         H = self._H.reshape(n, self.action_dim, d)
+        if y.ndim == 2:
+            y = self._check_rows(y, n * d, "stacked profile estimates")
+            return (H @ y.reshape(len(y), n, d, 1)).reshape(len(y), d) + self._c
+        y = y.ravel()
+        if y.size != n * d:
+            raise DimensionMismatchError("stacked profile estimates", n * d, y.size)
         return (H @ y.reshape(n, d, 1)).ravel() + self._c
+
+    def game_jacobian(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            # the Jacobian is constant: one matrix H serves every row
+            self._check_rows(x, self.profile_dim, "action profiles")
+            return self._H.copy()
+        return super().game_jacobian(x)
 
     def monotonicity_constant(self, n_pairs=None, radius=None, rng=None):
         """Exact constant: smallest eigenvalue of the symmetric part of H.

@@ -95,14 +95,18 @@ def _tuner_echo(cfg, lyap):
 
 
 def check_output_paths(output):
-    """Refuse output paths whose directory is missing or that name a directory.
+    """Refuse output paths whose directory is missing or not writable, or
+    that name a directory.
 
     Called before any run time is spent, so a path that cannot be written
     is found before the integration, not after it.
     """
     for key, path in (output or {}).items():
-        if not os.path.isdir(os.path.dirname(path) or "."):
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
             raise ConfigError(f"output.{key}: the directory of {path} does not exist")
+        if not os.access(directory, os.W_OK | os.X_OK):
+            raise ConfigError(f"output.{key}: the directory of {path} is not writable")
         if os.path.isdir(path):
             raise ConfigError(f"output.{key}: {path} is a directory")
 

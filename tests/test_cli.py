@@ -650,6 +650,30 @@ def test_unwritable_output_fails_before_the_run(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == f"error: output.trajectory: {tmp_path} is a directory\n"
 
 
+def test_read_only_output_directory_fails_before_the_run(tmp_path, monkeypatch, capsys):
+    # os.access is stubbed because a process run as root may write anywhere,
+    # so no chmod makes a directory unwritable to it
+    def never(*args, **kwargs):
+        raise AssertionError("integrate entered although the output cannot be written")
+
+    read_only = tmp_path / "read_only"
+    read_only.mkdir()
+    access = nes_sim.runner.os.access
+
+    def deny_read_only(path, mode, **kwargs):
+        return str(path) != str(read_only) and access(path, mode, **kwargs)
+
+    monkeypatch.setattr(nes_sim.runner, "integrate", never)
+    monkeypatch.setattr(nes_sim.runner.os, "access", deny_read_only)
+    doc = _short_run_doc(tmp_path, "fig4")
+    target = str(read_only / "s.txt")
+    doc["output"]["summary"] = target
+    assert main(["run", _write(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: output.summary: the directory of {target} is not writable\n"
+    )
+
+
 def test_unwritable_sweep_entry_stops_the_sweep_before_any_entry_runs(tmp_path, capsys):
     doc = _fast_run_doc(tmp_path, t_end=0.5)
     doc["sweep"] = [_entry_outputs(tmp_path, "a"), _entry_outputs(tmp_path, "b", "missing")]

@@ -8,12 +8,14 @@ from nes_sim import (
     GainSet,
     GameDefinition,
     LayoutMismatchError,
+    QuadraticGame,
     SaturationSpec,
     StateLayout,
     StrategyTag,
     estimation_matrix,
     lyapunov_value,
     make_rhs,
+    path_graph_adjacency,
     random_connected_graph,
     random_strongly_monotone_game,
     rhs_gradient_play,
@@ -359,6 +361,136 @@ def test_compiled_field_matches_per_call_law(tag):
             assert np.max(np.abs(u - u_ref)) <= 1e-12 * scale
             if lay.is_saturated:
                 assert np.all(spec.lower <= u) and np.all(u <= spec.upper)
+
+
+# --- the stacked compile --------------------------------------------------
+
+# bounds that never bind, so a clamped field returns its law unchanged
+UNBOUND = SaturationSpec.symmetric(1e300)
+
+
+def _closure(rhs, *names):
+    # the compiled A and b, or the per-call law, as the field's closure holds them
+    cells = dict(zip(rhs.__code__.co_freevars, rhs.__closure__))
+    return [cells[name].cell_contents for name in names]
+
+
+def _stacking_twin(game):
+    # a generic game whose evaluators are the quadratic game's own: make_rhs
+    # evaluates its law per call, and that law still takes a stack of states
+    twin = _per_call_twin(game)
+    twin.pseudo_gradient = game.pseudo_gradient
+    twin.own_gradients_at_estimates = game.own_gradients_at_estimates
+    twin.game_jacobian = game.game_jacobian
+    return twin
+
+
+def _ring(n):
+    a = np.zeros((n, n))
+    for i in range(n):
+        a[i, (i + 1) % n] = a[(i + 1) % n, i] = 1.0
+    return a
+
+
+def _random_gains(rng, n):
+    return GainSet(
+        theta=rng.uniform(1.0, 300.0),
+        theta1=rng.uniform(0.5, 3.0),
+        theta_bar=rng.uniform(0.5, 2.0, n * n),
+        K=rng.uniform(0.05, 1.0, n),
+        alpha=rng.uniform(0.5, 3.0),
+        beta=rng.uniform(0.5, 3.0),
+    )
+
+
+def _compiled_and_column_by_column(tag, graph, rng):
+    # A and b of the stacked compile, and the same law evaluated one unit
+    # state at a time, as column_stack([law(e) - law(0) for e in I])
+    n, p = graph.n_nodes, int(rng.integers(1, 4))
+    game = random_strongly_monotone_game(rng, n_players=n, action_dim=p)
+    gains = _random_gains(rng, n)
+    compiled, lay = make_rhs(tag, game, graph=graph, gains=gains, sat_spec=UNBOUND)
+    twin = _stacking_twin(game)
+    per_call, _ = make_rhs(tag, twin, graph=graph, gains=gains, sat_spec=UNBOUND)
+    A, b = _closure(compiled, "A", "b")
+    b_ref = per_call(np.zeros(lay.size))[0]
+    A_ref = np.column_stack([per_call(e)[0] - b_ref for e in np.eye(lay.size)])
+    assert A.flags.c_contiguous and A.shape == A_ref.shape
+    return A, b, A_ref, b_ref
+
+
+@pytest.mark.parametrize("tag", list(StrategyTag))
+def test_stacked_compile_is_the_column_by_column_compile_on_integer_weights(tag):
+    # integer weights keep every sum in M @ v exact, so the stacked compile
+    # must give the column-by-column A and b bit for bit, signs of zeros included
+    rng = np.random.default_rng(29)
+    graphs = [CommGraph(_ring(n)) for n in (3, 4, 6)]
+    graphs += [CommGraph(path_graph_adjacency(n)) for n in (2, 3, 5)]
+    graphs += [random_connected_graph(rng, n) for n in (3, 4, 5, 6)]
+    for graph in graphs:
+        A, b, A_ref, b_ref = _compiled_and_column_by_column(tag, graph, rng)
+        for got, ref in ((A, A_ref), (b, b_ref)):
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+@pytest.mark.parametrize("tag", list(StrategyTag))
+def test_stacked_compile_on_real_weights_is_within_rounding(tag):
+    # with real edge weights a sum over columns of M may round in another
+    # order, so A is held to 1e-15 of its largest entry; b is one call either way
+    rng = np.random.default_rng(31)
+    for n in (2, 3, 4, 5):
+        a = np.triu(rng.uniform(0.1, 3.0, (n, n)) * (rng.random((n, n)) < 0.7), 1)
+        a[np.arange(n - 1), np.arange(1, n)] = rng.uniform(0.1, 3.0, n - 1)  # connected
+        A, b, A_ref, b_ref = _compiled_and_column_by_column(tag, CommGraph(a + a.T), rng)
+        assert np.max(np.abs(A - A_ref)) <= 1e-15 * np.max(np.abs(A_ref))
+        assert np.array_equal(b, b_ref)
+
+
+@pytest.mark.parametrize("tag", list(StrategyTag))
+def test_law_on_a_stack_of_states_equals_single_state_calls(tag):
+    # the per-call field's law over a (B, size) stack gives, row by row, the
+    # field at each state; products only sum in another order, so each row
+    # is held to 1e-15 of the largest sum of absolute terms sum_j |A_ij s_j| + |b_i|
+    rng = np.random.default_rng(37)
+    for _ in range(6):
+        n, p = int(rng.integers(2, 5)), int(rng.integers(1, 3))
+        game = random_strongly_monotone_game(rng, n_players=n, action_dim=p)
+        graph = random_connected_graph(rng, n)
+        gains = _random_gains(rng, n)
+        compiled, lay = make_rhs(tag, game, graph=graph, gains=gains, sat_spec=UNBOUND)
+        twin = _stacking_twin(game)
+        per_call, _ = make_rhs(tag, twin, graph=graph, gains=gains, sat_spec=UNBOUND)
+        (law,) = _closure(per_call, "law")
+        A, b = _closure(compiled, "A", "b")
+        states = rng.normal(scale=3.0, size=(25, lay.size))
+        stacked = law(states)
+        assert stacked.shape == states.shape
+        for s, row in zip(states, stacked):
+            scale = np.max(np.abs(A) @ np.abs(s) + np.abs(b))
+            assert np.max(np.abs(row - per_call(s)[0])) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("tag", list(StrategyTag))
+def test_compile_calls_the_gradients_a_fixed_number_of_times(tag, monkeypatch):
+    # law(0) and law(I): two gradient calls whatever the state size
+    calls = []
+    for name in ("pseudo_gradient", "own_gradients_at_estimates"):
+        def counted(self, x, method=getattr(QuadraticGame, name)):
+            calls.append(name)
+            return method(self, x)
+
+        monkeypatch.setattr(QuadraticGame, name, counted)
+    rng = np.random.default_rng(43)
+    per_size = {}
+    for n, p in ((2, 1), (3, 2), (5, 2), (6, 3)):
+        game = random_strongly_monotone_game(rng, n_players=n, action_dim=p)
+        calls.clear()
+        _, lay = make_rhs(
+            tag, game, graph=CommGraph(_ring(n)), gains=_random_gains(rng, n), sat_spec=UNBOUND
+        )
+        per_size[lay.size] = len(calls)
+    assert len(per_size) == 4 and set(per_size.values()) == {2}
 
 
 # --- Lyapunov candidates --------------------------------------------------

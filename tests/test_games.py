@@ -217,3 +217,35 @@ def test_finite_difference_fallback_matches_quadratic(sensor_game):
         assert np.max(np.abs(ga - gf)) / max(1.0, np.max(np.abs(ga))) <= 1e-5
     Hf = fd_game.game_jacobian(np.zeros(6))
     assert np.max(np.abs(Hf - sensor_game.game_jacobian(np.zeros(6)))) <= 1e-4
+
+
+def test_quadratic_evaluators_take_a_stack_of_rows():
+    # a (B, .) stack gives B rows, each the single-input result; products only
+    # sum in another order, so a row is held to 1e-15 of its largest sum of
+    # absolute terms, sum_j |H_ij v_j| + |c_i|
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        n, p = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        game = random_strongly_monotone_game(rng, n, p)
+        d, absH, absc = game.profile_dim, np.abs(game.jacobian_matrix), np.abs(game.p_vec.ravel())
+        xs = rng.normal(scale=3.0, size=(25, d))
+        stacked = game.pseudo_gradient(xs)
+        assert stacked.shape == (25, d)
+        for x, g in zip(xs, stacked):
+            scale = np.max(absH @ np.abs(x) + absc)
+            assert np.max(np.abs(g - game.pseudo_gradient(x))) <= 1e-15 * scale
+        ys = rng.normal(scale=3.0, size=(25, n * d))
+        stacked = game.own_gradients_at_estimates(ys)
+        assert stacked.shape == (25, d)
+        for y, g in zip(ys, stacked):
+            terms = absH.reshape(n, p, d) @ np.abs(y).reshape(n, d, 1)
+            scale = np.max(terms.ravel() + absc)
+            assert np.max(np.abs(g - game.own_gradients_at_estimates(y))) <= 1e-15 * scale
+        np.testing.assert_array_equal(game.game_jacobian(xs), game.game_jacobian(xs[0]))
+        for method, width in (
+            (game.pseudo_gradient, d),
+            (game.own_gradients_at_estimates, n * d),
+            (game.game_jacobian, d),
+        ):
+            with pytest.raises(DimensionMismatchError):
+                method(np.zeros((3, width + 1)))
