@@ -47,7 +47,7 @@ for trial in range(8):
     theta = 1.1 * theta_star
     dt = min(1e-3, 2.0 / (theta * float(np.linalg.eigvalsh(M)[-1])))
     rhs, layout = make_rhs(
-        StrategyTag.FIRST_ORDER_DIST, game, M=M, gains=GainSet(theta=theta), sat_spec=spec
+        StrategyTag.FIRST_ORDER_DIST, game, graph=graph, gains=GainSet(theta=theta), sat_spec=spec
     )
     traj = integrate(
         rhs,
@@ -64,14 +64,13 @@ for trial in range(8):
 print("\ntheta sweep on the sensor benchmark (fixed 3 s horizon):")
 game = sensor_network_game()
 graph = CommGraph(path_graph_adjacency())
-M = estimation_matrix(graph, 2)
 x0 = np.array([10.0, 0.0, 0.0, 5.0, 0.0, 0.0])
 
 
 def run_one(theta):
     gains = GainSet(theta=theta, theta_bar=1.0)
     rhs, layout = make_rhs(
-        StrategyTag.FIRST_ORDER_DIST, game, M=M, gains=gains,
+        StrategyTag.FIRST_ORDER_DIST, game, graph=graph, gains=gains,
         sat_spec=SaturationSpec.symmetric(5.0),
     )
     dt = min(1e-3, 2.0 / (theta * 3.8))

@@ -123,9 +123,9 @@ def cmd_tune(args):
     lyap = None
     if cfg.layout.has_estimates:
         game = cfg.game
-        tb = cfg.gains.theta_bar_vec(game.n_players, game.action_dim)
-        M = estimation_matrix(cfg.graph, game.action_dim)
-        lyap = solve_lyapunov(M, tb, cfg.lyapunov_q, game.action_dim)
+        tb = cfg.gains.theta_bar_vec(game.n_players)
+        M1 = estimation_matrix(cfg.graph, 1)
+        lyap = solve_lyapunov(M1, tb, cfg.lyapunov_q, game.action_dim)
     report = tuning.gain_report(cfg, lyap)
 
     flat = report.as_dict()

@@ -212,7 +212,7 @@ def parse_config(doc):
             kwargs[key] = float(val) if val.ndim == 0 else val
     try:
         gains = GainSet(**kwargs)
-        gains.theta_bar_vec(n, p)
+        gains.theta_bar_vec(n)
         if gains.K is not None:
             gains.k_vec(n, p)
     except ValueError as exc:
@@ -281,7 +281,8 @@ def parse_config(doc):
         _reject_unknown(doc["output"], _OUTPUT_KEYS, "output")
         output = dict(doc["output"])
         for key in _OUTPUT_KEYS:
-            if not isinstance(_require(output, key, "output"), str):
+            path = _require(output, key, "output")
+            if not isinstance(path, str) or not path:
                 raise ConfigError(f"output.{key}: expected a file path")
         if os.path.realpath(output["trajectory"]) == os.path.realpath(output["summary"]):
             raise ConfigError("output: trajectory and summary must be different files")
@@ -326,8 +327,9 @@ def parse_config(doc):
 def read_document(path):
     """Read a JSON configuration file into a dict without validating it.
 
-    Strict JSON: ``NaN``, ``Infinity`` and literals that overflow to
-    infinity, integers included, are refused.
+    Strict JSON: ``NaN``, ``Infinity``, literals that overflow to
+    infinity, integers included, and a key given twice in one object are
+    refused.
     """
 
     def finite(text):
@@ -340,9 +342,18 @@ def read_document(path):
         finite(text)  # an integer literal past the float range reads as inf
         return int(text)
 
+    def unique(pairs):
+        obj = {}
+        for key, val in pairs:
+            if key in obj:
+                raise ConfigError(f"{path}: duplicate key '{key}'")
+            obj[key] = val
+        return obj
+
     try:
         with open(path) as fh:
-            doc = json.load(fh, parse_float=finite, parse_int=integer, parse_constant=finite)
+            hooks = dict(parse_int=integer, parse_float=finite, parse_constant=finite)
+            doc = json.load(fh, object_pairs_hook=unique, **hooks)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -274,14 +274,14 @@ class GainSet:
         """Scalar gain of the estimation flow: theta, times theta1 for second order."""
         return self.theta * self.theta1 if second_order else self.theta
 
-    def theta_bar_vec(self, n_players, action_dim):
-        """Diagonal of the per-estimate weight matrix, expanded to N^2 p."""
+    def theta_bar_vec(self, n_players):
+        """Diagonal of the per-estimate weight matrix: N^2 weights, each shared by p channels."""
         n2 = n_players * n_players
         tb = np.asarray(self.theta_bar if self.theta_bar is not None else 1.0, dtype=float)
         tb = np.full(n2, float(tb)) if tb.ndim == 0 else tb.ravel()
         if tb.size != n2:
             raise DimensionMismatchError("theta_bar", n2, tb.size)
-        return np.repeat(tb, action_dim)
+        return tb
 
     def k_vec(self, n_players, action_dim):
         """Per-player reference gains expanded to Np channels."""
@@ -292,6 +292,13 @@ class GainSet:
         return np.repeat(k, action_dim)
 
 
+def _per_channel(m, v):
+    """kron(m, I_q) @ v for a vector or a stack of rows, as one tensordot on the
+    (..., k, q) view of ``v``, one column per channel; the result keeps that view."""
+    w = v.reshape(*v.shape[:-1], m.shape[0], -1)
+    return np.moveaxis(np.tensordot(m, w, axes=(1, -2)), 0, -2)
+
+
 def rhs_gradient_play(game, state):
     """Plain (unclamped) gradient play; the unsaturated reference flow."""
     layout = StateLayout(StrategyTag.SAT_GRAD_PLAY, game.n_players, game.action_dim)
@@ -300,30 +307,24 @@ def rhs_gradient_play(game, state):
     return u.copy(), u
 
 
-def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None, M=None):
+def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None):
     """Bind a strategy's vector field to its game, graph, and gains.
 
     Returns ``(rhs, layout)`` where ``rhs(state, out=None) -> (dstate, u)``.
     Each control law is written once here, unclamped; ``rhs`` clamps the
     control rows of ``dstate`` in place, so ``u`` is a view of them.
-    Without ``out``, the state length is checked (``LayoutMismatchError``)
-    and ``dstate`` is a fresh array. With ``out``, a float array of
-    ``layout.size`` entries that does not overlap the state, ``dstate`` is
-    written into it and ``dstate is out``; the compiled path then skips
-    the length check, and a wrong-length state raises ``ValueError`` from
-    the product instead. For a ``QuadraticGame`` every law is affine,
-    since the pseudo-gradient is ``H x + c``: it is compiled once, here,
-    to ``A s + b`` from two law calls: ``b = law(0)``, and ``law(I)``,
-    since each law also takes a stack of states, one per row. Any other
-    game evaluates the law on every call. ``M`` is assembled from
-    ``graph`` unless given; gains and bounds are validated here.
+    Without ``out`` the state length is checked (``LayoutMismatchError``)
+    and ``dstate`` is fresh; with ``out`` (``layout.size`` floats, not
+    overlapping the state) ``dstate is out``, and the compiled path leaves
+    the length check to the product (``ValueError``). A ``QuadraticGame``
+    law is affine (the pseudo-gradient is ``H x + c``), so it is compiled
+    once to ``A s + b`` from ``b = law(0)`` and ``law(I)``: each law takes
+    a stack of states, one per row. Other games evaluate the law per call.
+    The consensus laws apply M1 = ``estimation_matrix(graph, 1)`` to each
+    action channel of the estimates (M = M1 (x) I_p).
     """
     tag = StrategyTag(tag)
     layout = StateLayout(tag, game.n_players, game.action_dim)
-    if layout.has_estimates and M is None:
-        if graph is None:
-            raise ValueError(f"strategy {tag.value} requires a communication graph")
-        M = estimation_matrix(graph, game.action_dim)
     clamped = layout.is_saturated
     if clamped:
         if sat_spec is None:
@@ -335,10 +336,19 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None, M=None):
 
     n, p, d = game.n_players, game.action_dim, layout.action_size
     if layout.has_estimates:
-        coef = -gains.estimation_gain(layout.has_velocity) * gains.theta_bar_vec(n, p)
+        if graph is None:
+            raise ValueError(f"strategy {tag.value} requires a communication graph")
+        M1 = estimation_matrix(graph, 1)
+        # one gain per estimate, a column so that it scales the estimate's p channels
+        coef = -gains.estimation_gain(layout.has_velocity) * gains.theta_bar_vec(n)[:, None]
+
+        def consensus(y, target):
+            # the estimates contract to the tiled target through M = M1 (x) I_p
+            e = y - np.tile(target, n)
+            return (coef * _per_channel(M1, e)).reshape(e.shape)
 
     # Each law takes one state or a stack of them, one per row, so matrix
-    # products are written (M @ v.T).T, which is M @ v for one state.
+    # products are written (H @ v.T).T, which is H @ v for one state.
     if tag is StrategyTag.SAT_GRAD_PLAY:
         def law(s):
             # each action moves against its own gradient; u = dx
@@ -357,8 +367,7 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None, M=None):
         def law(s):
             # gradient at the local estimates; the estimates contract to tiled x
             x, y = s[..., :d], s[..., d:]
-            dy = coef * (M @ (y - np.tile(x, n)).T).T
-            return np.concatenate([-game.own_gradients_at_estimates(y), dy], axis=-1)
+            return np.concatenate([-game.own_gradients_at_estimates(y), consensus(y, x)], axis=-1)
 
     else:
         # Distributed second order: z descends the gradient at the estimates
@@ -369,8 +378,7 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None, M=None):
         def law(s):
             x, nu, z, y = s[..., :d], s[..., d : 2 * d], s[..., 2 * d : 3 * d], s[..., 3 * d :]
             zdot = neg_kbar * game.own_gradients_at_estimates(y)
-            dy = coef * (M @ (y - np.tile(z, n)).T).T
-            return np.concatenate([nu, -(x - z) - (nu - zdot), zdot, dy], axis=-1)
+            return np.concatenate([nu, -(x - z) - (nu - zdot), zdot, consensus(y, z)], axis=-1)
 
     ua, ub = layout.offsets["nu" if layout.has_velocity else "x"]
     check, size = layout.check, layout.size
@@ -409,7 +417,8 @@ def lyapunov_value(tag, game, state, *, gains=None, sat_spec=None, P=None, x_sta
 
     - SAT_GRAD_PLAY: sum of clamp integrals of the own-gradient channels.
     - FIRST_ORDER_DIST: the above plus the estimation error's quadratic
-      form in ``P`` (from :func:`nes_sim.graphs.solve_lyapunov`).
+      form in ``P`` (from :func:`nes_sim.graphs.solve_lyapunov`): N^2 x N^2
+      per action channel, or the full N^2 p x N^2 p matrix.
     - SECOND_ORDER_CENTRAL: ||nu||^2 + ||g||^2 / 2 + nu . g with g the
       stacked pseudo-gradient.
     - SECOND_ORDER_DIST: quadratic forms in the reference error (weighted
@@ -431,8 +440,12 @@ def lyapunov_value(tag, game, state, *, gains=None, sat_spec=None, P=None, x_sta
         if not sat_spec.is_symmetric:
             raise ValueError("Lyapunov candidates are defined for symmetric bounds only")
         ub = np.broadcast_to(sat_spec.upper, (n,))
-    if layout.has_estimates and P is None:
-        raise ValueError(f"{tag.value} Lyapunov value requires the matrix P")
+    if layout.has_estimates:
+        if P is None:
+            raise ValueError(f"{tag.value} Lyapunov value requires the matrix P")
+        n2 = game.n_players**2
+        if np.shape(P) not in ((n2, n2), (n2 * game.action_dim,) * 2):
+            raise DimensionMismatchError("P rows", n2 * game.action_dim, np.shape(P)[0])
     if layout.has_reference:
         if x_star is None:
             raise ValueError(f"{tag.value} Lyapunov value requires the equilibrium x_star")
@@ -450,34 +463,32 @@ def lyapunov_value(tag, game, state, *, gains=None, sat_spec=None, P=None, x_sta
     blocks = {name: states[..., a:b] for name, (a, b) in layout.offsets.items()}
     x, nu, z, y = (blocks.get(name) for name in ("x", "nu", "z", "y"))
 
-    def rows(grad, block):
-        # the game's own gradient per row, so generic games need no batched form
-        return np.array([grad(r) for r in block]).reshape(len(block), n)
-
     def dot(a, b):
         return np.sum(a * b, axis=-1)
+
+    def quad(e):
+        # e . (P (x) I) e, with P per channel or full size
+        return dot(_per_channel(P, e).reshape(e.shape), e)
 
     def sat_sum(g):
         return np.sum(sat_integral(g, ub), axis=-1)
 
     if tag is StrategyTag.SAT_GRAD_PLAY:
-        v = sat_sum(rows(game.pseudo_gradient, x))
+        v = sat_sum(game.pseudo_gradient(x))
 
     elif tag is StrategyTag.FIRST_ORDER_DIST:
-        e = y - np.tile(x, game.n_players)
-        v = sat_sum(rows(game.pseudo_gradient, x)) + dot(e @ P, e)
+        v = sat_sum(game.pseudo_gradient(x)) + quad(y - np.tile(x, game.n_players))
 
     elif tag is StrategyTag.SECOND_ORDER_CENTRAL:
-        g = rows(game.pseudo_gradient, x)
+        g = game.pseudo_gradient(x)
         v = dot(nu, nu) + 0.5 * dot(g, g) + dot(nu, g)
 
     else:
         k = gains.k_vec(game.n_players, game.action_dim)
-        zdot = -(gains.theta1 * k) * rows(game.own_gradients_at_estimates, y)
+        zdot = -(gains.theta1 * k) * game.own_gradients_at_estimates(y)
         ez = z - x_star
-        ee = y - np.tile(z, game.n_players)
         ev = nu - zdot
-        base = 0.5 * dot(ez, ez / k) + dot(ee @ P, ee)
+        base = 0.5 * dot(ez, ez / k) + quad(y - np.tile(z, game.n_players))
         if tag is StrategyTag.SECOND_ORDER_DIST:
             et = x - z
             v = base + 0.5 * dot(et, et) + 0.5 * dot(ev, ev)

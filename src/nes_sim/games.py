@@ -84,6 +84,10 @@ class GameDefinition:
             raise IndexError(f"player index {i} out of range for {self.n_players} players")
         return int(i)
 
+    def _row_by_row(self, evaluate, x):
+        # a stack of inputs, one per row of a 2-D array, evaluated one row at a time
+        return np.array([evaluate(row) for row in x]).reshape(len(x), self.profile_dim)
+
     def _block(self, x, i):
         p = self.action_dim
         return x[i * p : (i + 1) * p]
@@ -124,8 +128,11 @@ class GameDefinition:
         """Stacked vector of every player's own partial gradient at ``x``.
 
         Its unique zero characterises the Nash equilibrium when the game is
-        strongly monotone.
+        strongly monotone. A 2-D ``x`` stacks profiles, one per result row.
         """
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            return self._row_by_row(self.pseudo_gradient, x)
         x = self._check_profile(x)
         return np.concatenate([self.partial_gradient(i, x) for i in range(self.n_players)])
 
@@ -133,10 +140,14 @@ class GameDefinition:
         """Stacked own-gradients, each player evaluated at its own estimate.
 
         ``y`` stacks N local profile estimates (length N * Np); the result
-        stacks ``partial_gradient(i, y_i)`` over players (length Np).
+        stacks ``partial_gradient(i, y_i)`` over players (length Np). A 2-D
+        ``y`` is a stack of such vectors, one per row.
         """
-        y = np.asarray(y, dtype=float).ravel()
+        y = np.asarray(y, dtype=float)
         n, d = self.n_players, self.profile_dim
+        if y.ndim == 2:
+            return self._row_by_row(self.own_gradients_at_estimates, y)
+        y = y.ravel()
         if y.size != n * d:
             raise DimensionMismatchError("stacked profile estimates", n * d, y.size)
         return np.concatenate(
@@ -273,8 +284,8 @@ class QuadraticGame(GameDefinition):
         """The constant stacked-Jacobian matrix H."""
         return self._H
 
-    # Each evaluator below also takes a stack of inputs, one per row of a 2-D
-    # array, and gives one result row per input row; one input keeps the 1-D path.
+    # Each evaluator below evaluates a stack of inputs, one per row of a 2-D
+    # array, in one product; one input keeps the 1-D path.
 
     def _check_rows(self, x, width, what):
         if x.shape[1] != width:

@@ -3,8 +3,9 @@
 The estimation machinery works on stacked local estimates: player i keeps
 y_i, an estimate of the full action profile, and the stacked vector
 y = [y_11, ..., y_1N, y_21, ..., y_NN] (player-major, each y_ij in R^p)
-contracts through the matrix M = L (x) I_{Np} + diag{a_ij} (x) I_p, which
-is symmetric positive definite exactly when the graph is connected.
+contracts through M = L (x) I_{Np} + diag{a_ij} (x) I_p = M1 (x) I_p, which
+is symmetric positive definite exactly when the graph is connected. The
+simulator keeps only the per-channel M1 = ``estimation_matrix(graph, 1)``.
 """
 
 from __future__ import annotations
@@ -76,24 +77,15 @@ class CommGraph:
 
 
 def estimation_matrix(graph, action_dim):
-    """Assemble the consensus-estimation matrix M = L (x) I + diag{a_ij} (x) I.
+    """Assemble the consensus-estimation matrix M = L (x) I_{Np} + diag{a_ij} (x) I_p.
 
     The Laplacian acts across estimate owners while the diagonal adjacency
     term injects each owner's direct observations of its neighbours' true
-    actions. For a connected graph with at least two nodes the result is
-    symmetric positive definite; the single-node graph degenerates to the
-    1 x 1 zero matrix (a lone player needs no estimation).
-
-    Parameters
-    ----------
-    graph : CommGraph
-    action_dim : int
-        Action dimension p; M has size N^2 p.
-
-    Raises
-    ------
-    DisconnectedGraphError
-        If the graph has two or more nodes and is not connected.
+    actions. M has size N^2 p and equals kron(M1, I_p) for the p = 1 matrix
+    M1, the one the simulator uses. For a connected graph with at least two
+    nodes it is symmetric positive definite; a single node gives the zero
+    matrix (a lone player needs no estimation). A disconnected graph of two
+    or more nodes raises ``DisconnectedGraphError``.
     """
     n = graph.n_nodes
     if n > 1 and not graph.is_connected():
@@ -114,27 +106,24 @@ class LyapunovPair:
     ``residual`` is the Frobenius norm of the defect after substituting P
     back and ``cond`` the condition estimate of the weighted system;
     :func:`solve_lyapunov` refuses a pair with residual above
-    1e-8 * ||Q||_F or cond above 1e12. ``kron_dim`` is the p of a factored
-    solve: P and Q are then kron(X1, I_p), and their spectra are read from
-    the blocks X1 = X[::p, ::p].
+    1e-8 * ||Q||_F or cond above 1e12. For a scalar Q, P and Q are per
+    action channel (size N^2); the full pair is kron(X, I_p), which has
+    the same spectrum.
     """
 
     P: np.ndarray
     Q: np.ndarray
     residual: float
     cond: float | None = None
-    kron_dim: int = 1
 
     @property
     def p_norm(self):
         """Spectral norm of P (used by the gain bounds): its largest eigenvalue, P being SPD."""
-        p = self.kron_dim
-        return float(np.linalg.eigvalsh(self.P[::p, ::p])[-1])
+        return float(np.linalg.eigvalsh(self.P)[-1])
 
     @property
     def lambda_min_q(self):
-        p = self.kron_dim
-        return float(np.linalg.eigvalsh(self.Q[::p, ::p])[0])
+        return float(np.linalg.eigvalsh(self.Q)[0])
 
 
 def solve_lyapunov(M, theta_bar=1.0, Q=None, action_dim=1):
@@ -146,33 +135,26 @@ def solve_lyapunov(M, theta_bar=1.0, Q=None, action_dim=1):
     substitution residual and the condition estimate are recorded on the
     returned pair.
 
-    With ``action_dim`` p > 1 the caller declares M = M1 (x) I_p and a
-    ``theta_bar`` that repeats over p, as :func:`estimation_matrix` and
-    ``Gains.theta_bar_vec`` build them. For a scalar Q the equation then
-    splits into p copies of the one for M1, which is solved at size n / p,
-    and P = P1 (x) I_p. The gates apply to the full equation: the condition
-    estimate is the same, the residual is sqrt(p) ||R1||_F, and P is
-    positive definite exactly when P1 is. A matrix Q keeps the full solve.
+    ``M`` and ``theta_bar`` are one action channel's, as
+    ``estimation_matrix(graph, 1)`` and ``GainSet.theta_bar_vec`` give
+    them; the flow runs through M (x) I_p. For a scalar Q the equation is
+    p copies of the one for M, so P and Q are per channel, and the gates
+    hold for the full equation (same condition, residual sqrt(p) ||R||_F).
+    A matrix Q must be (n p) x (n p); the equation for kron(M, I_p) is solved.
 
     Parameters
     ----------
     M : ndarray, shape (n, n)
-        Symmetric positive definite estimation matrix.
+        Symmetric positive definite estimation matrix of one channel.
     theta_bar : float or array_like
         Positive scalar or length-n vector of diagonal weights.
     Q : None, float, or ndarray
         Right-hand side; ``None`` or a scalar q means q * identity.
     action_dim : int
-        The p of M = M1 (x) I_p; 1 (the default) declares no structure.
+        The number p of action channels.
 
-    Raises
-    ------
-    IllConditionedError
-        If the condition estimate of the weighted system exceeds 1e12, or
-        the substitution residual exceeds 1e-8 * ||Q||_F; shrink the
-        network or rescale ``theta_bar``.
-    ValueError
-        If M or ``theta_bar`` does not repeat over a declared p > 1.
+    A condition estimate above 1e12 or a residual above 1e-8 * ||Q||_F
+    raises ``IllConditionedError``: shrink the network or rescale ``theta_bar``.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
@@ -187,38 +169,24 @@ def solve_lyapunov(M, theta_bar=1.0, Q=None, action_dim=1):
     if np.any(tb <= 0.0):
         raise ValueError("theta_bar entries must be strictly positive")
 
-    if Q is None:
-        Q = 1.0
+    p = int(action_dim)
+    if p < 1:
+        raise ValueError("action_dim must be a positive integer")
+    Q = 1.0 if Q is None else Q
     if np.isscalar(Q):
         if Q <= 0.0:
             raise ValueError("scalar Q must be positive")
-        Qm = None
+        Qm = float(Q) * np.eye(n)
     else:
         Qm = np.asarray(Q, dtype=float)
-        if Qm.shape != (n, n):
-            raise DimensionMismatchError("Q matrix", n * n, Qm.size)
+        if Qm.shape != (n * p, n * p):
+            raise DimensionMismatchError("Q matrix", (n * p) ** 2, Qm.size)
         if not np.allclose(Qm, Qm.T, rtol=0.0, atol=1e-12):
             raise ValueError("Q must be symmetric")
         if np.linalg.eigvalsh(Qm)[0] <= 0.0:
             raise ValueError("Q must be positive definite")
-
-    p = int(action_dim)
-    if p < 1:
-        raise ValueError("action_dim must be a positive integer")
-    if p > 1:
-        m1, tb1 = M[::p, ::p], tb[::p]
-        kron = np.array_equal(M, np.kron(m1, np.eye(p)))
-        if not (kron and np.array_equal(tb, np.repeat(tb1, p))):
-            raise ValueError(
-                f"M and theta_bar must repeat over the declared action_dim {p}: "
-                "M = M1 (x) I_p, theta_bar constant over each p-block"
-            )
-        if Qm is None:  # the equation is p copies of the one for M1
-            M, tb = m1, tb1
-        else:
-            p = 1
-    if Qm is None:
-        Qm = float(Q) * np.eye(M.shape[0])
+        if p > 1:  # Q couples the channels: one solve at full size
+            M, tb, p = np.kron(M, np.eye(p)), np.repeat(tb, p), 1
 
     # S M S = U diag(eigs) U^T, S = sqrt(Tb): the condition estimate and the solve
     s = np.sqrt(tb)
@@ -242,7 +210,7 @@ def solve_lyapunov(M, theta_bar=1.0, Q=None, action_dim=1):
     P = V @ X @ V.T
     P = 0.5 * (P + P.T)
     mt = M * tb[None, :]  # M Tb
-    # the full defect is R1 (x) I_p, so its norms are sqrt(p) times R1's and Q1's
+    # the full defect is R (x) I_p, so its norms are sqrt(p) times R's and Q's
     scale = np.sqrt(p)
     residual = float(scale * np.linalg.norm(P @ (tb[:, None] * M) + mt @ P - Qm, "fro"))
     if residual > 1e-8 * scale * np.linalg.norm(Qm, "fro"):
@@ -252,9 +220,7 @@ def solve_lyapunov(M, theta_bar=1.0, Q=None, action_dim=1):
         )
     if np.linalg.eigvalsh(P)[0] <= 0.0:
         raise ValueError("Lyapunov solve produced a non-positive-definite P")
-    if p > 1:
-        P, Qm = np.kron(P, np.eye(p)), np.kron(Qm, np.eye(p))
-    return LyapunovPair(P=P, Q=Qm, residual=residual, cond=float(cond), kron_dim=p)
+    return LyapunovPair(P=P, Q=Qm, residual=residual, cond=float(cond))
 
 
 def random_connected_graph(rng, n_nodes, edge_prob=0.5):

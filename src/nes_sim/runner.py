@@ -122,15 +122,14 @@ def run_experiment(cfg):
     game, graph, tag = cfg.game, cfg.graph, cfg.tag
     layout = cfg.layout
 
-    M = M1 = None
-    if layout.has_estimates:
-        M, M1 = estimation_matrix(graph, game.action_dim), estimation_matrix(graph, 1)
+    # the estimation layer per action channel: M = M1 (x) I_p
+    M1 = estimation_matrix(graph, 1) if layout.has_estimates else None
     guard = stability_guard(cfg.sim, tag, gains=cfg.gains, M=M1, game=game)
 
     lyap = None
     if layout.has_estimates and cfg.sim.monitor_lyapunov:
-        tb = cfg.gains.theta_bar_vec(game.n_players, game.action_dim)
-        lyap = solve_lyapunov(M, tb, cfg.lyapunov_q, game.action_dim)
+        tb = cfg.gains.theta_bar_vec(game.n_players)
+        lyap = solve_lyapunov(M1, tb, cfg.lyapunov_q, game.action_dim)
 
     x_star = None
     if isinstance(game, QuadraticGame):
@@ -139,7 +138,7 @@ def run_experiment(cfg):
         except NotStronglyMonotoneError:
             x_star = None
 
-    rhs, layout = make_rhs(tag, game, gains=cfg.gains, sat_spec=cfg.sat_spec, M=M, graph=graph)
+    rhs, layout = make_rhs(tag, game, graph=graph, gains=cfg.gains, sat_spec=cfg.sat_spec)
     start = time.perf_counter()
     traj = integrate(rhs, cfg.initial_state(), cfg.sim, layout)
     wall = time.perf_counter() - start

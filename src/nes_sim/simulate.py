@@ -323,9 +323,9 @@ def stability_guard(cfg, tag, gains=None, M=None, game=None):
     For consensus strategies the fastest mode is the estimation flow,
     rate (theta * theta1) * max(theta_bar) * lambda_max(M); otherwise the
     game Jacobian's norm (plus damping gains) is used. Violation warns
-    rather than aborts: saturation often tames the transient. ``M`` may be
-    ``estimation_matrix(graph, 1)``: it has the largest eigenvalue of
-    ``estimation_matrix(graph, p)`` at size N^2 instead of N^2 p.
+    rather than aborts: saturation often tames the transient. ``M`` is
+    the per-channel ``estimation_matrix(graph, 1)``, whose largest
+    eigenvalue is that of the full M1 (x) I_p.
     """
     tag = dyn.StrategyTag(tag)
     blocks = dyn.STRATEGIES[tag].blocks

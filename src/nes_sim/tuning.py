@@ -247,7 +247,7 @@ def theta_bounds_second_order(
     # per-player Lipschitz constant (exact for quadratic games)
     sup_hbar = float(lbar.max())
     # Tb M = (Tb1 M1) (x) I_p has the spectral norm of Tb1 M1, the p = 1 matrices
-    tb_m1 = gains.theta_bar_vec(n, 1)[:, None] * estimation_matrix(graph, 1)
+    tb_m1 = gains.theta_bar_vec(n)[:, None] * estimation_matrix(graph, 1)
     l3 = float(np.max(k)) * sup_hbar * float(np.linalg.norm(tb_m1, 2))
 
     theta_star = l1 * l1 / (4.0 * m * lam_q) + l2 / lam_q

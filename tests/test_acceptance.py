@@ -128,7 +128,7 @@ def test_criterion_6_sufficiency_bound_consistency():
         rhs, lay = make_rhs(
             StrategyTag.FIRST_ORDER_DIST,
             game,
-            M=M,
+            graph=graph,
             gains=gains,
             sat_spec=SaturationSpec.symmetric(50.0),
         )

@@ -763,7 +763,7 @@ def test_failed_sweep_entries_do_not_stop_the_others(tmp_path, capsys):
 def _estimation_system(doc):
     cfg = parse_config(doc)
     n, p = cfg.game.n_players, cfg.game.action_dim
-    return estimation_matrix(cfg.graph, p), cfg.gains.theta_bar_vec(n, p), cfg.lyapunov_q, p
+    return estimation_matrix(cfg.graph, 1), cfg.gains.theta_bar_vec(n), cfg.lyapunov_q, p
 
 
 def test_summary_reports_the_lyapunov_residual(tmp_path, capsys):
@@ -773,7 +773,8 @@ def test_summary_reports_the_lyapunov_residual(tmp_path, capsys):
     M, tb, q, p = _estimation_system(doc)
     pair = solve_lyapunov(M, tb, q, p)
     assert float(_key(out, "lyap_residual")) == pair.residual
-    assert 0.0 <= pair.residual <= 1e-8 * np.linalg.norm(pair.Q, "fro")
+    # the gate is 1e-8 ||Q||_F of the full equation: sqrt(p) times the per-channel Q's
+    assert 0.0 <= pair.residual <= 1e-8 * np.sqrt(p) * np.linalg.norm(pair.Q, "fro")
     assert f"lyap_residual={_key(out, 'lyap_residual')}\n" in (tmp_path / "s.txt").read_text()
     # no solve ran: no estimates (fig2), or no monitor
     assert main(["--t-end", "0.01", "run", _write(tmp_path, _short_run_doc(tmp_path, "fig2"))]) == 2
@@ -796,3 +797,33 @@ def test_summary_reports_the_lyapunov_condition(tmp_path, capsys):
     assert float(_key(out, "lyap_cond")) > 1.0
     assert main(["--t-end", "0.01", "run", _write(tmp_path, _short_run_doc(tmp_path, "fig2"))]) == 2
     assert _key(capsys.readouterr().out, "lyap_cond") == "none"
+
+
+
+def test_duplicate_key_exits_one_and_names_the_key(tmp_path, capsys):
+    # a repeated key would otherwise keep its last value without a word
+    doc = _short_run_doc(tmp_path, "fig2")
+    top = json.dumps(doc)
+    doc.pop("sim")
+    cases = [
+        ("graph", '{"graph": {}, ' + top[1:]),
+        ("dt", '{"sim": {"dt": 0.1, "dt": 0.001, "t_end": 0.01}, ' + json.dumps(doc)[1:]),
+    ]
+    path = tmp_path / "dup.json"
+    for key, text in cases:
+        path.write_text(text)
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: duplicate key '{key}'\n"
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_empty_output_path_fails_before_the_run(tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("integrate entered although the output path is empty")
+
+    monkeypatch.setattr(nes_sim.runner, "integrate", never)
+    for key in ("trajectory", "summary"):
+        doc = _short_run_doc(tmp_path, "fig4")
+        doc["output"][key] = ""
+        assert main(["run", _write(tmp_path, doc)]) == 1
+        assert capsys.readouterr().err == f"error: output.{key}: expected a file path\n"

@@ -5,6 +5,7 @@ import scipy.integrate
 from nes_sim import (
     GAME_REGISTRY,
     CommGraph,
+    DimensionMismatchError,
     GainSet,
     GameDefinition,
     LayoutMismatchError,
@@ -159,7 +160,7 @@ def test_gains_validation():
     with pytest.raises(ValueError, match="positive"):
         GainSet(K=[0.1, 0.0])
     g = GainSet(theta=2.0, theta_bar=[1.0, 2.0, 3.0, 4.0], K=0.5)
-    np.testing.assert_array_equal(g.theta_bar_vec(2, 2), [1, 1, 2, 2, 3, 3, 4, 4])
+    np.testing.assert_array_equal(g.theta_bar_vec(2), [1, 2, 3, 4])
     np.testing.assert_array_equal(g.k_vec(2, 2), [0.5, 0.5, 0.5, 0.5])
     with pytest.raises(ValueError, match="missing required gains"):
         GainSet(theta=1.0).require("theta", "theta1")
@@ -191,10 +192,11 @@ def test_sat_gradient_play_unsaturated_limit(sensor_game):
 
 
 def test_first_order_dist_consensus_reduces_to_gradient_play(sensor_game, path_graph):
-    M = estimation_matrix(path_graph, 2)
     lay = StateLayout(StrategyTag.FIRST_ORDER_DIST, 3, 2)
     s = lay.pack(x=X0, y=np.tile(X0, 3))
-    rhs, _ = make_rhs(StrategyTag.FIRST_ORDER_DIST, sensor_game, M=M, gains=GAINS1, sat_spec=SPEC5)
+    rhs, _ = make_rhs(
+        StrategyTag.FIRST_ORDER_DIST, sensor_game, graph=path_graph, gains=GAINS1, sat_spec=SPEC5
+    )
     ds, u = rhs(s)
     np.testing.assert_array_equal(ds[6:], np.zeros(18))
     _, u_ref = make_rhs(StrategyTag.SAT_GRAD_PLAY, sensor_game, sat_spec=SPEC5)[0](X0)
@@ -202,20 +204,22 @@ def test_first_order_dist_consensus_reduces_to_gradient_play(sensor_game, path_g
 
 
 def test_first_order_dist_equilibrium(sensor_game, path_graph, x_star):
-    M = estimation_matrix(path_graph, 2)
     lay = StateLayout(StrategyTag.FIRST_ORDER_DIST, 3, 2)
     s = lay.pack(x=x_star, y=np.tile(x_star, 3))
-    rhs, _ = make_rhs(StrategyTag.FIRST_ORDER_DIST, sensor_game, M=M, gains=GAINS1, sat_spec=SPEC5)
+    rhs, _ = make_rhs(
+        StrategyTag.FIRST_ORDER_DIST, sensor_game, graph=path_graph, gains=GAINS1, sat_spec=SPEC5
+    )
     ds, _ = rhs(s)
     assert np.max(np.abs(ds)) <= 1e-10
 
 
 def test_first_order_dist_all_tens_estimates(sensor_game, path_graph):
     # gradients at the all-tens estimate are 20 + p_i, all beyond the bound
-    M = estimation_matrix(path_graph, 2)
     lay = StateLayout(StrategyTag.FIRST_ORDER_DIST, 3, 2)
     s = lay.pack(x=X0, y=np.full(18, 10.0))
-    rhs, _ = make_rhs(StrategyTag.FIRST_ORDER_DIST, sensor_game, M=M, gains=GAINS1, sat_spec=SPEC5)
+    rhs, _ = make_rhs(
+        StrategyTag.FIRST_ORDER_DIST, sensor_game, graph=path_graph, gains=GAINS1, sat_spec=SPEC5
+    )
     _, u = rhs(s)
     np.testing.assert_array_equal(u, np.full(6, -5.0))
 
@@ -247,8 +251,7 @@ def test_second_order_central_benchmark_value(sensor_game):
 
 
 def _second_order(tag, game, path_graph):
-    M = estimation_matrix(path_graph, 2)
-    return make_rhs(tag, game, M=M, gains=GAINS2, sat_spec=SPEC5)
+    return make_rhs(tag, game, graph=path_graph, gains=GAINS2, sat_spec=SPEC5)
 
 
 def test_second_order_dist_equilibrium(sensor_game, path_graph, x_star):
@@ -491,6 +494,125 @@ def test_compile_calls_the_gradients_a_fixed_number_of_times(tag, monkeypatch):
         )
         per_size[lay.size] = len(calls)
     assert len(per_size) == 4 and set(per_size.values()) == {2}
+
+
+# --- the per-channel estimation layer -------------------------------------
+
+ESTIMATE_TAGS = [t for t in StrategyTag if StateLayout(t, 2, 1).has_estimates]
+
+
+def _dense_compile(tag, game, graph, gains):
+    # the consensus laws written with the dense M = estimation_matrix(graph, p)
+    # and theta_bar repeated over p, compiled as make_rhs compiles: A and b
+    n, p = game.n_players, game.action_dim
+    d, lay = n * p, StateLayout(tag, n, p)
+    M = estimation_matrix(graph, p)
+    coef = -gains.estimation_gain(lay.has_velocity) * np.repeat(gains.theta_bar_vec(n), p)
+
+    def law(s):
+        if not lay.has_velocity:
+            x, y = s[..., :d], s[..., d:]
+            dy = coef * (M @ (y - np.tile(x, n)).T).T
+            return np.concatenate([-game.own_gradients_at_estimates(y), dy], axis=-1)
+        x, nu, z, y = s[..., :d], s[..., d : 2 * d], s[..., 2 * d : 3 * d], s[..., 3 * d :]
+        zdot = -(gains.theta1 * gains.k_vec(n, p)) * game.own_gradients_at_estimates(y)
+        dy = coef * (M @ (y - np.tile(z, n)).T).T
+        return np.concatenate([nu, -(x - z) - (nu - zdot), zdot, dy], axis=-1)
+
+    b = law(np.zeros(lay.size))
+    return np.ascontiguousarray((law(np.eye(lay.size)) - b).T), b
+
+
+def _per_channel_and_dense(tag, graph, p, rng):
+    game = random_strongly_monotone_game(rng, n_players=graph.n_nodes, action_dim=p)
+    gains = _random_gains(rng, graph.n_nodes)
+    compiled, _ = make_rhs(tag, game, graph=graph, gains=gains, sat_spec=UNBOUND)
+    return _closure(compiled, "A", "b"), _dense_compile(tag, game, graph, gains)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("tag", ESTIMATE_TAGS)
+def test_per_channel_field_is_the_dense_field_on_integer_weights(tag, p):
+    # integer weights keep every sum exact, so M1 applied per channel must
+    # give the dense M's A and b bit for bit, signs of zeros included
+    rng = np.random.default_rng(47)
+    graphs = [CommGraph(_ring(n)) for n in (3, 4, 6)]
+    graphs += [CommGraph(path_graph_adjacency(n)) for n in (2, 3, 5)]
+    graphs += [random_connected_graph(rng, n) for n in (3, 4, 5, 6)]
+    for graph in graphs:
+        for got, ref in zip(*_per_channel_and_dense(tag, graph, p, rng)):
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("tag", ESTIMATE_TAGS)
+def test_per_channel_field_on_real_weights_is_within_rounding(tag, p):
+    # with real edge weights the sums over M1's columns may round in another
+    # order than the dense product's, so A is held to 1e-15 of its largest entry
+    rng = np.random.default_rng(53)
+    for n in (2, 3, 4, 5):
+        a = np.triu(rng.uniform(0.1, 3.0, (n, n)) * (rng.random((n, n)) < 0.7), 1)
+        a[np.arange(n - 1), np.arange(1, n)] = rng.uniform(0.1, 3.0, n - 1)  # connected
+        (A, b), (A_ref, b_ref) = _per_channel_and_dense(tag, CommGraph(a + a.T), p, rng)
+        assert np.max(np.abs(A - A_ref)) <= 1e-15 * np.max(np.abs(A_ref))
+        assert np.array_equal(b, b_ref)
+
+
+@pytest.mark.parametrize("tag", ESTIMATE_TAGS)
+def test_lyapunov_value_with_a_per_channel_P_is_the_value_with_its_kron(tag):
+    rng = np.random.default_rng(59)
+    for p in (1, 2, 3):
+        n = int(rng.integers(2, 5))
+        game = random_strongly_monotone_game(rng, n_players=n, action_dim=p)
+        graph = random_connected_graph(rng, n)
+        gains = _random_gains(rng, n)
+        P = solve_lyapunov(estimation_matrix(graph, 1), gains.theta_bar_vec(n), 1.0, p).P
+        spec = SaturationSpec.symmetric(rng.uniform(0.5, 3.0, n * p))
+        states = rng.normal(scale=3.0, size=(25, StateLayout(tag, n, p).size))
+        kwargs = dict(gains=gains, sat_spec=spec, x_star=game.exact_ne())
+        per_channel = lyapunov_value(tag, game, states, P=P, **kwargs)
+        full = lyapunov_value(tag, game, states, P=np.kron(P, np.eye(p)), **kwargs)
+        assert np.max(np.abs(per_channel - full)) <= 1e-15 * np.max(np.abs(full))
+        with pytest.raises(DimensionMismatchError, match="P rows"):
+            lyapunov_value(tag, game, states, P=np.eye(n * n + 1), **kwargs)
+
+
+@pytest.mark.parametrize("tag", list(StrategyTag))
+def test_stacked_gradients_move_v_by_rounding_only(tag):
+    # V takes the game's gradients for all records in one stacked call; a
+    # generic twin takes them one record at a time, as V did before. The
+    # products only sum in another order: 1e-15 of the largest |V| per record
+    rng = np.random.default_rng(61)
+    for _ in range(4):
+        n, p = int(rng.integers(2, 5)), int(rng.integers(1, 3))
+        game = random_strongly_monotone_game(rng, n_players=n, action_dim=p)
+        graph = random_connected_graph(rng, n)
+        gains = _random_gains(rng, n)
+        P = solve_lyapunov(estimation_matrix(graph, 1), gains.theta_bar_vec(n), 1.0, p).P
+        spec = SaturationSpec.symmetric(rng.uniform(0.5, 3.0, n * p))
+        states = rng.normal(scale=3.0, size=(200, StateLayout(tag, n, p).size))
+        kwargs = dict(gains=gains, sat_spec=spec, P=P, x_star=game.exact_ne())
+        stacked = lyapunov_value(tag, game, states, **kwargs)
+        per_row = lyapunov_value(tag, _per_call_twin(game), states, **kwargs)
+        assert np.max(np.abs(stacked - per_row)) <= 1e-15 * np.max(np.abs(per_row))
+
+
+def test_lyapunov_value_takes_the_gradients_once_per_call(sensor_game, monkeypatch):
+    calls = []
+    for name in ("pseudo_gradient", "own_gradients_at_estimates"):
+        def counted(self, x, method=getattr(QuadraticGame, name), name=name):
+            calls.append(name)
+            return method(self, x)
+
+        monkeypatch.setattr(QuadraticGame, name, counted)
+    lay = StateLayout(StrategyTag.SECOND_ORDER_DIST_SAT, 3, 2)
+    states = np.random.default_rng(3).normal(size=(50, lay.size))
+    x_star = np.zeros(6)
+    lyapunov_value(lay.tag, sensor_game, states, gains=GAINS2, sat_spec=SPEC5, P=np.eye(9),
+                   x_star=x_star)
+    lyapunov_value(StrategyTag.SAT_GRAD_PLAY, sensor_game, states[:, :6], sat_spec=SPEC5)
+    assert calls == ["own_gradients_at_estimates", "pseudo_gradient"]
 
 
 # --- Lyapunov candidates --------------------------------------------------

@@ -249,3 +249,20 @@ def test_quadratic_evaluators_take_a_stack_of_rows():
         ):
             with pytest.raises(DimensionMismatchError):
                 method(np.zeros((3, width + 1)))
+
+
+def test_generic_evaluators_take_a_stack_of_rows():
+    # a plain GameDefinition evaluates a (B, .) stack one row at a time, so
+    # each row is exactly the single-input result
+    rng = np.random.default_rng(19)
+    quad = random_strongly_monotone_game(rng, 3, 2)
+    game = GameDefinition(
+        3, 2, costs=[lambda x, i=i: quad.cost(i, x) for i in range(3)],
+        gradients=[lambda x, i=i: quad.partial_gradient(i, x) for i in range(3)],
+    )
+    for method, width in ((game.pseudo_gradient, 6), (game.own_gradients_at_estimates, 18)):
+        rows = rng.normal(scale=3.0, size=(7, width))
+        np.testing.assert_array_equal(method(rows), np.array([method(r) for r in rows]))
+        assert method(rows[:0]).shape == (0, 6)
+        with pytest.raises(DimensionMismatchError):
+            method(np.zeros((3, width + 1)))

@@ -4,6 +4,7 @@ import scipy.linalg
 
 from nes_sim import (
     CommGraph,
+    DimensionMismatchError,
     DisconnectedGraphError,
     GainSet,
     IllConditionedError,
@@ -194,34 +195,34 @@ def test_solve_lyapunov_against_scipy(n_nodes):
 
 
 def _ring_system(n_nodes, p):
-    # the scipy-comparison rings, with per-estimate weights repeated over p
-    # as Gains.theta_bar_vec builds them
+    # the scipy-comparison rings: the per-channel M1 and theta_bar that the
+    # factored solve takes, and the full M and theta_bar repeated over p
     rng = np.random.default_rng(12)
     ring = np.roll(np.eye(n_nodes), 1, axis=1) + np.roll(np.eye(n_nodes), -1, axis=1)
     graph = CommGraph(ring)
     tb1 = rng.uniform(0.5, 2.0, n_nodes * n_nodes)
-    return graph, estimation_matrix(graph, p), np.repeat(tb1, p)
+    return graph, estimation_matrix(graph, 1), tb1, estimation_matrix(graph, p), np.repeat(tb1, p)
 
 
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("n_nodes", [3, 6, 20])
 def test_factored_solve_matches_the_full_solve(n_nodes, p):
-    graph, m, tb = _ring_system(n_nodes, p)
+    graph, m1, tb1, m, tb = _ring_system(n_nodes, p)
     n = m.shape[0]
     q = 2.5
     full = solve_lyapunov(m, tb, q)
-    fac = solve_lyapunov(m, tb, q, action_dim=p)
-    assert fac.kron_dim == p and full.kron_dim == 1
-    assert fac.P.shape == (n, n)
+    fac = solve_lyapunov(m1, tb1, q, action_dim=p)
+    assert fac.P.shape == fac.Q.shape == (n // p, n // p) and full.P.shape == (n, n)
+    P = np.kron(fac.P, np.eye(p))
     scale = np.abs(full.P).max()
-    assert np.abs(fac.P - full.P).max() <= 1e-12 * scale
+    assert np.abs(P - full.P).max() <= 1e-12 * scale
 
     # sqrt(p) ||R1||_F against the defect of the full equation, evaluated
     # directly. Both are rounding error, so they agree to within the
     # rounding of the products, far below the 1e-8 ||Q||_F gate.
-    defect = fac.P @ (tb[:, None] * m) + (m * tb[None, :]) @ fac.P - q * np.eye(n)
+    defect = P @ (tb[:, None] * m) + (m * tb[None, :]) @ P - q * np.eye(n)
     direct = np.linalg.norm(defect, "fro")
-    q_norm = np.linalg.norm(fac.Q, "fro")
+    q_norm = np.linalg.norm(full.Q, "fro")
     assert abs(fac.residual - direct) <= 1e-15 * q_norm
     assert fac.residual == pytest.approx(direct, rel=1e-2)
 
@@ -235,41 +236,29 @@ def test_factored_solve_matches_the_full_solve(n_nodes, p):
     # the guard reads lambda_max(M) from M1 = estimation_matrix(graph, 1)
     sim, gains = SimConfig(dt=1e-4, t_end=1.0), GainSet(theta=1000.0, theta_bar=1.0)
     tag = StrategyTag.FIRST_ORDER_DIST
-    from_m1 = stability_guard(sim, tag, gains=gains, M=estimation_matrix(graph, 1))
+    from_m1 = stability_guard(sim, tag, gains=gains, M=m1)
     assert from_m1 == pytest.approx(stability_guard(sim, tag, gains=gains, M=m), rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("n_nodes", [3, 6, 20])
 def test_matrix_q_keeps_the_full_solve(n_nodes, p):
-    _, m, tb = _ring_system(n_nodes, p)
+    _, m1, tb1, m, tb = _ring_system(n_nodes, p)
     n = m.shape[0]
     a = np.random.default_rng(5).normal(size=(n, n))
     q = a @ a.T / n + np.eye(n)
-    declared, plain = solve_lyapunov(m, tb, q, action_dim=p), solve_lyapunov(m, tb, q)
-    assert declared.kron_dim == 1
+    declared, plain = solve_lyapunov(m1, tb1, q, action_dim=p), solve_lyapunov(m, tb, q)
+    assert declared.P.shape == declared.Q.shape == (n, n)
     np.testing.assert_array_equal(declared.P, plain.P)
     assert declared.residual == plain.residual and declared.cond == plain.cond
 
 
-def test_declared_action_dim_needs_kronecker_structure():
-    _, m, tb = _ring_system(3, 2)
-    bent = m.copy()
-    bent[0, 3] = bent[3, 0] = bent[0, 3] + 0.1  # symmetric, not M1 (x) I_2
-    with pytest.raises(ValueError, match="repeat over the declared action_dim 2"):
-        solve_lyapunov(bent, tb, 1.0, action_dim=2)
-    uneven = tb.copy()
-    uneven[1] *= 1.5  # theta_bar differs within a p-block
-    with pytest.raises(ValueError, match="repeat over the declared action_dim 2"):
-        solve_lyapunov(m, uneven, 1.0, action_dim=2)
-    # a size that p does not divide
-    with pytest.raises(ValueError, match="repeat over the declared action_dim 4"):
-        solve_lyapunov(m, tb, 1.0, action_dim=4)
+def test_matrix_q_must_have_the_full_size():
+    _, m1, tb1, _, _ = _ring_system(3, 2)
+    with pytest.raises(DimensionMismatchError, match="Q matrix"):
+        solve_lyapunov(m1, tb1, np.eye(9), action_dim=2)
     with pytest.raises(ValueError, match="positive integer"):
-        solve_lyapunov(m, tb, 1.0, action_dim=0)
-    # an M built for p = 2 is not M1 (x) I_3
-    with pytest.raises(ValueError, match="repeat over the declared action_dim 3"):
-        solve_lyapunov(estimation_matrix(CommGraph(path_graph_adjacency()), 2), 1.0, 1.0, 3)
+        solve_lyapunov(m1, tb1, 1.0, action_dim=0)
 
 
 def test_solve_lyapunov_scales_linearly_in_q():

@@ -242,8 +242,9 @@ def test_l3_from_m1_matches_the_full_size_norm(sensor_game, path_graph, theta_ba
     if theta_bar == "per_estimate":
         theta_bar = np.random.default_rng(4).uniform(0.5, 2.0, n * n).tolist()
     gains = GainSet(theta=200.0, theta1=1.0, K=[0.1, 0.3, 0.2], theta_bar=theta_bar)
-    lyap = solve_lyapunov(estimation_matrix(path_graph, p), gains.theta_bar_vec(n, p), 1.0)
+    tb = np.repeat(gains.theta_bar_vec(n), p)
+    lyap = solve_lyapunov(estimation_matrix(path_graph, p), tb, 1.0)
     rep = theta_bounds_second_order(sensor_game, path_graph, lyap, gains)
-    tb_m = gains.theta_bar_vec(n, p)[:, None] * estimation_matrix(path_graph, p)
+    tb_m = tb[:, None] * estimation_matrix(path_graph, p)
     full_size = 0.3 * float(lipschitz_constants(sensor_game).max()) * np.linalg.norm(tb_m, 2)
     assert rep.l3 == pytest.approx(full_size, rel=1e-12)
