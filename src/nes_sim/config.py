@@ -61,6 +61,8 @@ def _number(value, path):
 def _numbers(value, path):
     """A JSON number or rectangular nested list of numbers, as a float array."""
     arr = np.asarray(value, dtype=object)  # a ragged row stays a list and is refused
+    if arr.ndim > 32:  # numpy iterates over at most 32 axes
+        raise ConfigError(f"{path}: lists nested more than 32 levels deep")
     for item in arr.flat:
         _number(item, path)
     return arr.astype(float)
@@ -121,6 +123,8 @@ def _parse_game(section):
             raise ConfigError(f"game: {exc}") from exc
     if kind == "custom":
         name = _require(section, "name", "game")
+        if not isinstance(name, str):
+            raise ConfigError("game.name: expected the name of a registered custom game")
         extra = set(section) & set(_QUADRATIC_KEYS)
         if extra:
             raise ConfigError(f"game: keys {sorted(extra)} are only valid for type quadratic")
@@ -232,9 +236,9 @@ def parse_config(doc):
         ]
         try:
             sat_spec = SaturationSpec.symmetric(*bounds) if symmetric else SaturationSpec(*bounds)
+            sat_spec.check_size(layout.action_size)
         except ValueError as exc:
             raise ConfigError(f"strategy.saturation: {exc}") from exc
-        sat_spec.check_size(layout.action_size)
     if layout.is_saturated and sat_spec is None:
         raise ConfigError(f"strategy: tag {tag.value} requires a saturation section")
 
@@ -358,6 +362,8 @@ def read_document(path):
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ConfigError(f"{path}: nested too deeply to read") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
     return doc

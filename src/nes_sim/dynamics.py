@@ -86,11 +86,9 @@ class SaturationSpec:
         return np.array_equal(self.lower, -self.upper)
 
     def check_size(self, n):
-        """Require scalar bounds or bounds of length ``n``."""
-        if self.lower.ndim == 0:
-            return self
-        if self.lower.size != n:
-            raise DimensionMismatchError("saturation bounds", n, self.lower.size)
+        """Require scalar bounds or bounds of shape ``(n,)``."""
+        if self.lower.ndim and self.lower.shape != (n,):
+            raise DimensionMismatchError("saturation bounds", n, f"shape {self.lower.shape}")
         return self
 
 
@@ -410,10 +408,11 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None):
 def lyapunov_value(tag, game, state, *, gains=None, sat_spec=None, P=None, x_star=None):
     """Evaluate the stability certificate matching a strategy.
 
-    ``state`` is one flat state, which gives a float, or a stack of them,
-    one per row, which gives one value per row; the ingredients are
-    checked once either way. The value is a monitored diagnostic, never
-    part of any control law. Candidates per strategy:
+    ``state`` is one flat state, which gives a float, or a ``(B, size)``
+    stack of them, one per row, which gives one value per row; both take
+    the same path, and any other shape raises ``LayoutMismatchError``.
+    The value is a monitored diagnostic, never part of any control law.
+    Candidates per strategy:
 
     - SAT_GRAD_PLAY: sum of clamp integrals of the own-gradient channels.
     - FIRST_ORDER_DIST: the above plus the estimation error's quadratic
@@ -453,12 +452,10 @@ def lyapunov_value(tag, game, state, *, gains=None, sat_spec=None, P=None, x_sta
         if x_star.size != n:
             raise DimensionMismatchError("x_star", n, x_star.size)
     states = np.asarray(state, dtype=float)
-    single = states.ndim < 2
-    if single:
-        states = layout.check(states)[None]
-    elif states.ndim != 2 or states.shape[1] != layout.size:
+    if states.ndim not in (1, 2) or states.shape[-1] != layout.size:
         raise LayoutMismatchError(
-            f"states for {tag.value} must be rows of length {layout.size}, got {states.shape}"
+            f"states for {tag.value} must be one state or rows of length {layout.size}, "
+            f"got shape {states.shape}"
         )
     blocks = {name: states[..., a:b] for name, (a, b) in layout.offsets.items()}
     x, nu, z, y = (blocks.get(name) for name in ("x", "nu", "z", "y"))
@@ -495,4 +492,4 @@ def lyapunov_value(tag, game, state, *, gains=None, sat_spec=None, P=None, x_sta
         else:
             v = base + dot(ev, ev) + sat_sum(x - z) + sat_sum(x - z + ev)
 
-    return float(v[0]) if single else v
+    return float(v) if states.ndim == 1 else v

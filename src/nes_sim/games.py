@@ -211,6 +211,12 @@ class QuadraticGame(GameDefinition):
 
     The stacked pseudo-gradient is affine, ``H x + c``, with a constant
     matrix ``H``; this gives an exact linear-solve equilibrium oracle.
+    Every evaluator (``pseudo_gradient``, ``partial_gradient``,
+    ``own_gradients_at_estimates``, ``game_jacobian``) is that one map: it
+    takes one input, or a ``(B, .)`` stack of inputs that gives one result
+    row each (``game_jacobian`` gives ``H`` either way), and refuses any
+    other shape with :class:`DimensionMismatchError`. The costs are kept
+    only for finite-difference checks of those evaluators.
 
     Parameters
     ----------
@@ -257,16 +263,8 @@ class QuadraticGame(GameDefinition):
                     H[i * p : (i + 1) * p, j * p : (j + 1) * p] = -2.0 * w[i, j] * eye
         self._H = H
         self._c = self.p_vec.ravel().copy()
-
-        # player i's own gradient is block row i of the affine H x + c
-        rows = [slice(i * p, (i + 1) * p) for i in range(n)]
-        super().__init__(
-            n,
-            p,
-            costs=[self._make_cost(i) for i in range(n)],
-            gradients=[lambda x, Hi=H[r], ci=self._c[r]: Hi @ x + ci for r in rows],
-            jacobian=lambda x: self._H.copy(),
-        )
+        # the costs serve check_gradient_consistency; every evaluator is H x + c
+        super().__init__(n, p, costs=[self._make_cost(i) for i in range(n)])
 
     def _make_cost(self, i):
         def f(x):
@@ -284,42 +282,35 @@ class QuadraticGame(GameDefinition):
         """The constant stacked-Jacobian matrix H."""
         return self._H
 
-    # Each evaluator below evaluates a stack of inputs, one per row of a 2-D
-    # array, in one product; one input keeps the 1-D path.
+    # Each evaluator takes one input or a (B, .) stack of them, one per row,
+    # through one product: (H @ v.T).T is H @ v for one input.
 
-    def _check_rows(self, x, width, what):
-        if x.shape[1] != width:
-            raise DimensionMismatchError(what, width, x.shape[1])
-        return x
+    def _rows(self, v, width, what):
+        v = np.asarray(v, dtype=float)
+        if v.ndim not in (1, 2) or v.shape[-1] != width:
+            raise DimensionMismatchError(f"{what} (1-D, or 2-D rows)", width, f"shape {v.shape}")
+        return v
+
+    def partial_gradient(self, i, profile):
+        i, p = self._check_player(i), self.action_dim
+        return self.pseudo_gradient(profile)[..., i * p : (i + 1) * p]
 
     def pseudo_gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            x = self._check_rows(x, self.profile_dim, "action profiles")
-            return (self._H @ x.T).T + self._c
-        x = self._check_profile(x)
-        return self._H @ x + self._c
+        x = self._rows(x, self.profile_dim, "action profile")
+        return (self._H @ x.T).T + self._c
 
     def own_gradients_at_estimates(self, y):
-        y = np.asarray(y, dtype=float)
         n, d = self.n_players, self.profile_dim
+        y = self._rows(y, n * d, "stacked profile estimates")
+        lead = y.shape[:-1]
         # player i's block-row of H applied to estimate i, for all i at once
         H = self._H.reshape(n, self.action_dim, d)
-        if y.ndim == 2:
-            y = self._check_rows(y, n * d, "stacked profile estimates")
-            return (H @ y.reshape(len(y), n, d, 1)).reshape(len(y), d) + self._c
-        y = y.ravel()
-        if y.size != n * d:
-            raise DimensionMismatchError("stacked profile estimates", n * d, y.size)
-        return (H @ y.reshape(n, d, 1)).ravel() + self._c
+        return (H @ y.reshape(*lead, n, d, 1)).reshape(*lead, d) + self._c
 
     def game_jacobian(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            # the Jacobian is constant: one matrix H serves every row
-            self._check_rows(x, self.profile_dim, "action profiles")
-            return self._H.copy()
-        return super().game_jacobian(x)
+        # the Jacobian is constant: one matrix H serves every input
+        self._rows(x, self.profile_dim, "action profile")
+        return self._H.copy()
 
     def monotonicity_constant(self, n_pairs=None, radius=None, rng=None):
         """Exact constant: smallest eigenvalue of the symmetric part of H.

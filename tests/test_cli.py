@@ -827,3 +827,78 @@ def test_empty_output_path_fails_before_the_run(tmp_path, monkeypatch, capsys):
         doc["output"][key] = ""
         assert main(["run", _write(tmp_path, doc)]) == 1
         assert capsys.readouterr().err == f"error: output.{key}: expected a file path\n"
+
+
+@pytest.mark.parametrize("command", ["run", "tune", "oracle"])
+@pytest.mark.parametrize("name", [["decoupled_quartic"], {"decoupled_quartic": 1}])
+def test_custom_game_name_must_be_a_string(tmp_path, capsys, command, name):
+    doc = _short_run_doc(tmp_path, "fig2")
+    doc["game"] = {"type": "custom", "name": name}
+    assert main([command, _write(tmp_path, doc)]) == 1
+    expected = "error: game.name: expected the name of a registered custom game\n"
+    assert capsys.readouterr().err == expected
+
+
+def _nested(depth):
+    value = 1.0
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("command", ["run", "tune", "oracle"])
+@pytest.mark.parametrize("depth", [33, 100])
+@pytest.mark.parametrize(
+    "dotted",
+    [
+        "game.q",
+        "graph.adjacency",
+        "graph.lyapunov_q",
+        "strategy.gains.theta_bar",
+        "strategy.saturation.u_bar",
+        "init.x0",
+    ],
+)
+def test_numbers_nested_past_32_levels_exit_one(tmp_path, capsys, command, depth, dotted):
+    # numpy iterates over at most 32 axes; init blocks refuse any nesting
+    flat = dotted == "init.x0"
+    message = "expected a flat list of numbers" if flat else "lists nested more than 32 levels deep"
+    doc = _short_run_doc(tmp_path, "fig3")
+    *parents, key = dotted.split(".")
+    node = doc
+    for name in parents:
+        node = node[name]
+    node[key] = _nested(depth)
+    assert main([command, _write(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == f"error: {dotted}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["run", "tune", "oracle"])
+def test_document_nested_past_the_recursion_limit_exits_one(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text('{"game": ' + "[" * 5000 + "]" * 5000 + "}")
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: nested too deeply to read\n"
+
+
+@pytest.mark.parametrize("command", ["run", "tune", "oracle"])
+@pytest.mark.parametrize(
+    "saturation, shape",
+    [
+        ({"u_bar": [[5.0] * 6]}, "(1, 6)"),
+        ({"u_bar": [[5.0] * 3] * 2}, "(2, 3)"),
+        ({"lower": [[-5.0] * 6], "upper": [[5.0] * 6]}, "(1, 6)"),
+    ],
+    ids=["row", "matrix", "lower-upper"],
+)
+def test_saturation_bounds_must_be_a_scalar_or_one_per_channel(
+    tmp_path, capsys, command, saturation, shape
+):
+    # the right number of bounds in the wrong shape once passed tune and oracle,
+    # and run failed at the first clamp
+    doc = _short_run_doc(tmp_path, "fig2")
+    doc["strategy"]["saturation"] = saturation
+    assert main([command, _write(tmp_path, doc)]) == 1
+    expected = f"error: strategy.saturation: saturation bounds: expected length 6, got shape {shape}\n"
+    assert capsys.readouterr().err == expected
+    assert not (tmp_path / "s.txt").exists()

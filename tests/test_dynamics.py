@@ -80,6 +80,9 @@ def test_saturation_spec_validation():
     with pytest.raises(Exception, match="expected length"):
         SPEC5.check_size(6)  # scalar broadcasts fine
         SaturationSpec(lower=-np.ones(4), upper=np.ones(4)).check_size(6)
+    for shape in ((1, 6), (2, 3), (6, 1)):  # the right size, not the shape (6,)
+        with pytest.raises(DimensionMismatchError, match=rf"got shape \({shape[0]}, {shape[1]}\)"):
+            SaturationSpec.symmetric(np.full(shape, 5.0)).check_size(6)
 
 
 def test_sat_integral_examples():
@@ -476,10 +479,11 @@ def test_law_on_a_stack_of_states_equals_single_state_calls(tag):
 
 @pytest.mark.parametrize("tag", list(StrategyTag))
 def test_compile_calls_the_gradients_a_fixed_number_of_times(tag, monkeypatch):
-    # law(0) and law(I): two gradient calls whatever the state size
+    # law(0) and law(I): two calls of the tag's one gradient evaluator,
+    # whatever the state size
     calls = []
     for name in ("pseudo_gradient", "own_gradients_at_estimates"):
-        def counted(self, x, method=getattr(QuadraticGame, name)):
+        def counted(self, x, method=getattr(QuadraticGame, name), name=name):
             calls.append(name)
             return method(self, x)
 
@@ -492,8 +496,10 @@ def test_compile_calls_the_gradients_a_fixed_number_of_times(tag, monkeypatch):
         _, lay = make_rhs(
             tag, game, graph=CommGraph(_ring(n)), gains=_random_gains(rng, n), sat_spec=UNBOUND
         )
-        per_size[lay.size] = len(calls)
-    assert len(per_size) == 4 and set(per_size.values()) == {2}
+        per_size[lay.size] = list(calls)
+    evaluator = "own_gradients_at_estimates" if lay.has_estimates else "pseudo_gradient"
+    assert len(per_size) == 4
+    assert all(called == [evaluator] * 2 for called in per_size.values())
 
 
 # --- the per-channel estimation layer -------------------------------------
@@ -706,8 +712,9 @@ def test_stacked_lyapunov_on_a_generic_game():
     spec = SaturationSpec.symmetric(1.0)
     states = np.random.default_rng(5).normal(scale=2.0, size=(25, 6))
     _stacked_matches_per_state(tag, game, states, sat_spec=spec, P=P)
-    with pytest.raises(LayoutMismatchError, match="rows of length 6"):
-        lyapunov_value(tag, game, states[:, :5], sat_spec=spec, P=P)
+    for bad in (states[:, :5], states[None], states[0, 0]):
+        with pytest.raises(LayoutMismatchError, match="rows of length 6"):
+            lyapunov_value(tag, game, bad, sat_spec=spec, P=P)
 
 
 def test_lyapunov_missing_ingredients(sensor_game, path_graph, x_star):

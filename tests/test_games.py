@@ -176,7 +176,7 @@ def test_partial_gradients_are_blocks_of_pseudo_gradient():
             g = game.pseudo_gradient(x)
             for i in range(game.n_players):
                 block = g[i * p : (i + 1) * p]
-                np.testing.assert_allclose(game.partial_gradient(i, x), block, rtol=0, atol=1e-12)
+                np.testing.assert_array_equal(game.partial_gradient(i, x), block)
 
 
 def test_random_games_equilibrium_residual():
@@ -247,8 +247,9 @@ def test_quadratic_evaluators_take_a_stack_of_rows():
             (game.own_gradients_at_estimates, n * d),
             (game.game_jacobian, d),
         ):
-            with pytest.raises(DimensionMismatchError):
-                method(np.zeros((3, width + 1)))
+            for bad in (np.zeros((3, width + 1)), np.zeros((1, 1, width)), np.zeros((2, 3, width))):
+                with pytest.raises(DimensionMismatchError):
+                    method(bad)
 
 
 def test_generic_evaluators_take_a_stack_of_rows():
