@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -36,6 +37,25 @@ _OVERRIDE_KEYS = {"lipschitz_constants", "monotonicity_m", "sup_jacobian_norm"}
 _SIM_KEYS = {f.name for f in fields(SimConfig)}
 _INIT_KEYS = {"x0", "nu0", "z0", "y0"}
 _OUTPUT_KEYS = ("trajectory", "summary")
+
+_ECHO_CHARS = 40
+_JSON_TYPES = {dict: "an object", list: "a list", bool: "a boolean", type(None): "null",
+               int: "a number", float: "a number"}
+
+
+def _echo(value, quote="'"):
+    """A refused value as an error message shows it, at a bounded length.
+
+    A string is quoted; past ``_ECHO_CHARS`` characters it is cut there and
+    followed by its length. Any other value is named by its type instead.
+    """
+    if not isinstance(value, str):
+        kind = _JSON_TYPES.get(type(value), f"a {type(value).__name__}")
+        return f"{kind} instead of a string"
+    if len(value) <= _ECHO_CHARS:
+        return f"{quote}{value}{quote}"
+    return f"{quote}{value[:_ECHO_CHARS]}...{quote} ({len(value)} characters)"
+
 
 def _reject_unknown(section, allowed, path):
     if not isinstance(section, dict):
@@ -63,8 +83,9 @@ def _numbers(value, path):
     arr = np.asarray(value, dtype=object)  # a ragged row stays a list and is refused
     if arr.ndim > 32:  # numpy iterates over at most 32 axes
         raise ConfigError(f"{path}: lists nested more than 32 levels deep")
-    for item in arr.flat:
-        _number(item, path)
+    if not set(map(type, arr.flat)) <= {float, int}:  # a bool, a str or a list takes the walk
+        for item in arr.flat:
+            _number(item, path)
     return arr.astype(float)
 
 
@@ -73,6 +94,31 @@ def _positive(value, path):
     if not v > 0.0:
         raise ConfigError(f"{path}: must be strictly positive")
     return v
+
+
+_JSON_LEAVES = frozenset((str, float, bool, type(None)))
+
+
+def _json_copy(value):
+    """A copy of ``value`` in JSON's own types, as ``json.loads(json.dumps(value))``.
+
+    Lists, tuples, dicts with string keys and the leaf types above are
+    copied without the text, and a numpy number becomes the Python number it
+    equals. Anything else (a non-string key, a str subclass) takes the text
+    round trip, so it is converted or refused as before.
+    """
+    kind = type(value)
+    if kind in _JSON_LEAVES:
+        return value
+    if kind is list or kind is tuple:  # leaves are tested in line to save a call each
+        return [v if type(v) in _JSON_LEAVES else _json_copy(v) for v in value]
+    if kind is dict and all(type(k) is str for k in value):
+        return {k: v if type(v) in _JSON_LEAVES else _json_copy(v) for k, v in value.items()}
+    if isinstance(value, numbers.Integral):
+        return int(str(value))  # json.dumps's conversion, with its digit limit
+    if isinstance(value, numbers.Real):
+        return float(value)
+    return json.loads(json.dumps(value))
 
 
 @dataclass
@@ -130,10 +176,10 @@ def _parse_game(section):
             raise ConfigError(f"game: keys {sorted(extra)} are only valid for type quadratic")
         if name not in GAME_REGISTRY:
             raise ConfigError(
-                f"game: unknown custom game '{name}'; available: {sorted(GAME_REGISTRY)}"
+                f"game: unknown custom game {_echo(name)}; available: {sorted(GAME_REGISTRY)}"
             )
         return GAME_REGISTRY[name]()
-    raise ConfigError(f"game: type must be 'quadratic' or 'custom', got '{kind}'")
+    raise ConfigError(f"game: type must be 'quadratic' or 'custom', got {_echo(kind)}")
 
 
 def _parse_vector(value, length, path):
@@ -144,7 +190,7 @@ def _parse_vector(value, length, path):
             try:
                 scalar = float(value.split(":", 1)[1])
             except ValueError:
-                raise ConfigError(f"{path}: malformed broadcast keyword '{value}'") from None
+                raise ConfigError(f"{path}: malformed broadcast keyword {_echo(value)}") from None
             if not np.isfinite(scalar):
                 raise ConfigError(f"{path}: {value} is not a finite number")
             return np.full(length, scalar)
@@ -198,7 +244,7 @@ def parse_config(doc):
         tag = StrategyTag(tag_raw)
     except ValueError:
         raise ConfigError(
-            f"strategy.tag: unknown tag '{tag_raw}'; "
+            f"strategy.tag: unknown tag {_echo(tag_raw)}; "
             f"valid: {[t.value for t in StrategyTag]}"
         ) from None
 
@@ -298,7 +344,10 @@ def parse_config(doc):
             raise ConfigError("sweep: expected a list of override objects")
 
     # the document itself, with each value the parse reads or fills in written back
-    normalized = json.loads(json.dumps(doc))
+    try:
+        normalized = _json_copy(doc)
+    except RecursionError:  # nested past Python's recursion limit; json's C code goes deeper
+        normalized = json.loads(json.dumps(doc))
     normalized["graph"]["adjacency"] = adjacency.tolist()
     strategy = normalized["strategy"]
     strategy["gains"] = {k: np.asarray(v).tolist() for k, v in kwargs.items()}
@@ -309,7 +358,7 @@ def parse_config(doc):
         lower, upper = sat_spec.lower.tolist(), sat_spec.upper.tolist()
         symmetric = sat_spec.is_symmetric  # symmetric lower/upper fold to u_bar
         strategy["saturation"] = {"u_bar": upper} if symmetric else {"lower": lower, "upper": upper}
-    normalized["sim"] = asdict(sim)
+    normalized["sim"] = {f.name: getattr(sim, f.name) for f in fields(sim)}
     normalized["init"] = {f"{k}0": v.tolist() for k, v in sorted(init.items())}
 
     return ExperimentConfig(
@@ -338,8 +387,8 @@ def read_document(path):
 
     def finite(text):
         val = float(text)
-        if not np.isfinite(val):
-            raise ConfigError(f"{path}: {text} is not a finite number")
+        if not math.isfinite(val):
+            raise ConfigError(f"{path}: {_echo(text, '')} is not a finite number")
         return val
 
     def integer(text):

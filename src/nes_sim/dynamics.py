@@ -68,7 +68,7 @@ class SaturationSpec:
         upper = np.asarray(upper, dtype=float)
         if lower.shape != upper.shape:
             raise ValueError("lower and upper bounds must have matching shapes")
-        if np.any(lower >= 0.0) or np.any(upper <= 0.0):
+        if (lower >= 0.0).any() or (upper <= 0.0).any():
             raise ValueError("bounds must satisfy lower < 0 < upper componentwise")
         self.lower = lower
         self.upper = upper
@@ -77,7 +77,7 @@ class SaturationSpec:
     def symmetric(cls, u_bar):
         """Bounds ``|u| <= u_bar`` from a positive scalar or vector."""
         u = np.asarray(u_bar, dtype=float)
-        if np.any(u <= 0.0):
+        if (u <= 0.0).any():
             raise ValueError("u_bar must be strictly positive")
         return cls(-u, u)
 
@@ -260,7 +260,7 @@ class GainSet:
                 raise ValueError(f"gain {name} must be strictly positive")
         for name in ("theta_bar", "K"):
             val = getattr(self, name)
-            if val is not None and np.any(np.asarray(val, dtype=float) <= 0.0):
+            if val is not None and (np.asarray(val, dtype=float) <= 0.0).any():
                 raise ValueError(f"gain {name} must be strictly positive")
 
     def require(self, *names):

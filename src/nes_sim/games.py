@@ -242,11 +242,11 @@ class QuadraticGame(GameDefinition):
             raise DimensionMismatchError("constant offsets q", n, q.size)
         if w.shape != (n, n):
             raise DimensionMismatchError("coupling matrix m_weights", n * n, w.size)
-        if not np.array_equal(w, w.T):
+        if not (w == w.T).all():
             raise ValueError("m_weights must be symmetric (undirected physical coupling)")
-        if np.any(np.diag(w) != 0.0):
+        if (w.diagonal() != 0.0).any():
             raise ValueError("m_weights must have a zero diagonal")
-        if np.any(w < 0.0):
+        if (w < 0.0).any():
             raise ValueError("m_weights must be nonnegative")
 
         self.r = 0.5 * (r + np.transpose(r, (0, 2, 1)))
@@ -254,14 +254,15 @@ class QuadraticGame(GameDefinition):
         self.q = q.copy()
         self.m_weights = w.copy()
 
-        H = np.zeros((n * p, n * p))
+        # H as N x N blocks of p x p: only the diagonal blocks and the blocks of
+        # nonzero couplings are written, so every other entry stays +0.0
+        H = np.zeros((n, p, n, p))
         eye = np.eye(p)
-        for i in range(n):
-            H[i * p : (i + 1) * p, i * p : (i + 1) * p] = 2.0 * self.r[i] + 2.0 * w[i].sum() * eye
-            for j in range(n):
-                if j != i and w[i, j] != 0.0:
-                    H[i * p : (i + 1) * p, j * p : (j + 1) * p] = -2.0 * w[i, j] * eye
-        self._H = H
+        i, j = w.nonzero()  # the zero diagonal leaves out i == j
+        H[i, :, j, :] = (-2.0 * w[i, j])[:, None, None] * eye
+        k = np.arange(n)
+        H[k, :, k, :] = 2.0 * self.r + (2.0 * w.sum(axis=1))[:, None, None] * eye
+        self._H = H.reshape(n * p, n * p)
         self._c = self.p_vec.ravel().copy()
         # the costs serve check_gradient_consistency; every evaluator is H x + c
         super().__init__(n, p, costs=[self._make_cost(i) for i in range(n)])

@@ -41,11 +41,11 @@ class CommGraph:
         a = np.asarray(adjacency, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("adjacency must be a square matrix")
-        if not np.array_equal(a, a.T):
+        if not (a == a.T).all():
             raise ValueError("adjacency must be symmetric (undirected graph)")
-        if np.any(a < 0.0):
+        if (a < 0.0).any():
             raise ValueError("adjacency weights must be nonnegative")
-        if np.any(np.diag(a) != 0.0):
+        if (a.diagonal() != 0.0).any():
             raise ValueError("adjacency must have a zero diagonal (no self-loops)")
         self.adjacency = a.copy()
 

@@ -8,10 +8,16 @@ from nes_sim import (
     GainSet,
     QuadraticGame,
     StrategyTag,
+    estimation_matrix,
     load_config,
     make_rhs,
     parse_config,
+    random_connected_graph,
+    random_strongly_monotone_game,
+    solve_lyapunov,
+    theta_star_first_order,
 )
+from nes_sim.config import read_document
 from nes_sim.dynamics import STRATEGIES
 from nes_sim.games import GameDefinition
 from nes_sim.presets import PRESET_NAMES, figure_preset
@@ -337,3 +343,153 @@ def test_normalized_form_is_the_document_with_parsed_values_written_back():
         "sweep": [{"sim.dt": 2}],
     }
     assert type(normalized["sim"]["dt"]) is float
+
+
+def _ensemble_entry_0(seed):
+    """Entry 0 of the benchmark's seeded ensemble sweep, built by its recipe.
+
+    N = 2, p = 1 under first_order_dist at theta = 1.1 theta*, with
+    dt = min(1e-3, 2 / (theta lambda_max(M))). theta and dt are rounded to
+    12 digits so that a pinned hash does not rest on the last bits of the
+    host's LAPACK.
+    """
+    rng = np.random.default_rng(seed)
+    game = random_strongly_monotone_game(rng, 2, 1)
+    graph = random_connected_graph(rng, 2)
+    M = estimation_matrix(graph, 1)
+    theta = 1.1 * theta_star_first_order(game, graph, solve_lyapunov(M, 1.0, 1.0)).theta_star
+    dt = min(1e-3, 2.0 / (theta * float(np.linalg.eigvalsh(M)[-1])))
+    theta, dt = float(f"{theta:.12g}"), float(f"{dt:.12g}")
+    return {
+        "game": {
+            "type": "quadratic",
+            "r": game.r.tolist(),
+            "p_vec": game.p_vec.tolist(),
+            "q": game.q.tolist(),
+            "m_weights": game.m_weights.tolist(),
+        },
+        "graph": {"adjacency": graph.adjacency.tolist()},
+        "strategy": {
+            "tag": "first_order_dist",
+            "gains": {"theta": theta, "theta_bar": 1.0},
+            "saturation": {"u_bar": 50.0},
+        },
+        "sim": {
+            "dt": dt,
+            "t_end": 15.0,
+            "record_stride": max(1, int(round(0.05 / dt))),
+            "integrator": "rk4",
+            "convergence_tol": 1e-3,
+            "monitor_lyapunov": True,
+        },
+        "init": {"x0": rng.uniform(-2.0, 2.0, 2).tolist()},
+        "output": {"trajectory": "out/item00_trajectory.csv", "summary": "out/item00_summary.txt"},
+    }
+
+
+def _with(doc, where, value):
+    """``doc`` with ``value`` put at the key path ``where``."""
+    *parents, last = where
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+def test_ensemble_entry_hash_is_pinned():
+    # any change to the normalized form (a value, a type, a key) moves the hash
+    assert parse_config(_ensemble_entry_0(1)).config_hash() == "662176fee52dec71"
+
+
+@pytest.mark.parametrize(
+    "where, value, path",
+    [
+        (("game", "r", 1, 0, 1), True, "game.r"),
+        (("game", "r", 2, 1, 0), None, "game.r"),
+        (("graph", "adjacency", 0, 1), "1.0", "graph.adjacency"),
+    ],
+    ids=["true-in-r", "null-in-r", "string-in-adjacency"],
+)
+def test_non_numbers_in_numeric_lists_are_refused(where, value, path):
+    doc = _with(figure_preset("fig3"), where, value)
+    with pytest.raises(ConfigError, match=f"^{path}: expected a number$"):
+        parse_config(doc)
+
+
+def test_numpy_scalars_parse_like_plain_floats():
+    # the library path: numbers taken from numpy arrays one by one
+    doc = figure_preset("fig3")
+
+    def numpy_numbers(value, integral):
+        if isinstance(value, list):
+            return [numpy_numbers(v, integral) for v in value]
+        if integral and value == int(value):
+            return np.int64(value)
+        return np.float64(value)
+
+    mixed = json.loads(json.dumps(doc))
+    for key in ("r", "p_vec", "q", "m_weights"):
+        mixed["game"][key] = numpy_numbers(doc["game"][key], integral=False)
+    mixed["graph"]["adjacency"] = numpy_numbers(doc["graph"]["adjacency"], integral=True)
+    mixed["init"]["x0"] = numpy_numbers(doc["init"]["x0"], integral=True)
+    assert isinstance(mixed["graph"]["adjacency"][0][1], np.int64)
+    plain, cfg = parse_config(doc), parse_config(mixed)
+    assert json.dumps(cfg.to_dict()) == json.dumps(plain.to_dict())
+    assert cfg.config_hash() == plain.config_hash()
+
+
+_LONG = 100_000
+
+
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        (
+            ("game", "type"),
+            "q" * _LONG,
+            f"game: type must be 'quadratic' or 'custom', got '{'q' * 40}...' (100000 characters)",
+        ),
+        (
+            ("game", "type"),
+            json.loads("[" * 900 + "]" * 900),
+            "game: type must be 'quadratic' or 'custom', got a list instead of a string",
+        ),
+        (
+            ("game", "type"),
+            3,
+            "game: type must be 'quadratic' or 'custom', got a number instead of a string",
+        ),
+        (
+            ("strategy", "tag"),
+            "t" * _LONG,
+            f"strategy.tag: unknown tag '{'t' * 40}...' (100000 characters); valid: ",
+        ),
+        (
+            ("init", "y0"),
+            "broadcast:" + "b" * _LONG,
+            f"init.y0: malformed broadcast keyword 'broadcast:{'b' * 30}...' (100010 characters)",
+        ),
+        (
+            ("game",),
+            {"type": "custom", "name": "n" * _LONG},
+            f"game: unknown custom game '{'n' * 40}...' (100000 characters); available: ",
+        ),
+    ],
+    ids=["long-type", "deep-list-type", "number-type", "long-tag", "long-broadcast", "long-name"],
+)
+def test_refused_values_are_echoed_at_a_bounded_length(where, value, message):
+    doc = _with(figure_preset("fig3"), where, value)
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert str(info.value).startswith(message)
+    assert len(str(info.value)) < 300
+
+
+def test_an_overflowing_literal_is_echoed_at_a_bounded_length(tmp_path):
+    path = tmp_path / "huge.json"
+    huge = "9" * 5000
+    path.write_text(json.dumps(figure_preset("fig2")).replace('"t_end": 20.0', f'"t_end": {huge}'))
+    with pytest.raises(ConfigError) as info:
+        read_document(path)
+    assert str(info.value) == f"{path}: {'9' * 40}... (5000 characters) is not a finite number"
