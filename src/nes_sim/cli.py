@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import tuning
-from .config import ConfigError, parse_config, read_document
+from .config import ConfigError, _echo, parse_config, read_document
 from .errors import DivergenceError, NotStronglyMonotoneError
 from .games import QuadraticGame
 from .graphs import estimation_matrix, solve_lyapunov
@@ -50,7 +49,7 @@ def _set_dotted(doc, dotted, value):
     for key in parents:
         node = node.get(key) if isinstance(node, dict) else None
     if not isinstance(node, dict):
-        raise ConfigError(f"override '{dotted}': no such config path")
+        raise ConfigError(f"override {_echo(dotted)}: no such config path")
     node[last] = value
 
 
@@ -84,8 +83,8 @@ def cmd_run(args):
                 check_output_paths(variants[-1].output)
             except ValueError as exc:
                 raise SweepEntryError(idx, exc) from exc
-            for path in variants[-1].output.values():
-                other = writers.setdefault(os.path.realpath(path), idx)
+            for key, path in variants[-1].output.items():
+                other = writers.setdefault(variants[-1].real_output[key], idx)
                 if other != idx:
                     raise ConfigError(
                         f"sweep entries {other} and {idx} both write {path}; "

@@ -39,6 +39,7 @@ _INIT_KEYS = {"x0", "nu0", "z0", "y0"}
 _OUTPUT_KEYS = ("trajectory", "summary")
 
 _ECHO_CHARS = 40
+_ECHO_KEYS = 3
 _JSON_TYPES = {dict: "an object", list: "a list", bool: "a boolean", type(None): "null",
                int: "a number", float: "a number"}
 
@@ -62,7 +63,10 @@ def _reject_unknown(section, allowed, path):
         raise ConfigError(f"{path}: expected an object")
     unknown = set(section).difference(allowed)
     if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+        shown = [_echo(key) for key in sorted(unknown)[:_ECHO_KEYS]]
+        if len(unknown) > _ECHO_KEYS:
+            shown.append(f"{len(unknown) - _ECHO_KEYS} more")
+        raise ConfigError(f"{path}: unknown keys [{', '.join(shown)}]")
 
 
 def _require(section, key, path):
@@ -123,7 +127,11 @@ def _json_copy(value):
 
 @dataclass
 class ExperimentConfig:
-    """A fully validated experiment: game, graph, strategy, sim, init."""
+    """A fully validated experiment: game, graph, strategy, sim, init.
+
+    ``real_output`` holds the ``os.path.realpath`` of each output path, as
+    the parse resolved them to tell the two files apart.
+    """
 
     game: object
     graph: CommGraph
@@ -137,6 +145,7 @@ class ExperimentConfig:
     output: dict | None
     sweep: list | None
     normalized: dict = field(repr=False, default=None)
+    real_output: dict | None = field(repr=False, default=None)
 
     @property
     def layout(self):
@@ -192,7 +201,7 @@ def _parse_vector(value, length, path):
             except ValueError:
                 raise ConfigError(f"{path}: malformed broadcast keyword {_echo(value)}") from None
             if not np.isfinite(scalar):
-                raise ConfigError(f"{path}: {value} is not a finite number")
+                raise ConfigError(f"{path}: {_echo(value, '')} is not a finite number")
             return np.full(length, scalar)
         raise ConfigError(f"{path}: expected a vector, 'zeros', or 'broadcast:<scalar>'")
     try:
@@ -326,7 +335,7 @@ def parse_config(doc):
     for block, size in block_sizes.items():
         init.setdefault(block, np.zeros(size))
 
-    output = None
+    output = real_output = None
     if "output" in doc:
         _reject_unknown(doc["output"], _OUTPUT_KEYS, "output")
         output = dict(doc["output"])
@@ -334,7 +343,8 @@ def parse_config(doc):
             path = _require(output, key, "output")
             if not isinstance(path, str) or not path:
                 raise ConfigError(f"output.{key}: expected a file path")
-        if os.path.realpath(output["trajectory"]) == os.path.realpath(output["summary"]):
+        real_output = {key: os.path.realpath(output[key]) for key in _OUTPUT_KEYS}
+        if real_output["trajectory"] == real_output["summary"]:
             raise ConfigError("output: trajectory and summary must be different files")
 
     sweep = None
@@ -374,6 +384,7 @@ def parse_config(doc):
         output=output,
         sweep=sweep,
         normalized=normalized,
+        real_output=real_output,
     )
 
 
@@ -399,7 +410,7 @@ def read_document(path):
         obj = {}
         for key, val in pairs:
             if key in obj:
-                raise ConfigError(f"{path}: duplicate key '{key}'")
+                raise ConfigError(f"{path}: duplicate key {_echo(key)}")
             obj[key] = val
         return obj
 

@@ -318,6 +318,8 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None):
     law is affine (the pseudo-gradient is ``H x + c``), so it is compiled
     once to ``A s + b`` from ``b = law(0)`` and ``law(I)``: each law takes
     a stack of states, one per row. Other games evaluate the law per call.
+    A compiled field is one of two closures, clamping or not, chosen
+    here, so its ``rhs`` tests neither the game nor the clamp per call.
     The consensus laws apply M1 = ``estimation_matrix(graph, 1)`` to each
     action channel of the estimates (M = M1 (x) I_p).
     """
@@ -380,27 +382,47 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None):
 
     ua, ub = layout.offsets["nu" if layout.has_velocity else "x"]
     check, size = layout.check, layout.size
-    A = None
-    if isinstance(game, QuadraticGame):
-        # the law is affine and row k of law(I) is law(e_k): A = (law(I) - law(0)).T
-        b = law(np.zeros(size))
-        A = np.ascontiguousarray((law(np.eye(size)) - b).T)
+    maximum, minimum = np.maximum, np.minimum
 
-    def rhs(s, out=None):
-        if out is None:
-            s, out = check(s), np.empty(size)
-        if A is None:
+    if not isinstance(game, QuadraticGame):
+
+        def rhs(s, out=None):
+            if out is None:
+                out = np.empty(size)
             out[:] = law(check(s))
-        else:
-            # with out given the state goes unchecked: the product still
-            # refuses any length but layout.size
+            u = out[ua:ub]
+            if clamped:
+                maximum(u, lower, out=u)
+                minimum(u, upper, out=u)
+            return out, u
+
+        return rhs, layout
+
+    # the law is affine and row k of law(I) is law(e_k): A = (law(I) - law(0)).T
+    b = law(np.zeros(size))
+    A = np.ascontiguousarray((law(np.eye(size)) - b).T)
+    # with out given the state goes unchecked: the product still refuses
+    # any length but layout.size
+    if clamped:
+
+        def rhs(s, out=None):
+            if out is None:
+                s, out = check(s), np.empty(size)
             A.dot(s, out)
             out += b
-        u = out[ua:ub]
-        if clamped:
-            np.maximum(u, lower, out=u)
-            np.minimum(u, upper, out=u)
-        return out, u
+            u = out[ua:ub]
+            maximum(u, lower, out=u)
+            minimum(u, upper, out=u)
+            return out, u
+
+    else:
+
+        def rhs(s, out=None):
+            if out is None:
+                s, out = check(s), np.empty(size)
+            A.dot(s, out)
+            out += b
+            return out, out[ua:ub]
 
     return rhs, layout
 

@@ -163,15 +163,24 @@ def integrate(rhs, state0, cfg, layout):
     records, every ``record_stride``-th step from step 0 and then the last
     step, are preallocated too: ``(n_steps - 1) // record_stride + 2`` rows.
 
+    The steps run in blocks of ``record_stride``, one block per record.
+    Each block records its first state and the control of that state's
+    first stage call, which is the previous step's last call. The
+    finiteness screen runs once after each block: a non-finite entry stays
+    non-finite under every later update, so a block that ends finite had
+    no non-finite state. A block that ends non-finite is replayed from its
+    record with the screen after every step, which names the first
+    non-finite step.
+
     Parameters
     ----------
     rhs : callable
         ``rhs(state, out=None) -> (dstate, u)``, called once per stage of
-        every step and once more for the final record (``cfg.rhs_evals``
-        calls). Each stage passes its derivative row as ``out``; a
-        ``dstate`` other than ``out`` is copied into the row, so a field
-        that accepts ``out`` and ignores it still works. ``u`` must have
-        ``layout.action_size`` entries; it is read before ``rhs`` is
+        every step and once more at the final state (``cfg.rhs_evals``
+        calls), always as ``rhs(state, row)``. ``row`` is a derivative row
+        of the loop; a ``dstate`` other than ``row`` is copied into it, so
+        a field that ignores its second argument still works. ``u`` must
+        have ``layout.action_size`` entries; it is read before ``rhs`` is
         called again.
     state0 : array_like
         Initial flat state in ``layout`` order.
@@ -185,9 +194,9 @@ def integrate(rhs, state0, cfg, layout):
         Before the first step, when the records cannot be allocated.
     DivergenceError
         On the first non-finite state component, naming the step and the
-        offending block. Floating-point overflow inside the loop, the
-        vector field's included, does not warn: a state that overflows to
-        infinity raises this error instead.
+        offending block. Floating-point overflow and invalid operations
+        inside the loop, the vector field's included, do not warn: a state
+        that overflows to infinity or turns NaN raises this error instead.
     """
     scheme = _SCHEMES[cfg.integrator]
     dt = cfg.dt
@@ -213,35 +222,63 @@ def integrate(rhs, state0, cfg, layout):
     controls = np.empty((n_rec, layout.action_size))
     times = np.r_[0:n_steps:stride, n_steps] * dt
 
-    # the screen s.s overflows once |s| passes ~1e154 while every entry is
-    # still finite; entered once, so the loop pays nothing per step
-    with np.errstate(over="ignore"):
-        for step in range(n_steps):
-            # each stage writes its derivative into its own row; a field
-            # that ignores out has its result copied there
-            k, u1 = rhs(s, out=k1)
-            if k is not k1:
-                k1[:] = k
-            if step % stride == 0:
-                states[step // stride] = s
-                controls[step // stride] = u1
+    def field_at_s():
+        # the first stage of the step from s; a field that ignores its
+        # row has its result copied there
+        k, u = rhs(s, k1)
+        if k is not k1:
+            k1[:] = k
+        return u
+
+    def advance(count):
+        # count steps from s, whose first stage is in k1 on entry and on
+        # return; gives the control at the last state
+        nonlocal s
+        for _ in range(count):
             for stage_dot, src, dst in stages:
                 stage_dot(src, buf)
-                k = rhs(buf, out=dst)[0]
+                k = rhs(buf, dst)[0]
                 if k is not dst:
                     dst[:] = k
             step_dot(ks, buf)
             s += buf
+            k, u = rhs(s, k1)
+            if k is not k1:
+                k1[:] = k
+        return u
+
+    # s.s overflows once |s| passes ~1e154 while every entry is still
+    # finite, and the steps after a state turns non-finite meet inf - inf
+    # until the block's screen: entered once, so the loop pays nothing per step
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = field_at_s()
+        for rec, start in enumerate(range(0, n_steps, stride)):
+            states[rec] = s
+            controls[rec] = u
+            stop = min(start + stride, n_steps)
+            u = advance(stop - start)
             # s.s is finite unless an entry is non-finite or |s| passes
             # ~1e154; only then does the exact test run
-            if not isfinite(s_dot(s)) and not np.isfinite(s).all():
-                bad = int(np.flatnonzero(~np.isfinite(s))[0])
-                raise DivergenceError(
-                    f"non-finite state at step {step + 1} "
-                    f"(t={(step + 1) * dt:.6g}) in block {layout.block_name(bad)}"
-                )
+            if isfinite(s_dot(s)) or np.isfinite(s).all():
+                continue
+            # replay the block, screening every step, to name the first
+            # non-finite one; a field whose replay stays finite leaves the
+            # block's last step named
+            end = s.copy()
+            s[:] = states[rec]
+            field_at_s()
+            for step in range(start + 1, stop + 1):
+                advance(1)
+                if not np.isfinite(s).all():
+                    end = s
+                    break
+            bad = int(np.flatnonzero(~np.isfinite(end))[0])
+            raise DivergenceError(
+                f"non-finite state at step {step} "
+                f"(t={step * dt:.6g}) in block {layout.block_name(bad)}"
+            )
     states[-1] = s
-    controls[-1] = rhs(s)[1]
+    controls[-1] = u
     return Trajectory(times=times, states=states, controls=controls, layout=layout)
 
 

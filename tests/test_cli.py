@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 
 import numpy as np
 import pytest
@@ -904,3 +905,71 @@ def test_saturation_bounds_must_be_a_scalar_or_one_per_channel(
     expected = f"error: strategy.saturation: saturation bounds: expected length 6, got shape {shape}\n"
     assert capsys.readouterr().err == expected
     assert not (tmp_path / "s.txt").exists()
+
+
+_LONG = 100_000
+
+
+def _long_unknown_key(doc):
+    doc["sim"]["k" * _LONG] = 1.0
+    return json.dumps(doc), f"sim: unknown keys ['{'k' * 40}...' (100000 characters)]"
+
+
+def _long_duplicate_key(doc):
+    key = "d" * _LONG
+    text = json.dumps(doc).replace('"sim": {', f'"sim": {{"{key}": 1.0, "{key}": 2.0, ', 1)
+    return text, f"duplicate key '{'d' * 40}...' (100000 characters)"
+
+
+def _long_broadcast(doc):
+    doc["init"] = {"x0": "broadcast:" + "9" * _LONG}
+    return json.dumps(doc), f"init.x0: broadcast:{'9' * 30}... (100010 characters) is not a finite"
+
+
+def _long_override_path(doc):
+    doc["sweep"] = [{"o" * _LONG + ".t_end": 1.0}]
+    return json.dumps(doc), f"sweep[0]: override '{'o' * 40}...' (100006 characters): no such"
+
+
+@pytest.mark.parametrize(
+    "command, build",
+    [
+        (command, build)
+        for build in (_long_unknown_key, _long_duplicate_key, _long_broadcast)
+        for command in ("run", "tune", "oracle")
+    ]
+    # only run applies a sweep's dotted overrides
+    + [("run", _long_override_path)],
+    ids=lambda arg: arg if isinstance(arg, str) else arg.__name__[1:],
+)
+def test_a_refused_long_key_or_value_is_echoed_at_a_bounded_length(
+    tmp_path, capsys, command, build
+):
+    text, message = build(_short_run_doc(tmp_path, "fig2"))
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert len(err.encode()) < 300
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_each_output_path_is_resolved_once_per_sweep_entry(tmp_path, monkeypatch):
+    # the parse resolves both paths to tell the files apart; the sweep's
+    # collision check reuses them instead of resolving them again
+    doc = _fast_run_doc(tmp_path, t_end=0.5)
+    doc["sweep"] = [_entry_outputs(tmp_path, name) for name in "abc"]
+    path = _write(tmp_path, doc)
+    real, calls = os.path.realpath, []
+
+    def counted(path, *args, **kwargs):
+        calls.append(path)
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(os.path, "realpath", counted)
+    monkeypatch.setattr(nes_sim.cli, "run_sweep", lambda configs, runner: [])
+    assert main(["run", path]) == 0
+    # two for the base document, two per entry
+    assert len(calls) == 2 + 2 * 3

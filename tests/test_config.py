@@ -493,3 +493,11 @@ def test_an_overflowing_literal_is_echoed_at_a_bounded_length(tmp_path):
     with pytest.raises(ConfigError) as info:
         read_document(path)
     assert str(info.value) == f"{path}: {'9' * 40}... (5000 characters) is not a finite number"
+
+
+def test_many_unknown_keys_are_counted_past_the_first_three():
+    doc = figure_preset("fig3")
+    doc["sim"].update({f"key{k:04d}": 1.0 for k in range(1000)})
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert str(info.value) == "sim: unknown keys ['key0000', 'key0001', 'key0002', 997 more]"

@@ -1,4 +1,5 @@
 import math
+import re
 import threading
 import time
 import warnings
@@ -84,6 +85,8 @@ def test_zero_field_constant_trajectory():
         (10, 5, [0, 5, 10]),  # a stride dividing n_steps records the final step once
         (10, 10, [0, 10]),
         (10, 25, [0, 10]),
+        (10, 4, [0, 4, 8, 10]),  # a last block of two steps
+        (10, 11, [0, 10]),  # one block, one step short of the stride
         (7, 2, [0, 2, 4, 6, 7]),
         (1, 1, [0, 1]),
     ],
@@ -93,6 +96,8 @@ def test_zero_field_constant_trajectory():
         "stride-divides",
         "stride-is-n",
         "stride-past-n",
+        "stride-4",
+        "stride-n-plus-1",
         "odd-n",
         "one-step",
     ],
@@ -122,26 +127,44 @@ def test_determinism_bitwise(sensor_game):
     assert np.array_equal(a.times, b.times)
 
 
-def test_divergence_abort_names_block():
+def _divergence_message(rhs, s0, layout, **sim):
+    with pytest.raises(DivergenceError) as info:
+        integrate(rhs, s0, SimConfig(**sim), layout)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("stride", [1, 7, 1000])
+def test_divergence_abort_names_block(stride):
     rhs = lambda s, out=None: (s * s * 1e150, s)
-    with np.errstate(over="ignore"), pytest.raises(DivergenceError, match=r"step \d+.*x\[0\]"):
-        integrate(rhs, np.array([1e200]), SimConfig(dt=1.0, t_end=5.0), SCALAR_LAYOUT)
+    sim = dict(dt=1.0, t_end=5.0)
+    with np.errstate(over="ignore"):
+        message = _divergence_message(rhs, np.array([1e200]), SCALAR_LAYOUT, record_stride=stride, **sim)
+        assert message == _divergence_message(rhs, np.array([1e200]), SCALAR_LAYOUT, **sim)
+    assert re.fullmatch(r"non-finite state at step \d+ \(t=.*\) in block x\[0\]", message)
 
 
+@pytest.mark.parametrize("stride", [1, 7, 1000])
 @pytest.mark.parametrize("integrator", ["rk4", "euler"])
-def test_divergence_of_a_compiled_field_warns_only_of_overflow(sensor_game, path_graph, integrator):
-    # dt far beyond the stability guard: the estimates blow up. The only
-    # floating-point warning on the way is overflow, which the finiteness
-    # screen s.s meets before the state turns non-finite.
+def test_divergence_of_a_compiled_field_warns_only_of_overflow(
+    sensor_game, path_graph, integrator, stride
+):
+    # dt far beyond the stability guard: the estimates blow up. The screen
+    # runs once per record block, so the steps after the first non-finite
+    # state meet inf - inf until the block ends; the block is then replayed
+    # step by step, and the error names the same step as a stride-1 run.
+    # The only floating-point warning allowed on the way is one overflow.
     gains = GainSet(theta=1000.0, theta_bar=1.0)
     rhs, lay = make_rhs(
         StrategyTag.FIRST_ORDER_DIST, sensor_game, graph=path_graph, gains=gains, sat_spec=SPEC5
     )
     s0 = lay.pack(x=X0, y=np.full(18, 10.0))
-    with warnings.catch_warnings(), np.errstate(over="ignore"):
-        warnings.simplefilter("error")
-        with pytest.raises(DivergenceError, match=r"non-finite state at step \d+ .* in block y\["):
-            integrate(rhs, s0, SimConfig(dt=1e-2, t_end=100.0, integrator=integrator), lay)
+    sim = dict(dt=1e-2, t_end=100.0, integrator=integrator)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        message = _divergence_message(rhs, s0, lay, record_stride=stride, **sim)
+    assert all("overflow" in str(w.message) for w in caught) and len(caught) <= 1
+    assert re.fullmatch(r"non-finite state at step \d+ \(t=.*\) in block y\[\d+\]", message)
+    assert message == _divergence_message(rhs, s0, lay, **sim)
 
 
 @pytest.mark.parametrize("integrator", ["rk4", "euler"])
@@ -425,7 +448,8 @@ def test_rhs_evals_counts_vector_field_calls(integrator, sensor_game):
     # the invariant the benchmark's tracer asserts: stages * steps + 1 calls
     compiled, lay = make_rhs(StrategyTag.SAT_GRAD_PLAY, sensor_game, sat_spec=SPEC5)
     fields = ((_decay_rhs, np.array([1.0]), SCALAR_LAYOUT), (compiled, X0, lay))
-    for (field, s0, layout), stride in zip(fields * 2, (1, 1, 3, 3)):
+    # 3 and 4 do not divide the 10 steps, 25 exceeds them
+    for (field, s0, layout), stride in zip(fields * 4, (1, 1, 3, 3, 4, 4, 25, 25)):
         calls = []
 
         def counted(s, out=None):
