@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -83,8 +84,8 @@ def cmd_run(args):
                 check_output_paths(variants[-1].output)
             except ValueError as exc:
                 raise SweepEntryError(idx, exc) from exc
-            for key, path in variants[-1].output.items():
-                other = writers.setdefault(variants[-1].real_output[key], idx)
+            for path in variants[-1].output.values():
+                other = writers.setdefault(os.path.realpath(path), idx)
                 if other != idx:
                     raise ConfigError(
                         f"sweep entries {other} and {idx} both write {path}; "

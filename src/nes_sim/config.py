@@ -127,11 +127,7 @@ def _json_copy(value):
 
 @dataclass
 class ExperimentConfig:
-    """A fully validated experiment: game, graph, strategy, sim, init.
-
-    ``real_output`` holds the ``os.path.realpath`` of each output path, as
-    the parse resolved them to tell the two files apart.
-    """
+    """A fully validated experiment: game, graph, strategy, sim, init."""
 
     game: object
     graph: CommGraph
@@ -145,7 +141,6 @@ class ExperimentConfig:
     output: dict | None
     sweep: list | None
     normalized: dict = field(repr=False, default=None)
-    real_output: dict | None = field(repr=False, default=None)
 
     @property
     def layout(self):
@@ -335,7 +330,7 @@ def parse_config(doc):
     for block, size in block_sizes.items():
         init.setdefault(block, np.zeros(size))
 
-    output = real_output = None
+    output = None
     if "output" in doc:
         _reject_unknown(doc["output"], _OUTPUT_KEYS, "output")
         output = dict(doc["output"])
@@ -343,8 +338,7 @@ def parse_config(doc):
             path = _require(output, key, "output")
             if not isinstance(path, str) or not path:
                 raise ConfigError(f"output.{key}: expected a file path")
-        real_output = {key: os.path.realpath(output[key]) for key in _OUTPUT_KEYS}
-        if real_output["trajectory"] == real_output["summary"]:
+        if os.path.realpath(output["trajectory"]) == os.path.realpath(output["summary"]):
             raise ConfigError("output: trajectory and summary must be different files")
 
     sweep = None
@@ -384,7 +378,6 @@ def parse_config(doc):
         output=output,
         sweep=sweep,
         normalized=normalized,
-        real_output=real_output,
     )
 
 

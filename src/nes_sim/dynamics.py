@@ -318,8 +318,8 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None):
     law is affine (the pseudo-gradient is ``H x + c``), so it is compiled
     once to ``A s + b`` from ``b = law(0)`` and ``law(I)``: each law takes
     a stack of states, one per row. Other games evaluate the law per call.
-    A compiled field is one of two closures, clamping or not, chosen
-    here, so its ``rhs`` tests neither the game nor the clamp per call.
+    A compiled field has its own closure, so its ``rhs`` does not test
+    the game per call.
     The consensus laws apply M1 = ``estimation_matrix(graph, 1)`` to each
     action channel of the estimates (M = M1 (x) I_p).
     """
@@ -403,26 +403,17 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None):
     A = np.ascontiguousarray((law(np.eye(size)) - b).T)
     # with out given the state goes unchecked: the product still refuses
     # any length but layout.size
-    if clamped:
 
-        def rhs(s, out=None):
-            if out is None:
-                s, out = check(s), np.empty(size)
-            A.dot(s, out)
-            out += b
-            u = out[ua:ub]
+    def rhs(s, out=None):
+        if out is None:
+            s, out = check(s), np.empty(size)
+        A.dot(s, out)
+        out += b
+        u = out[ua:ub]
+        if clamped:
             maximum(u, lower, out=u)
             minimum(u, upper, out=u)
-            return out, u
-
-    else:
-
-        def rhs(s, out=None):
-            if out is None:
-                s, out = check(s), np.empty(size)
-            A.dot(s, out)
-            out += b
-            return out, out[ua:ub]
+        return out, u
 
     return rhs, layout
 

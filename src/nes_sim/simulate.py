@@ -51,6 +51,8 @@ _SCHEMES = {
     "rk4": _Scheme((0.5, 0.5, 1.0), (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0), 2.5),
     "euler": _Scheme((), (1.0,), 1.8),
 }
+# most steps between two finiteness screens, whatever the record stride
+_SCREEN_STEPS = 100
 
 
 @dataclass
@@ -166,11 +168,14 @@ def integrate(rhs, state0, cfg, layout):
     The steps run in blocks of ``record_stride``, one block per record.
     Each block records its first state and the control of that state's
     first stage call, which is the previous step's last call. The
-    finiteness screen runs once after each block: a non-finite entry stays
-    non-finite under every later update, so a block that ends finite had
-    no non-finite state. A block that ends non-finite is replayed from its
-    record with the screen after every step, which names the first
-    non-finite step.
+    finiteness screen runs after each run of at most ``_SCREEN_STEPS``
+    steps within a block: a non-finite entry stays non-finite under every
+    later update, so a run that ends finite had no non-finite state. A run
+    that ends non-finite is replayed from its first state with the screen
+    after every step, which names the first non-finite step. So a diverging
+    run takes at most ``_SCREEN_STEPS`` more steps than a screen after every
+    step would, and ``rhs`` may see a non-finite state for up to
+    ``_SCREEN_STEPS`` steps before the error.
 
     Parameters
     ----------
@@ -247,36 +252,45 @@ def integrate(rhs, state0, cfg, layout):
                 k1[:] = k
         return u
 
+    def diverged(mark, lo, hi):
+        # replay steps lo+1..hi from mark, screening every step, to name
+        # the first non-finite one; a field whose replay stays finite
+        # leaves step hi named
+        end = s.copy()
+        s[:] = mark
+        field_at_s()
+        for step in range(lo + 1, hi + 1):
+            advance(1)
+            if not np.isfinite(s).all():
+                end = s
+                break
+        bad = int(np.flatnonzero(~np.isfinite(end))[0])
+        return DivergenceError(
+            f"non-finite state at step {step} "
+            f"(t={step * dt:.6g}) in block {layout.block_name(bad)}"
+        )
+
     # s.s overflows once |s| passes ~1e154 while every entry is still
     # finite, and the steps after a state turns non-finite meet inf - inf
-    # until the block's screen: entered once, so the loop pays nothing per step
+    # until the next screen: entered once, so the loop pays nothing per step
+    saved = np.empty(layout.size)
     with np.errstate(over="ignore", invalid="ignore"):
         u = field_at_s()
         for rec, start in enumerate(range(0, n_steps, stride)):
             states[rec] = s
             controls[rec] = u
             stop = min(start + stride, n_steps)
-            u = advance(stop - start)
-            # s.s is finite unless an entry is non-finite or |s| passes
-            # ~1e154; only then does the exact test run
-            if isfinite(s_dot(s)) or np.isfinite(s).all():
-                continue
-            # replay the block, screening every step, to name the first
-            # non-finite one; a field whose replay stays finite leaves the
-            # block's last step named
-            end = s.copy()
-            s[:] = states[rec]
-            field_at_s()
-            for step in range(start + 1, stop + 1):
-                advance(1)
-                if not np.isfinite(s).all():
-                    end = s
-                    break
-            bad = int(np.flatnonzero(~np.isfinite(end))[0])
-            raise DivergenceError(
-                f"non-finite state at step {step} "
-                f"(t={step * dt:.6g}) in block {layout.block_name(bad)}"
-            )
+            mark = states[rec]
+            for lo in range(start, stop, _SCREEN_STEPS):
+                if lo > start:
+                    mark = saved
+                    saved[:] = s
+                hi = min(lo + _SCREEN_STEPS, stop)
+                u = advance(hi - lo)
+                # s.s is finite unless an entry is non-finite or |s| passes
+                # ~1e154; only then does the exact test run
+                if not isfinite(s_dot(s)) and not np.isfinite(s).all():
+                    raise diverged(mark, lo, hi)
     states[-1] = s
     controls[-1] = u
     return Trajectory(times=times, states=states, controls=controls, layout=layout)

@@ -1,6 +1,5 @@
 import copy
 import json
-import os
 
 import numpy as np
 import pytest
@@ -955,21 +954,3 @@ def test_a_refused_long_key_or_value_is_echoed_at_a_bounded_length(
     assert len(err.encode()) < 300
     assert not (tmp_path / "t.csv").exists()
 
-
-def test_each_output_path_is_resolved_once_per_sweep_entry(tmp_path, monkeypatch):
-    # the parse resolves both paths to tell the files apart; the sweep's
-    # collision check reuses them instead of resolving them again
-    doc = _fast_run_doc(tmp_path, t_end=0.5)
-    doc["sweep"] = [_entry_outputs(tmp_path, name) for name in "abc"]
-    path = _write(tmp_path, doc)
-    real, calls = os.path.realpath, []
-
-    def counted(path, *args, **kwargs):
-        calls.append(path)
-        return real(path, *args, **kwargs)
-
-    monkeypatch.setattr(os.path, "realpath", counted)
-    monkeypatch.setattr(nes_sim.cli, "run_sweep", lambda configs, runner: [])
-    assert main(["run", path]) == 0
-    # two for the base document, two per entry
-    assert len(calls) == 2 + 2 * 3

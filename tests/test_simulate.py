@@ -29,6 +29,7 @@ from nes_sim import (
     solve_lyapunov,
     stability_guard,
 )
+from nes_sim.simulate import _SCREEN_STEPS
 from tests.conftest import X0
 
 SPEC5 = SaturationSpec.symmetric(5.0)
@@ -143,15 +144,38 @@ def test_divergence_abort_names_block(stride):
     assert re.fullmatch(r"non-finite state at step \d+ \(t=.*\) in block x\[0\]", message)
 
 
+
+def test_divergence_stops_within_a_screen_interval_whatever_the_stride():
+    # ds/dt = s overflows near step 713 of 100 000; a run that records only
+    # its ends still meets the screen every _SCREEN_STEPS steps, so it stops
+    # there too, having called the field a bounded number of extra times
+    seen = {}
+    for stride in (1, 10**9):
+        calls = []
+
+        def growth(s, out=None):
+            calls.append(None)
+            return s, s
+
+        message = _divergence_message(
+            growth, np.array([1.0]), SCALAR_LAYOUT, dt=1.0, t_end=1e5, record_stride=stride
+        )
+        seen[stride] = message, len(calls)
+    assert seen[10**9][0] == seen[1][0]
+    step = int(re.match(r"non-finite state at step (\d+)", seen[1][0]).group(1))
+    assert step > _SCREEN_STEPS
+    assert seen[1][1] <= seen[10**9][1] <= seen[1][1] + 4 * _SCREEN_STEPS
+
 @pytest.mark.parametrize("stride", [1, 7, 1000])
 @pytest.mark.parametrize("integrator", ["rk4", "euler"])
 def test_divergence_of_a_compiled_field_warns_only_of_overflow(
     sensor_game, path_graph, integrator, stride
 ):
     # dt far beyond the stability guard: the estimates blow up. The screen
-    # runs once per record block, so the steps after the first non-finite
-    # state meet inf - inf until the block ends; the block is then replayed
-    # step by step, and the error names the same step as a stride-1 run.
+    # runs after each run of at most _SCREEN_STEPS steps, so the steps after
+    # the first non-finite state meet inf - inf until the run ends; the run
+    # is then replayed step by step, and the error names the same step as a
+    # stride-1 run.
     # The only floating-point warning allowed on the way is one overflow.
     gains = GainSet(theta=1000.0, theta_bar=1.0)
     rhs, lay = make_rhs(
