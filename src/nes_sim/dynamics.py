@@ -34,6 +34,7 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
+from numpy._core.umath import clip
 
 from .errors import DimensionMismatchError, LayoutMismatchError
 from .games import QuadraticGame
@@ -68,7 +69,7 @@ class SaturationSpec:
         upper = np.asarray(upper, dtype=float)
         if lower.shape != upper.shape:
             raise ValueError("lower and upper bounds must have matching shapes")
-        if (lower >= 0.0).any() or (upper <= 0.0).any():
+        if not (lower < 0.0).all() or not (upper > 0.0).all():
             raise ValueError("bounds must satisfy lower < 0 < upper componentwise")
         self.lower = lower
         self.upper = upper
@@ -77,7 +78,7 @@ class SaturationSpec:
     def symmetric(cls, u_bar):
         """Bounds ``|u| <= u_bar`` from a positive scalar or vector."""
         u = np.asarray(u_bar, dtype=float)
-        if (u <= 0.0).any():
+        if not (u > 0.0).all():
             raise ValueError("u_bar must be strictly positive")
         return cls(-u, u)
 
@@ -100,7 +101,7 @@ def sat(v, spec):
     and numerically exact at the bounds.
     """
     v = np.asarray(v, dtype=float)
-    return np.clip(v, spec.lower, spec.upper)
+    return clip(v, spec.lower, spec.upper)
 
 
 def sat_integral(g, u_bar):
@@ -113,7 +114,7 @@ def sat_integral(g, u_bar):
     """
     g = np.asarray(g, dtype=float)
     u = np.asarray(u_bar, dtype=float)
-    if np.any(u <= 0.0):
+    if not (u > 0.0).all():
         raise ValueError("u_bar must be strictly positive")
     a = np.abs(g)
     out = np.where(a <= u, 0.5 * g * g, u * a - 0.5 * u * u)
@@ -260,7 +261,7 @@ class GainSet:
                 raise ValueError(f"gain {name} must be strictly positive")
         for name in ("theta_bar", "K"):
             val = getattr(self, name)
-            if val is not None and (np.asarray(val, dtype=float) <= 0.0).any():
+            if val is not None and not (np.asarray(val, dtype=float) > 0.0).all():
                 raise ValueError(f"gain {name} must be strictly positive")
 
     def require(self, *names):
@@ -310,7 +311,9 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None):
 
     Returns ``(rhs, layout)`` where ``rhs(state, out=None) -> (dstate, u)``.
     Each control law is written once here, unclamped; ``rhs`` clamps the
-    control rows of ``dstate`` in place, so ``u`` is a view of them.
+    control rows of ``dstate`` in place with one call of numpy's ``clip``
+    ufunc (the clamp ``sat`` uses, bitwise equal to ``maximum`` with the
+    lower bound then ``minimum`` with the upper), so ``u`` is a view of them.
     Without ``out`` the state length is checked (``LayoutMismatchError``)
     and ``dstate`` is fresh; with ``out`` (``layout.size`` floats, not
     overlapping the state) ``dstate is out``, and the compiled path leaves
@@ -382,7 +385,6 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None):
 
     ua, ub = layout.offsets["nu" if layout.has_velocity else "x"]
     check, size = layout.check, layout.size
-    maximum, minimum = np.maximum, np.minimum
 
     if not isinstance(game, QuadraticGame):
 
@@ -392,8 +394,7 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None):
             out[:] = law(check(s))
             u = out[ua:ub]
             if clamped:
-                maximum(u, lower, out=u)
-                minimum(u, upper, out=u)
+                clip(u, lower, upper, u)
             return out, u
 
         return rhs, layout
@@ -401,6 +402,7 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None):
     # the law is affine and row k of law(I) is law(e_k): A = (law(I) - law(0)).T
     b = law(np.zeros(size))
     A = np.ascontiguousarray((law(np.eye(size)) - b).T)
+    add = np.add
     # with out given the state goes unchecked: the product still refuses
     # any length but layout.size
 
@@ -408,11 +410,10 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None):
         if out is None:
             s, out = check(s), np.empty(size)
         A.dot(s, out)
-        out += b
+        add(out, b, out)
         u = out[ua:ub]
         if clamped:
-            maximum(u, lower, out=u)
-            minimum(u, upper, out=u)
+            clip(u, lower, upper, u)
         return out, u
 
     return rhs, layout

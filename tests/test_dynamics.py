@@ -13,6 +13,7 @@ from nes_sim import (
     SaturationSpec,
     StateLayout,
     StrategyTag,
+    dynamics,
     estimation_matrix,
     lyapunov_value,
     make_rhs,
@@ -85,6 +86,61 @@ def test_saturation_spec_validation():
             SaturationSpec.symmetric(np.full(shape, 5.0)).check_size(6)
 
 
+def test_saturation_spec_refuses_nan_bounds():
+    # NaN fails every comparison, so it must not pass as "lower < 0 < upper"
+    for lower, upper in ((np.nan, 1.0), (-1.0, np.nan), ([-1.0, np.nan], [1.0, 1.0])):
+        with pytest.raises(ValueError, match="lower < 0 < upper"):
+            SaturationSpec(lower, upper)
+
+
+def test_symmetric_spec_refuses_nan_u_bar():
+    for u_bar in (np.nan, [5.0, np.nan]):
+        with pytest.raises(ValueError, match="u_bar must be strictly positive"):
+            SaturationSpec.symmetric(u_bar)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def test_clip_is_max_then_min_bit_for_bit():
+    # the package's one clamp primitive, called in place as the fields call it
+    tiny = np.finfo(float).tiny
+    for lower, upper in ((-5.0, 5.0), (np.array(-0.5), np.array(2.0)),
+                         (np.array([-1.0, -2.0, -0.25]), np.array([3.0, 0.5, 1e-300]))):
+        lo, hi = np.broadcast_to(lower, 3), np.broadcast_to(upper, 3)
+        special = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, tiny, -tiny]
+        edges = [*lo, *hi, *np.nextafter(lo, -np.inf), *np.nextafter(lo, np.inf),
+                 *np.nextafter(hi, -np.inf), *np.nextafter(hi, np.inf)]
+        rng = np.random.default_rng(5)
+        values = np.r_[special, edges, rng.normal(scale=4.0, size=60)]
+        values = values[: values.size // 3 * 3].reshape(-1, 3)
+        for u in values:
+            expected = np.minimum(np.maximum(u, lower), upper)
+            got = u.copy()
+            assert dynamics.clip(got, lower, upper, got) is got
+            assert np.array_equal(_bits(got), _bits(expected))
+
+
+def test_sat_keeps_its_values_and_types():
+    # sat returns what np.clip of the float array returns: np.float64 for a
+    # scalar, an array otherwise, with the same bits; the input is not written
+    specs = (SPEC5, SaturationSpec([-1.0, -2.0], [3.0, 0.5]))
+    inputs = (7, -0.0, np.nan, np.float64(-np.inf), np.array(2.5), [np.nan, -7.0],
+              np.array([0.5, 3.0]), np.array([[9.0, -9.0], [-0.0, 0.5]]))
+    for spec in specs:
+        for v in inputs:
+            before = np.array(v, dtype=float, copy=True)
+            got = sat(v, spec)
+            ref = np.clip(np.asarray(v, dtype=float), spec.lower, spec.upper)
+            assert type(got) is type(ref)
+            assert np.shape(got) == np.shape(ref)
+            assert np.array_equal(_bits(got), _bits(ref))
+            assert np.array_equal(_bits(v), _bits(before))
+    assert type(sat(7.0, SPEC5)) is np.float64
+    assert type(sat([7.0], SPEC5)) is np.ndarray
+
+
 def test_sat_integral_examples():
     assert sat_integral(3.0, 5.0) == 4.5
     assert sat_integral(7.0, 5.0) == 22.5
@@ -102,6 +158,12 @@ def test_sat_integral_properties():
     # radially unbounded
     assert sat_integral(1e6, 5.0) > 4.9e6
     assert sat_integral(-1e6, 5.0) > 4.9e6
+
+
+def test_sat_integral_refuses_nan_bound():
+    for u_bar in (np.nan, [5.0, np.nan]):
+        with pytest.raises(ValueError, match="u_bar must be strictly positive"):
+            sat_integral(1.0, u_bar)
 
 
 def test_sat_integral_against_quadrature():
@@ -167,6 +229,15 @@ def test_gains_validation():
     np.testing.assert_array_equal(g.k_vec(2, 2), [0.5, 0.5, 0.5, 0.5])
     with pytest.raises(ValueError, match="missing required gains"):
         GainSet(theta=1.0).require("theta", "theta1")
+
+
+def test_gains_refuse_nan_vector_gains():
+    # the scalar gains already refuse NaN; the vector gains must too
+    for kwargs in ({"theta_bar": np.nan}, {"theta_bar": [1.0, np.nan, 1.0, 1.0]},
+                   {"K": [np.nan, 1.0]}, {"K": np.nan}):
+        name = next(iter(kwargs))
+        with pytest.raises(ValueError, match=f"gain {name} must be strictly positive"):
+            GainSet(theta=1.0, **kwargs)
 
 
 # --- strategy vector fields ----------------------------------------------
@@ -379,6 +450,38 @@ def _closure(rhs, *names):
     # the compiled A and b, or the per-call law, as the field's closure holds them
     cells = dict(zip(rhs.__code__.co_freevars, rhs.__closure__))
     return [cells[name].cell_contents for name in names]
+
+
+@pytest.mark.parametrize("tag", [t for t in StrategyTag if StateLayout(t, 2, 1).is_saturated])
+def test_compiled_clamped_field_is_affine_map_then_max_min(tag):
+    # the compiled field is A s + b with its control rows clamped in place:
+    # bit for bit max-then-min of those rows, with and without a row to fill
+    rng = np.random.default_rng(43)
+    n_clamped = n_free = 0
+    for _ in range(4):
+        n, p = int(rng.integers(2, 5)), int(rng.integers(1, 3))
+        game = random_strongly_monotone_game(rng, n_players=n, action_dim=p)
+        spec = SaturationSpec(-rng.uniform(0.5, 3.0, n * p), rng.uniform(0.5, 3.0, n * p))
+        rhs, lay = make_rhs(
+            tag, game, graph=random_connected_graph(rng, n), gains=_random_gains(rng, n),
+            sat_spec=spec,
+        )
+        A, b = _closure(rhs, "A", "b")
+        ua, ub = lay.offsets["nu" if lay.has_velocity else "x"]
+        row = np.empty(lay.size)
+        for s in rng.normal(scale=rng.choice([0.01, 1.0, 5.0]), size=(30, lay.size)):
+            expected = A.dot(s) + b
+            u_raw = expected[ua:ub].copy()
+            expected[ua:ub] = np.minimum(np.maximum(u_raw, spec.lower), spec.upper)
+            clamped = (u_raw < spec.lower) | (u_raw > spec.upper)
+            n_clamped += int(clamped.sum())
+            n_free += int((~clamped).sum())
+            for ds, u in (rhs(s), rhs(s, row)):
+                assert np.array_equal(_bits(ds), _bits(expected))
+                assert np.array_equal(_bits(u), _bits(expected[ua:ub]))
+                assert np.shares_memory(u, ds)
+            assert rhs(s, row)[0] is row
+    assert n_clamped > 100 and n_free > 100  # both sides of the clamp were met
 
 
 def _stacking_twin(game):
