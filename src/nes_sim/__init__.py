@@ -15,7 +15,6 @@ from .dynamics import (
     StrategyTag,
     lyapunov_value,
     make_rhs,
-    rhs_gradient_play,
     sat,
     sat_integral,
 )
@@ -31,7 +30,6 @@ from .errors import (
 from .games import (
     GameDefinition,
     QuadraticGame,
-    check_gradient_consistency,
     random_strongly_monotone_game,
 )
 from .graphs import (

@@ -49,7 +49,6 @@ __all__ = [
     "StateLayout",
     "sat",
     "sat_integral",
-    "rhs_gradient_play",
     "make_rhs",
     "lyapunov_value",
 ]
@@ -296,14 +295,6 @@ def _per_channel(m, v):
     (..., k, q) view of ``v``, one column per channel; the result keeps that view."""
     w = v.reshape(*v.shape[:-1], m.shape[0], -1)
     return np.moveaxis(np.tensordot(m, w, axes=(1, -2)), 0, -2)
-
-
-def rhs_gradient_play(game, state):
-    """Plain (unclamped) gradient play; the unsaturated reference flow."""
-    layout = StateLayout(StrategyTag.SAT_GRAD_PLAY, game.n_players, game.action_dim)
-    x = layout.check(state)
-    u = -game.pseudo_gradient(x)
-    return u.copy(), u
 
 
 def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None):

@@ -117,22 +117,20 @@ def figure_preset(name):
 
 
 def _skew_bilinear():
-    # two-player bilinear game with a skew Jacobian: monotone with m = 0,
-    # useful for exercising the uncertified/degenerate paths
+    # costs x1 x2 and -x1 x2: pseudo-gradient (x2, -x1), a constant skew
+    # Jacobian, so monotone with m = 0; exercises the uncertified paths
+    skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
     return GameDefinition(
-        n_players=2,
-        action_dim=1,
-        costs=[lambda x: x[0] * x[1], lambda x: -x[0] * x[1]],
-        gradients=[lambda x: np.array([x[1]]), lambda x: np.array([-x[0]])],
+        2, 1, lambda X: np.stack([X[:, 1], -X[:, 0]], axis=1), lambda x: skew
     )
 
 
 def _decoupled_quartic():
-    # smooth non-quadratic game; gradients are left to finite differences
+    # costs (x1 - 1)^4 and (x2 + 2)^4: smooth, not quadratic, with its
+    # equilibrium at (1, -2), where the Jacobian vanishes
+    s = np.array([-1.0, 2.0])
     return GameDefinition(
-        n_players=2,
-        action_dim=1,
-        costs=[lambda x: (x[0] - 1.0) ** 4, lambda x: (x[1] + 2.0) ** 4],
+        2, 1, lambda X: 4.0 * (X + s) ** 3, lambda x: np.diag(12.0 * (x + s) ** 2)
     )
 
 

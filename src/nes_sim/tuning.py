@@ -81,13 +81,13 @@ class TunerReport:
 def _certified_m(game, m_override=None):
     if m_override is not None:
         m = float(m_override)
+    elif isinstance(game, QuadraticGame):
+        m = game.monotonicity_constant()
     else:
-        m, certified = game.monotonicity_constant()
-        if not certified:
-            raise NotStronglyMonotoneError(
-                "monotonicity constant is uncertified for this game; "
-                "supply a certified value explicitly"
-            )
+        raise NotStronglyMonotoneError(
+            "monotonicity constant is uncertified for this game; "
+            "supply a certified value explicitly"
+        )
     if m <= 0.0:
         raise NotStronglyMonotoneError(
             "pseudo-gradient is not strongly monotone (m <= 0); gain bounds are undefined"

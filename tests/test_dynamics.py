@@ -20,7 +20,6 @@ from nes_sim import (
     path_graph_adjacency,
     random_connected_graph,
     random_strongly_monotone_game,
-    rhs_gradient_play,
     sat,
     sat_integral,
     solve_lyapunov,
@@ -261,8 +260,7 @@ def test_sat_gradient_play_equilibrium(sensor_game, x_star):
 def test_sat_gradient_play_unsaturated_limit(sensor_game):
     big = SaturationSpec.symmetric(1e12)
     ds, u = make_rhs(StrategyTag.SAT_GRAD_PLAY, sensor_game, sat_spec=big)[0](X0)
-    ds_ref, _ = rhs_gradient_play(sensor_game, X0)
-    np.testing.assert_array_equal(ds, ds_ref)
+    np.testing.assert_array_equal(ds, -sensor_game.pseudo_gradient(X0))
 
 
 def test_first_order_dist_consensus_reduces_to_gradient_play(sensor_game, path_graph):
@@ -397,16 +395,12 @@ def test_make_rhs_rejects_wrong_state_length(tag, sensor_game, path_graph):
             rhs(np.zeros(size))
 
 
-def _per_call_twin(game):
-    # the same quadratic game as a plain GameDefinition with its analytic
-    # gradients and Jacobian, so make_rhs evaluates the law on every call
-    n = game.n_players
+def _generic_twin(game):
+    # the same quadratic game as a plain GameDefinition over its stacked
+    # pseudo-gradient and Jacobian, so make_rhs evaluates the law on every
+    # call, and that law still takes a stack of states
     return GameDefinition(
-        n,
-        game.action_dim,
-        costs=[lambda x, i=i: game.cost(i, x) for i in range(n)],
-        gradients=[lambda x, i=i: game.partial_gradient(i, x) for i in range(n)],
-        jacobian=lambda x: game.jacobian_matrix,
+        game.n_players, game.action_dim, game.pseudo_gradient, lambda x: game.jacobian_matrix
     )
 
 
@@ -429,7 +423,7 @@ def test_compiled_field_matches_per_call_law(tag):
         )
         spec = SaturationSpec(-rng.uniform(0.5, 3.0, n * p), rng.uniform(0.5, 3.0, n * p))
         compiled, lay = make_rhs(tag, game, graph=graph, gains=gains, sat_spec=spec)
-        per_call, _ = make_rhs(tag, _per_call_twin(game), graph=graph, gains=gains, sat_spec=spec)
+        per_call, _ = make_rhs(tag, _generic_twin(game), graph=graph, gains=gains, sat_spec=spec)
         for s in rng.normal(scale=3.0, size=(100, lay.size)):
             ds, u = compiled(s)
             ds_ref, u_ref = per_call(s)
@@ -484,16 +478,6 @@ def test_compiled_clamped_field_is_affine_map_then_max_min(tag):
     assert n_clamped > 100 and n_free > 100  # both sides of the clamp were met
 
 
-def _stacking_twin(game):
-    # a generic game whose evaluators are the quadratic game's own: make_rhs
-    # evaluates its law per call, and that law still takes a stack of states
-    twin = _per_call_twin(game)
-    twin.pseudo_gradient = game.pseudo_gradient
-    twin.own_gradients_at_estimates = game.own_gradients_at_estimates
-    twin.game_jacobian = game.game_jacobian
-    return twin
-
-
 def _ring(n):
     a = np.zeros((n, n))
     for i in range(n):
@@ -519,7 +503,7 @@ def _compiled_and_column_by_column(tag, graph, rng):
     game = random_strongly_monotone_game(rng, n_players=n, action_dim=p)
     gains = _random_gains(rng, n)
     compiled, lay = make_rhs(tag, game, graph=graph, gains=gains, sat_spec=UNBOUND)
-    twin = _stacking_twin(game)
+    twin = _generic_twin(game)
     per_call, _ = make_rhs(tag, twin, graph=graph, gains=gains, sat_spec=UNBOUND)
     A, b = _closure(compiled, "A", "b")
     b_ref = per_call(np.zeros(lay.size))[0]
@@ -568,7 +552,7 @@ def test_law_on_a_stack_of_states_equals_single_state_calls(tag):
         graph = random_connected_graph(rng, n)
         gains = _random_gains(rng, n)
         compiled, lay = make_rhs(tag, game, graph=graph, gains=gains, sat_spec=UNBOUND)
-        twin = _stacking_twin(game)
+        twin = _generic_twin(game)
         per_call, _ = make_rhs(tag, twin, graph=graph, gains=gains, sat_spec=UNBOUND)
         (law,) = _closure(per_call, "law")
         A, b = _closure(compiled, "A", "b")
@@ -689,9 +673,10 @@ def test_lyapunov_value_with_a_per_channel_P_is_the_value_with_its_kron(tag):
 
 @pytest.mark.parametrize("tag", list(StrategyTag))
 def test_stacked_gradients_move_v_by_rounding_only(tag):
-    # V takes the game's gradients for all records in one stacked call; a
-    # generic twin takes them one record at a time, as V did before. The
-    # products only sum in another order: 1e-15 of the largest |V| per record
+    # V of the quadratic game against V of its generic twin, whose own
+    # gradients at the estimates come from one pseudo-gradient call on the
+    # stacked estimates. The products only sum in another order: 1e-15 of
+    # the largest |V| per record
     rng = np.random.default_rng(61)
     for _ in range(4):
         n, p = int(rng.integers(2, 5)), int(rng.integers(1, 3))
@@ -703,8 +688,8 @@ def test_stacked_gradients_move_v_by_rounding_only(tag):
         states = rng.normal(scale=3.0, size=(200, StateLayout(tag, n, p).size))
         kwargs = dict(gains=gains, sat_spec=spec, P=P, x_star=game.exact_ne())
         stacked = lyapunov_value(tag, game, states, **kwargs)
-        per_row = lyapunov_value(tag, _per_call_twin(game), states, **kwargs)
-        assert np.max(np.abs(stacked - per_row)) <= 1e-15 * np.max(np.abs(per_row))
+        twin = lyapunov_value(tag, _generic_twin(game), states, **kwargs)
+        assert np.max(np.abs(stacked - twin)) <= 1e-15 * np.max(np.abs(twin))
 
 
 def test_lyapunov_value_takes_the_gradients_once_per_call(sensor_game, monkeypatch):
@@ -809,7 +794,7 @@ def test_stacked_lyapunov_matches_per_state(tag):
 
 
 def test_stacked_lyapunov_on_a_generic_game():
-    # a non-quadratic game takes its gradients row by row through its own methods
+    # a non-quadratic game takes its gradients for all rows in one call
     tag, game = StrategyTag.FIRST_ORDER_DIST, GAME_REGISTRY["decoupled_quartic"]()
     P = solve_lyapunov(estimation_matrix(CommGraph([[0.0, 1.0], [1.0, 0.0]]), 1), 1.0, 1.0).P
     spec = SaturationSpec.symmetric(1.0)

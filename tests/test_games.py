@@ -2,45 +2,45 @@ import numpy as np
 import pytest
 
 from nes_sim import (
+    GAME_REGISTRY,
     DimensionMismatchError,
     GameDefinition,
     NotStronglyMonotoneError,
     QuadraticGame,
-    check_gradient_consistency,
     random_strongly_monotone_game,
 )
-from tests.conftest import X0
+from tests.conftest import X0, central_difference, cost_gradients, quadratic_cost
 
 COUPLING = np.array([[4.0, -2.0, 0.0], [-2.0, 6.0, -2.0], [0.0, -2.0, 4.0]])
 
 
 def test_cost_at_equilibrium(sensor_game, x_star):
     # hand evaluation: 0.578125 - 1.75 + 3 + 0.828125
-    assert sensor_game.cost(0, x_star) == pytest.approx(2.65625, abs=1e-12)
+    assert quadratic_cost(sensor_game, 0, x_star) == pytest.approx(2.65625, abs=1e-12)
 
 
 def test_cost_zero_game():
     g = QuadraticGame(
         r=np.zeros((2, 1, 1)), p_vec=np.zeros((2, 1)), q=np.zeros(2), m_weights=np.zeros((2, 2))
     )
-    assert g.cost(0, [3.0, -4.0]) == 0.0
-    assert g.cost(1, [0.0, 0.0]) == 0.0
+    assert quadratic_cost(g, 0, [3.0, -4.0]) == 0.0
+    assert quadratic_cost(g, 1, [0.0, 0.0]) == 0.0
 
 
 def test_cost_constant_term_survives_at_origin(sensor_game):
-    assert sensor_game.cost(2, np.zeros(6)) == pytest.approx(6.0, abs=0.0)
+    assert quadratic_cost(sensor_game, 2, np.zeros(6)) == pytest.approx(6.0, abs=0.0)
 
 
 def test_cost_dimension_error(sensor_game):
     with pytest.raises(DimensionMismatchError) as exc:
-        sensor_game.cost(0, np.zeros(5))
+        quadratic_cost(sensor_game, 0, np.zeros(5))
     assert "expected length 6" in str(exc.value)
     assert "got 5" in str(exc.value)
 
 
 def test_player_index_range(sensor_game):
     with pytest.raises(IndexError):
-        sensor_game.cost(3, np.zeros(6))
+        quadratic_cost(sensor_game, 3, np.zeros(6))
 
 
 def test_pseudo_gradient_zero_at_equilibrium(sensor_game, x_star):
@@ -54,17 +54,19 @@ def test_pseudo_gradient_benchmark_point(sensor_game):
 
 
 def test_pseudo_gradient_constant_costs():
-    g = GameDefinition(2, 1, costs=[lambda x: 7.0, lambda x: -1.0])
-    np.testing.assert_allclose(g.pseudo_gradient([1.0, 2.0]), np.zeros(2), atol=1e-9)
+    # constant costs: a zero pseudo-gradient and a zero Jacobian
+    g = GameDefinition(2, 1, np.zeros_like, lambda x: np.zeros((2, 2)))
+    np.testing.assert_array_equal(g.pseudo_gradient([1.0, 2.0]), np.zeros(2))
+    np.testing.assert_array_equal(g.game_jacobian([1.0, 2.0]), np.zeros((2, 2)))
 
 
 def test_partial_gradient_at_estimate(sensor_game, x_star):
-    np.testing.assert_allclose(sensor_game.partial_gradient(0, x_star), np.zeros(2), atol=1e-12)
-    np.testing.assert_allclose(sensor_game.partial_gradient(0, X0), [42.0, -12.0], atol=1e-12)
+    # player i's partial gradient at an estimate is block i of the
+    # pseudo-gradient there
+    np.testing.assert_allclose(sensor_game.pseudo_gradient(x_star)[:2], np.zeros(2), atol=1e-12)
+    np.testing.assert_allclose(sensor_game.pseudo_gradient(X0)[:2], [42.0, -12.0], atol=1e-12)
     # linear term survives at the origin
-    np.testing.assert_allclose(
-        sensor_game.partial_gradient(2, np.zeros(6)), [-4.0, 2.0], atol=0.0
-    )
+    np.testing.assert_allclose(sensor_game.pseudo_gradient(np.zeros(6))[4:], [-4.0, 2.0], atol=0.0)
 
 
 def test_game_jacobian_structure(sensor_game):
@@ -89,29 +91,14 @@ def test_game_jacobian_constant(sensor_game):
 
 def test_monotonicity_constant_sensor(sensor_game):
     # eigenvalues of the coupling matrix are {2, 4, 8}
-    m, certified = sensor_game.monotonicity_constant()
-    assert certified
-    assert m == pytest.approx(2.0, abs=1e-12)
+    assert sensor_game.monotonicity_constant() == pytest.approx(2.0, abs=1e-12)
 
 
 def test_monotonicity_single_player():
     g = QuadraticGame(
         r=np.ones((1, 1, 1)), p_vec=np.zeros((1, 1)), q=np.zeros(1), m_weights=np.zeros((1, 1))
     )
-    m, certified = g.monotonicity_constant()
-    assert certified and m == pytest.approx(2.0, abs=1e-12)
-
-
-def test_monotonicity_skew_game_refuted():
-    g = GameDefinition(
-        2,
-        1,
-        costs=[lambda x: x[0] * x[1], lambda x: -x[0] * x[1]],
-        gradients=[lambda x: np.array([x[1]]), lambda x: np.array([-x[0]])],
-    )
-    m, certified = g.monotonicity_constant(rng=0)
-    assert not certified
-    assert m <= 1e-9
+    assert g.monotonicity_constant() == pytest.approx(2.0, abs=1e-12)
 
 
 def test_exact_ne_matches_reference(sensor_game):
@@ -155,28 +142,39 @@ def test_quadratic_rejects_asymmetric_couplings():
         )
 
 
+def _gradient_gap(game, x):
+    # analytic pseudo-gradient against central differences of the costs,
+    # relative to max(1, largest difference quotient)
+    fd = cost_gradients(game, x)
+    return np.max(np.abs(game.pseudo_gradient(x) - fd)) / max(1.0, np.max(np.abs(fd)))
+
+
 def test_analytic_gradients_match_finite_differences(sensor_game):
-    assert check_gradient_consistency(sensor_game, rng=0, n_points=100) <= 1e-5
+    rng = np.random.default_rng(0)
+    for x in rng.uniform(-5, 5, (100, 6)):
+        assert _gradient_gap(sensor_game, x) <= 1e-5
 
 
 def test_random_games_gradient_consistency():
     rng = np.random.default_rng(11)
     for _ in range(5):
         game = random_strongly_monotone_game(rng, int(rng.integers(2, 5)), int(rng.integers(1, 3)))
-        assert check_gradient_consistency(game, rng=1, n_points=20) <= 1e-5
+        for x in rng.uniform(-5, 5, (20, game.profile_dim)):
+            assert _gradient_gap(game, x) <= 1e-5
 
 
 def test_partial_gradients_are_blocks_of_pseudo_gradient():
+    # with every estimate at x, player i's own gradient at its estimate is
+    # block i of the pseudo-gradient at x; the block-row product sums in
+    # another order, so 1e-15 of the row's sum of absolute terms
     rng = np.random.default_rng(7)
     for _ in range(5):
         game = random_strongly_monotone_game(rng, int(rng.integers(2, 5)), int(rng.integers(1, 3)))
-        p = game.action_dim
-        for _ in range(10):
-            x = rng.uniform(-5, 5, game.profile_dim)
-            g = game.pseudo_gradient(x)
-            for i in range(game.n_players):
-                block = g[i * p : (i + 1) * p]
-                np.testing.assert_array_equal(game.partial_gradient(i, x), block)
+        absH, absc = np.abs(game.jacobian_matrix), np.abs(game.p_vec.ravel())
+        for x in rng.uniform(-5, 5, (10, game.profile_dim)):
+            scale = absH @ np.abs(x) + absc
+            own = game.own_gradients_at_estimates(np.tile(x, game.n_players))
+            assert np.all(np.abs(own - game.pseudo_gradient(x)) <= 1e-15 * scale)
 
 
 def test_random_games_equilibrium_residual():
@@ -189,8 +187,8 @@ def test_random_games_equilibrium_residual():
 def test_monotonicity_inequality_random_pairs():
     rng = np.random.default_rng(5)
     game = random_strongly_monotone_game(rng, 3, 2)
-    m, certified = game.monotonicity_constant()
-    assert certified and m > 0
+    m = game.monotonicity_constant()
+    assert m > 0
     for _ in range(100):
         x = rng.uniform(-10, 10, 6)
         z = rng.uniform(-10, 10, 6)
@@ -200,23 +198,8 @@ def test_monotonicity_inequality_random_pairs():
 
 def test_symmetric_part_eigenvalue_bound(sensor_game):
     H = sensor_game.game_jacobian(np.zeros(6))
-    m, _ = sensor_game.monotonicity_constant()
+    m = sensor_game.monotonicity_constant()
     assert np.linalg.eigvalsh(0.5 * (H + H.T))[0] >= m - 1e-9
-
-
-def test_finite_difference_fallback_matches_quadratic(sensor_game):
-    # same costs, no analytic evaluators
-    fd_game = GameDefinition(
-        3, 2, costs=[sensor_game._make_cost(i) for i in range(3)]
-    )
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        x = rng.uniform(-5, 5, 6)
-        ga = sensor_game.pseudo_gradient(x)
-        gf = fd_game.pseudo_gradient(x)
-        assert np.max(np.abs(ga - gf)) / max(1.0, np.max(np.abs(ga))) <= 1e-5
-    Hf = fd_game.game_jacobian(np.zeros(6))
-    assert np.max(np.abs(Hf - sensor_game.game_jacobian(np.zeros(6)))) <= 1e-4
 
 
 def test_quadratic_evaluators_take_a_stack_of_rows():
@@ -253,17 +236,61 @@ def test_quadratic_evaluators_take_a_stack_of_rows():
 
 
 def test_generic_evaluators_take_a_stack_of_rows():
-    # a plain GameDefinition evaluates a (B, .) stack one row at a time, so
-    # each row is exactly the single-input result
+    # a GameDefinition over a quadratic game's own stacked pseudo-gradient
+    # gives its rows; its own gradients at the estimates, derived from one
+    # pseudo-gradient call, match the block-row product to 1e-15 of each
+    # row's sum of absolute terms, on a stack and on single inputs
     rng = np.random.default_rng(19)
-    quad = random_strongly_monotone_game(rng, 3, 2)
-    game = GameDefinition(
-        3, 2, costs=[lambda x, i=i: quad.cost(i, x) for i in range(3)],
-        gradients=[lambda x, i=i: quad.partial_gradient(i, x) for i in range(3)],
-    )
-    for method, width in ((game.pseudo_gradient, 6), (game.own_gradients_at_estimates, 18)):
-        rows = rng.normal(scale=3.0, size=(7, width))
-        np.testing.assert_array_equal(method(rows), np.array([method(r) for r in rows]))
-        assert method(rows[:0]).shape == (0, 6)
+    for _ in range(20):
+        n, p = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        quad = random_strongly_monotone_game(rng, n, p)
+        game = GameDefinition(n, p, quad.pseudo_gradient, lambda x: quad.jacobian_matrix)
+        d, absH, absc = quad.profile_dim, np.abs(quad.jacobian_matrix), np.abs(quad.p_vec.ravel())
+        xs = rng.normal(scale=3.0, size=(7, d))
+        np.testing.assert_array_equal(game.pseudo_gradient(xs), quad.pseudo_gradient(xs))
+        np.testing.assert_array_equal(game.pseudo_gradient(xs[0]), quad.pseudo_gradient(xs[:1])[0])
+        ys = rng.normal(scale=3.0, size=(25, n * d))
+        derived = game.own_gradients_at_estimates(ys)
+        assert derived.shape == (25, d)
+        for y, g in zip(ys, derived):
+            scale = (absH.reshape(n, p, d) @ np.abs(y).reshape(n, d, 1)).ravel() + absc
+            own = quad.own_gradients_at_estimates(y)
+            assert np.all(np.abs(g - own) <= 1e-15 * scale)
+            assert np.all(np.abs(game.own_gradients_at_estimates(y) - own) <= 1e-15 * scale)
+        np.testing.assert_array_equal(game.game_jacobian(xs[0]), quad.jacobian_matrix)
+        for method, width in ((game.pseudo_gradient, d), (game.own_gradients_at_estimates, n * d)):
+            assert method(np.zeros((0, width))).shape == (0, d)
+            for bad in (np.zeros((3, width + 1)), np.zeros((1, 1, width)), np.zeros(width - 1)):
+                with pytest.raises(DimensionMismatchError):
+                    method(bad)
         with pytest.raises(DimensionMismatchError):
-            method(np.zeros((3, width + 1)))
+            game.game_jacobian(np.zeros(d + 1))
+
+
+def test_a_wrong_shaped_evaluator_result_is_refused():
+    game = GameDefinition(2, 1, lambda X: X[:, :1], lambda x: np.eye(3))
+    with pytest.raises(DimensionMismatchError, match="pseudo-gradient rows"):
+        game.pseudo_gradient([1.0, 2.0])
+    with pytest.raises(DimensionMismatchError, match="game jacobian"):
+        game.game_jacobian([1.0, 2.0])
+
+
+@pytest.mark.parametrize("name", sorted(GAME_REGISTRY))
+def test_registry_jacobians_match_central_differences(name):
+    # each registry game's analytic Jacobian against central differences of
+    # its own pseudo-gradient, to 1e-7 of max(1, largest entry)
+    game = GAME_REGISTRY[name]()
+    rng = np.random.default_rng(23)
+    for x in rng.normal(scale=2.0, size=(50, game.profile_dim)):
+        J = game.game_jacobian(x)
+        fd = central_difference(game.pseudo_gradient, x)
+        assert np.max(np.abs(J - fd)) <= 1e-7 * max(1.0, np.max(np.abs(J)))
+
+
+def test_decoupled_quartic_is_exact_at_its_equilibrium():
+    # 4 (x + s)^3 with s = (-1, 2): exactly zero at (1, -2), as is the Jacobian
+    game = GAME_REGISTRY["decoupled_quartic"]()
+    assert np.array_equal(game.pseudo_gradient([1.0, -2.0]), [0.0, 0.0])
+    assert np.array_equal(game.game_jacobian([1.0, -2.0]), np.zeros((2, 2)))
+    np.testing.assert_array_equal(game.pseudo_gradient([0.0, 0.0]), [-4.0, 32.0])
+    np.testing.assert_array_equal(game.game_jacobian([0.0, 0.0]), np.diag([12.0, 48.0]))

@@ -23,8 +23,10 @@ from nes_sim import (
     integrate,
     make_rhs,
     monitor_lyapunov,
+    parse_config,
     random_connected_graph,
     random_strongly_monotone_game,
+    run_experiment,
     run_sweep,
     solve_lyapunov,
     stability_guard,
@@ -579,3 +581,18 @@ def test_generic_game_runs_the_per_call_law(tag):
     assert np.isfinite(traj.states).all()
     x_end = traj.x_history()[-1]
     assert np.linalg.norm(x_end - x_star) < np.linalg.norm(x0 - x_star)
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.003, 1e-3])
+def test_generic_game_guard_reads_the_analytic_jacobian(dt):
+    # decoupled_quartic's Jacobian at the origin is diag(12, 48), so the
+    # guard's product for gradient play is dt * 48 exactly
+    doc = {
+        "game": {"type": "custom", "name": "decoupled_quartic"},
+        "graph": {"adjacency": [[0.0, 1.0], [1.0, 0.0]]},
+        "strategy": {"tag": "sat_grad_play", "saturation": {"u_bar": 100.0}},
+        "sim": {"dt": dt, "t_end": 0.05},
+    }
+    summary, traj = run_experiment(parse_config(doc))
+    assert summary.guard_product == dt * 48.0
+    assert summary.max_abs_u == 32.0  # 4 * 2^3, player 2's gradient at the origin
