@@ -23,8 +23,7 @@ import numpy as np
 
 from . import tuning
 from .config import ConfigError, _echo, parse_config, read_document
-from .errors import DivergenceError, NotStronglyMonotoneError
-from .games import QuadraticGame
+from .errors import DivergenceError
 from .graphs import estimation_matrix, solve_lyapunov
 from .presets import PRESET_NAMES, figure_preset
 from .runner import check_output_paths, run_experiment
@@ -145,10 +144,6 @@ def cmd_tune(args):
 
 def cmd_oracle(args):
     cfg = parse_config(_apply_overrides(read_document(args.config), args))
-    if not isinstance(cfg.game, QuadraticGame):
-        raise NotStronglyMonotoneError(
-            "the exact equilibrium oracle is only available for quadratic games"
-        )
     x_star = cfg.game.exact_ne()
     residual = float(np.max(np.abs(cfg.game.pseudo_gradient(x_star))))
     print("x_star=" + ",".join(f"{v:.12f}" for v in x_star))

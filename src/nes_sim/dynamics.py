@@ -314,8 +314,8 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None):
     a stack of states, one per row. Other games evaluate the law per call.
     A compiled field has its own closure, so its ``rhs`` does not test
     the game per call.
-    The consensus laws apply M1 = ``estimation_matrix(graph, 1)`` to each
-    action channel of the estimates (M = M1 (x) I_p).
+    The consensus laws apply M1 = ``estimation_matrix(graph, 1)``, one node
+    per player, to each action channel of the estimates (M = M1 (x) I_p).
     """
     tag = StrategyTag(tag)
     layout = StateLayout(tag, game.n_players, game.action_dim)
@@ -332,6 +332,8 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None):
     if layout.has_estimates:
         if graph is None:
             raise ValueError(f"strategy {tag.value} requires a communication graph")
+        if graph.n_nodes != n:
+            raise DimensionMismatchError("graph nodes, one per player", n, graph.n_nodes)
         M1 = estimation_matrix(graph, 1)
         # one gain per estimate, a column so that it scales the estimate's p channels
         coef = -gains.estimation_gain(layout.has_velocity) * gains.theta_bar_vec(n)[:, None]

@@ -33,14 +33,18 @@ class CommGraph:
     Parameters
     ----------
     adjacency : array_like, shape (N, N)
-        Symmetric nonnegative weights with a zero diagonal. Any positive
-        entry is a communication link.
+        Finite, symmetric, nonnegative weights with a zero diagonal, at
+        least one node. Any positive entry is a communication link.
     """
 
     def __init__(self, adjacency):
         a = np.asarray(adjacency, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("adjacency must be a square matrix")
+        if a.size == 0:
+            raise ValueError("adjacency must have at least one node")
+        if not np.isfinite(a).all():
+            raise ValueError("adjacency weights must be finite")
         if not (a == a.T).all():
             raise ValueError("adjacency must be symmetric (undirected graph)")
         if (a < 0.0).any():
@@ -147,9 +151,9 @@ def solve_lyapunov(M, theta_bar=1.0, Q=None, action_dim=1):
     M : ndarray, shape (n, n)
         Symmetric positive definite estimation matrix of one channel.
     theta_bar : float or array_like
-        Positive scalar or length-n vector of diagonal weights.
+        Finite positive scalar or length-n vector of diagonal weights.
     Q : None, float, or ndarray
-        Right-hand side; ``None`` or a scalar q means q * identity.
+        Right-hand side; ``None`` or a finite scalar q > 0 means q * identity.
     action_dim : int
         The number p of action channels.
 
@@ -166,23 +170,23 @@ def solve_lyapunov(M, theta_bar=1.0, Q=None, action_dim=1):
         tb = np.full(n, tb[0])
     if tb.size != n:
         raise DimensionMismatchError("theta_bar diagonal", n, tb.size)
-    if np.any(tb <= 0.0):
-        raise ValueError("theta_bar entries must be strictly positive")
+    if not (np.isfinite(tb).all() and (tb > 0.0).all()):
+        raise ValueError("theta_bar entries must be finite and strictly positive")
 
     p = int(action_dim)
     if p < 1:
         raise ValueError("action_dim must be a positive integer")
     Q = 1.0 if Q is None else Q
     if np.isscalar(Q):
-        if Q <= 0.0:
-            raise ValueError("scalar Q must be positive")
+        if not (np.isfinite(Q) and Q > 0.0):
+            raise ValueError("scalar Q must be finite and positive")
         Qm = float(Q) * np.eye(n)
     else:
         Qm = np.asarray(Q, dtype=float)
         if Qm.shape != (n * p, n * p):
             raise DimensionMismatchError("Q matrix", (n * p) ** 2, Qm.size)
-        if not np.allclose(Qm, Qm.T, rtol=0.0, atol=1e-12):
-            raise ValueError("Q must be symmetric")
+        if not (np.isfinite(Qm).all() and np.allclose(Qm, Qm.T, rtol=0.0, atol=1e-12)):
+            raise ValueError("Q must be finite and symmetric")
         if np.linalg.eigvalsh(Qm)[0] <= 0.0:
             raise ValueError("Q must be positive definite")
         if p > 1:  # Q couples the channels: one solve at full size

@@ -11,7 +11,6 @@ import numpy as np
 from . import tuning
 from .dynamics import make_rhs
 from .errors import ConfigError, NotStronglyMonotoneError
-from .games import QuadraticGame
 from .graphs import estimation_matrix, solve_lyapunov
 from .simulate import (
     attach_distance,
@@ -131,12 +130,10 @@ def run_experiment(cfg):
         tb = cfg.gains.theta_bar_vec(game.n_players)
         lyap = solve_lyapunov(M1, tb, cfg.lyapunov_q, game.action_dim)
 
-    x_star = None
-    if isinstance(game, QuadraticGame):
-        try:
-            x_star = game.exact_ne()
-        except NotStronglyMonotoneError:
-            x_star = None
+    try:
+        x_star = game.exact_ne()
+    except NotStronglyMonotoneError:
+        x_star = None
 
     rhs, layout = make_rhs(tag, game, graph=graph, gains=cfg.gains, sat_spec=cfg.sat_spec)
     start = time.perf_counter()

@@ -273,18 +273,15 @@ def integrate(rhs, state0, cfg, layout):
     # s.s overflows once |s| passes ~1e154 while every entry is still
     # finite, and the steps after a state turns non-finite meet inf - inf
     # until the next screen: entered once, so the loop pays nothing per step
-    saved = np.empty(layout.size)
+    mark = np.empty(layout.size)  # the first state of the screened run
     with np.errstate(over="ignore", invalid="ignore"):
         u = field_at_s()
         for rec, start in enumerate(range(0, n_steps, stride)):
             states[rec] = s
             controls[rec] = u
             stop = min(start + stride, n_steps)
-            mark = states[rec]
             for lo in range(start, stop, _SCREEN_STEPS):
-                if lo > start:
-                    mark = saved
-                    saved[:] = s
+                mark[:] = s
                 hi = min(lo + _SCREEN_STEPS, stop)
                 u = advance(hi - lo)
                 # s.s is finite unless an entry is non-finite or |s| passes
@@ -346,7 +343,7 @@ def check_control_bounds(traj, spec):
     spec.check_size(traj.controls.shape[1])
     over = np.max(traj.controls - spec.upper, initial=0.0)
     under = np.max(spec.lower - traj.controls, initial=0.0)
-    worst = float(max(over, under, 0.0))
+    worst = float(max(over, under))
     return worst == 0.0, worst
 
 
@@ -364,8 +361,7 @@ def monitor_lyapunov(traj, game, *, gains=None, sat_spec=None, P=None, x_star=No
     )
     traj.diagnostics["V"] = values
     increments = np.diff(values)
-    max_inc = float(increments.max(initial=0.0))
-    return values, max(max_inc, 0.0)
+    return values, float(increments.max(initial=0.0))
 
 
 def stability_guard(cfg, tag, gains=None, M=None, game=None):

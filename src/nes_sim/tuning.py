@@ -18,7 +18,6 @@ import numpy as np
 
 from .dynamics import StrategyTag
 from .errors import NotStronglyMonotoneError
-from .games import QuadraticGame
 from .graphs import estimation_matrix
 
 __all__ = [
@@ -79,15 +78,7 @@ class TunerReport:
 
 
 def _certified_m(game, m_override=None):
-    if m_override is not None:
-        m = float(m_override)
-    elif isinstance(game, QuadraticGame):
-        m = game.monotonicity_constant()
-    else:
-        raise NotStronglyMonotoneError(
-            "monotonicity constant is uncertified for this game; "
-            "supply a certified value explicitly"
-        )
+    m = game.monotonicity_constant() if m_override is None else float(m_override)
     if m <= 0.0:
         raise NotStronglyMonotoneError(
             "pseudo-gradient is not strongly monotone (m <= 0); gain bounds are undefined"
@@ -99,13 +90,9 @@ def lipschitz_constants(game):
     """Per-player Lipschitz constants of the own-gradients.
 
     For a quadratic game these are exact: the spectral norm of each
-    player's block-row of the constant stacked Jacobian.
+    player's block-row of the constant stacked Jacobian. Other games have
+    no constant Jacobian and raise ``NotStronglyMonotoneError``.
     """
-    if not isinstance(game, QuadraticGame):
-        raise NotStronglyMonotoneError(
-            "Lipschitz constants are only computed for quadratic games; "
-            "supply certified Lipschitz constants manually"
-        )
     H = game.jacobian_matrix
     p = game.action_dim
     return np.array(
@@ -128,11 +115,6 @@ def theta_star_first_order(game, graph, lyap, theta=None, *, lbar=None, m=None, 
     m = _certified_m(game, m)
     lbar = np.asarray(lbar, dtype=float) if lbar is not None else lipschitz_constants(game)
     if sup_h_norm is None:
-        if not isinstance(game, QuadraticGame):
-            raise NotStronglyMonotoneError(
-                "the Jacobian norm bound is only computed for quadratic games; "
-                "supply sup_h_norm explicitly"
-            )
         sup_h_norm = float(np.linalg.norm(game.jacobian_matrix, 2))
     n = game.n_players
     p_norm = lyap.p_norm

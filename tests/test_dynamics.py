@@ -385,6 +385,17 @@ def test_make_rhs_requires_graph_and_bounds(sensor_game, path_graph):
         make_rhs(StrategyTag.SAT_GRAD_PLAY, sensor_game)
 
 
+@pytest.mark.parametrize("tag", [t for t in StrategyTag if StateLayout(t, 1, 1).has_estimates])
+def test_make_rhs_refuses_a_graph_of_the_wrong_size(tag, sensor_game):
+    # one node per player, refused before any product with the estimates
+    gains = GainSet(theta=200.0, theta1=1.0, K=0.1)
+    for nodes in (2, 4):
+        graph = CommGraph(np.ones((nodes, nodes)) - np.eye(nodes))
+        for game in (sensor_game, _generic_twin(sensor_game)):
+            with pytest.raises(DimensionMismatchError, match=f"expected length 3, got {nodes}"):
+                make_rhs(tag, game, graph=graph, gains=gains, sat_spec=SPEC5)
+
+
 @pytest.mark.parametrize("tag", list(StrategyTag))
 def test_make_rhs_rejects_wrong_state_length(tag, sensor_game, path_graph):
     gains = GainSet(theta=200.0, theta1=1.0, K=0.1, alpha=1.0, beta=1.0)

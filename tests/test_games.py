@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -294,3 +296,49 @@ def test_decoupled_quartic_is_exact_at_its_equilibrium():
     assert np.array_equal(game.game_jacobian([1.0, -2.0]), np.zeros((2, 2)))
     np.testing.assert_array_equal(game.pseudo_gradient([0.0, 0.0]), [-4.0, 32.0])
     np.testing.assert_array_equal(game.game_jacobian([0.0, 0.0]), np.diag([12.0, 48.0]))
+
+
+def test_a_generic_game_refuses_the_certification_questions():
+    # m, the constant Jacobian and the closed-form equilibrium are certified
+    # only for quadratic games; any other game says so itself
+    generic = GameDefinition(1, 1, np.negative, lambda x: -np.eye(1))
+    for game in (GAME_REGISTRY["skew_bilinear"](), generic):
+        with pytest.raises(NotStronglyMonotoneError, match="oracle"):
+            game.exact_ne()
+        with pytest.raises(NotStronglyMonotoneError, match="uncertified"):
+            game.monotonicity_constant()
+        with pytest.raises(NotStronglyMonotoneError, match="manually") as exc:
+            game.jacobian_matrix
+        assert "Lipschitz constants" in str(exc.value) and "sup_h_norm" in str(exc.value)
+
+
+def test_quadratic_evaluators_are_the_affine_map_bit_for_bit():
+    # QuadraticGame hands H x + c and H to GameDefinition and keeps no
+    # evaluator of its own but the block-row own-gradients
+    assert "pseudo_gradient" not in vars(QuadraticGame)
+    assert "game_jacobian" not in vars(QuadraticGame)
+    rng = np.random.default_rng(29)
+    for _ in range(30):
+        game = random_strongly_monotone_game(rng, int(rng.integers(1, 6)), int(rng.integers(1, 4)))
+        H, c, d = game.jacobian_matrix, game.p_vec.ravel(), game.profile_dim
+        x, X = rng.normal(scale=3.0, size=d), rng.normal(scale=3.0, size=(7, d))
+        assert np.array_equal(game.pseudo_gradient(x), H @ x + c)
+        assert np.array_equal(game.pseudo_gradient(X), (H @ X.T).T + c)
+        J = game.game_jacobian(x)
+        assert np.array_equal(J, H) and J is not H and not np.shares_memory(J, H)
+        J[0, 0] += 1.0  # a fresh copy: the game's H is untouched
+        assert np.array_equal(game.game_jacobian(X), H)
+
+
+def test_quadratic_games_pickle_with_equal_evaluators():
+    # the evaluators handed to GameDefinition are bound methods, not lambdas
+    rng = np.random.default_rng(31)
+    game = random_strongly_monotone_game(rng, 4, 2)
+    twin = pickle.loads(pickle.dumps(game))
+    X = rng.normal(scale=3.0, size=(5, game.profile_dim))
+    Y = rng.normal(scale=3.0, size=(5, game.n_players * game.profile_dim))
+    assert np.array_equal(twin.pseudo_gradient(X), game.pseudo_gradient(X))
+    assert np.array_equal(twin.own_gradients_at_estimates(Y), game.own_gradients_at_estimates(Y))
+    assert np.array_equal(twin.game_jacobian(X[0]), game.game_jacobian(X[0]))
+    assert np.array_equal(twin.exact_ne(), game.exact_ne())
+    assert twin.monotonicity_constant() == game.monotonicity_constant()

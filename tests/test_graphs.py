@@ -75,6 +75,13 @@ def test_graph_validation():
         CommGraph([[0, -1], [-1, 0]])
     with pytest.raises(ValueError, match="diagonal"):
         CommGraph([[1, 1], [1, 0]])
+    # unchecked, an infinite weight surfaces as "must be connected", NaN as
+    # asymmetric, and a 0 x 0 graph as an IndexError in is_connected()
+    for weight in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="adjacency weights must be finite"):
+            CommGraph([[0.0, weight], [weight, 0.0]])
+    with pytest.raises(ValueError, match="at least one node"):
+        CommGraph(np.zeros((0, 0)))
 
 
 def test_estimation_matrix_path_structure():
@@ -277,3 +284,21 @@ def test_solve_lyapunov_rejects_indefinite_and_ill_conditioned():
         solve_lyapunov(np.eye(2), theta_bar=[1.0, 0.0])
     with pytest.raises(ValueError, match="symmetric"):
         solve_lyapunov(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_lyapunov_refuses_a_non_finite_theta_bar(bad):
+    m = estimation_matrix(CommGraph(path_graph_adjacency()), 1)
+    with pytest.raises(ValueError, match="theta_bar entries must be finite and strictly positive"):
+        solve_lyapunov(m, np.r_[np.ones(8), bad], 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solve_lyapunov_refuses_a_non_finite_q(bad):
+    m = estimation_matrix(CommGraph(path_graph_adjacency()), 1)
+    with pytest.raises(ValueError, match="scalar Q must be finite and positive"):
+        solve_lyapunov(m, 1.0, bad)
+    q = np.eye(9)
+    q[0, 0] = bad  # inf passes the symmetry test; the finiteness test refuses it
+    with pytest.raises(ValueError, match="Q must be finite and symmetric"):
+        solve_lyapunov(m, 1.0, q)
