@@ -107,9 +107,9 @@ def _json_copy(value):
     """A copy of ``value`` in JSON's own types, as ``json.loads(json.dumps(value))``.
 
     Lists, tuples, dicts with string keys and the leaf types above are
-    copied without the text, and a numpy number becomes the Python number it
-    equals. Anything else (a non-string key, a str subclass) takes the text
-    round trip, so it is converted or refused as before.
+    copied without the text; a numpy number becomes the Python number it
+    equals. Anything else takes the text round trip (a numpy array becomes
+    its nested list), so it is converted or refused as before.
     """
     kind = type(value)
     if kind in _JSON_LEAVES:
@@ -122,7 +122,7 @@ def _json_copy(value):
         return int(str(value))  # json.dumps's conversion, with its digit limit
     if isinstance(value, numbers.Real):
         return float(value)
-    return json.loads(json.dumps(value))
+    return json.loads(json.dumps(value, default=np.ndarray.tolist))
 
 
 @dataclass
@@ -168,7 +168,7 @@ def _parse_game(section):
             raise ConfigError("game: 'name' is only valid for type custom")
         arrays = {key: _numbers(section[key], f"game.{key}") for key in _QUADRATIC_KEYS}
         try:
-            return QuadraticGame(**arrays)
+            return QuadraticGame(**arrays), arrays
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"game: {exc}") from exc
     if kind == "custom":
@@ -182,7 +182,7 @@ def _parse_game(section):
             raise ConfigError(
                 f"game: unknown custom game {_echo(name)}; available: {sorted(GAME_REGISTRY)}"
             )
-        return GAME_REGISTRY[name]()
+        return GAME_REGISTRY[name](), {}
     raise ConfigError(f"game: type must be 'quadratic' or 'custom', got {_echo(kind)}")
 
 
@@ -212,7 +212,7 @@ def parse_config(doc):
     """Validate a configuration dict and build the experiment objects.
 
     The normalized form (``to_dict``, ``config_hash``) is a copy of ``doc``
-    with the parsed values written back: floats where numbers are read, the
+    with the parsed values written back: floats wherever numbers are read, the
     whole ``sim`` section, every init block, symmetric bounds as ``u_bar``,
     and no empty ``gains`` or ``tuner_overrides``.
     """
@@ -220,7 +220,7 @@ def parse_config(doc):
     for key in ("game", "graph", "strategy", "sim"):
         _require(doc, key, "config")
 
-    game = _parse_game(doc["game"])
+    game, game_arrays = _parse_game(doc["game"])
     n, p = game.n_players, game.action_dim
 
     graph_sec = doc["graph"]
@@ -263,6 +263,8 @@ def parse_config(doc):
     for key in ("theta_bar", "K"):
         if key in gains_sec:
             val = _numbers(gains_sec[key], f"strategy.gains.{key}")
+            if val.ndim > 1:
+                raise ConfigError(f"strategy.gains.{key}: expected a number or a flat list")
             kwargs[key] = float(val) if val.ndim == 0 else val
     try:
         gains = GainSet(**kwargs)
@@ -292,17 +294,17 @@ def parse_config(doc):
     if layout.is_saturated and sat_spec is None:
         raise ConfigError(f"strategy: tag {tag.value} requires a saturation section")
 
-    overrides = strat.get("tuner_overrides", {})
-    _reject_unknown(overrides, _OVERRIDE_KEYS, "strategy.tuner_overrides")
-    for key, val in overrides.items():
+    given = strat.get("tuner_overrides", {})
+    _reject_unknown(given, _OVERRIDE_KEYS, "strategy.tuner_overrides")
+    overrides = {}
+    for key, val in given.items():
         path = f"strategy.tuner_overrides.{key}"
         if key == "lipschitz_constants":
             if not isinstance(val, list) or len(val) != n:
                 raise ConfigError(f"{path}: expected a list of {n} numbers, one per player")
-            for v in val:
-                _positive(v, path)
+            overrides[key] = [_positive(v, path) for v in val]
         else:
-            _positive(val, path)
+            overrides[key] = _positive(val, path)
 
     sim_sec = doc["sim"]
     _reject_unknown(sim_sec, _SIM_KEYS, "sim")
@@ -352,9 +354,13 @@ def parse_config(doc):
         normalized = _json_copy(doc)
     except RecursionError:  # nested past Python's recursion limit; json's C code goes deeper
         normalized = json.loads(json.dumps(doc))
+    normalized["game"].update((k, v.tolist()) for k, v in game_arrays.items())
     normalized["graph"]["adjacency"] = adjacency.tolist()
+    if "lyapunov_q" in graph_sec:
+        normalized["graph"]["lyapunov_q"] = np.asarray(lyap_q).tolist()
     strategy = normalized["strategy"]
     strategy["gains"] = {k: np.asarray(v).tolist() for k, v in kwargs.items()}
+    strategy["tuner_overrides"] = dict(overrides)
     for key in ("gains", "tuner_overrides"):  # dropped when empty
         if not strategy.get(key):
             strategy.pop(key, None)
@@ -374,7 +380,7 @@ def parse_config(doc):
         sim=sim,
         init=init,
         lyapunov_q=lyap_q,
-        tuner_overrides=dict(overrides),
+        tuner_overrides=overrides,
         output=output,
         sweep=sweep,
         normalized=normalized,

@@ -2,10 +2,11 @@
 
 Every strategy is written as a right-hand side over a flat state vector
 whose blocks follow the order x | nu | z | y (blocks absent from a layout
-are skipped). All vector fields return the pair ``(dstate, u)`` so the
-recorder can log and bound-check control inputs without recomputation;
-``rhs(state, out=row)`` writes ``dstate`` straight into the integrator's
-stage row.
+are skipped). Every player is an integrator chain (xdot = u, or xdot = nu
+and nudot = u), so the applied control is the derivative's x or nu rows,
+``StateLayout.control``. A vector field ``rhs(state, out)`` writes the
+derivative into ``out`` (the integrator's stage row) and returns it; the
+recorder reads the control from ``out[layout.control]``.
 
 Strategies
 ----------
@@ -99,8 +100,7 @@ def sat(v, spec):
     zero-input case mapping to zero; the clamp realisation is continuous
     and numerically exact at the bounds.
     """
-    v = np.asarray(v, dtype=float)
-    return clip(v, spec.lower, spec.upper)
+    return clip(np.asarray(v, dtype=float), spec.lower, spec.upper)
 
 
 def sat_integral(g, u_bar):
@@ -184,6 +184,11 @@ class StateLayout:
     @property
     def has_velocity(self):
         return "nu" in self.offsets
+
+    @property
+    def control(self):
+        """Slice of the derivative that is the applied control: nu rows, else x rows."""
+        return slice(*self.offsets["nu" if self.has_velocity else "x"])
 
     @property
     def has_reference(self):
@@ -300,20 +305,19 @@ def _per_channel(m, v):
 def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None):
     """Bind a strategy's vector field to its game, graph, and gains.
 
-    Returns ``(rhs, layout)`` where ``rhs(state, out=None) -> (dstate, u)``.
-    Each control law is written once here, unclamped; ``rhs`` clamps the
-    control rows of ``dstate`` in place with one call of numpy's ``clip``
-    ufunc (the clamp ``sat`` uses, bitwise equal to ``maximum`` with the
-    lower bound then ``minimum`` with the upper), so ``u`` is a view of them.
-    Without ``out`` the state length is checked (``LayoutMismatchError``)
-    and ``dstate`` is fresh; with ``out`` (``layout.size`` floats, not
-    overlapping the state) ``dstate is out``, and the compiled path leaves
-    the length check to the product (``ValueError``). A ``QuadraticGame``
-    law is affine (the pseudo-gradient is ``H x + c``), so it is compiled
-    once to ``A s + b`` from ``b = law(0)`` and ``law(I)``: each law takes
-    a stack of states, one per row. Other games evaluate the law per call.
-    A compiled field has its own closure, so its ``rhs`` does not test
-    the game per call.
+    Returns ``(rhs, layout)``. ``rhs(state, out)`` writes the derivative
+    into ``out`` (``layout.size`` floats, not overlapping the state) and
+    returns it; every player is an integrator chain, so the applied control
+    is ``out[layout.control]``. Each control law is written once here,
+    unclamped; ``rhs`` clamps the control rows in place with one call of
+    numpy's ``clip`` ufunc (the clamp ``sat`` uses, bitwise equal to
+    ``maximum`` with the lower bound then ``minimum`` with the upper). A
+    ``QuadraticGame`` law is affine (the pseudo-gradient is ``H x + c``), so
+    it is compiled once to ``A s + b`` from ``b = law(0)`` and ``law(I)``:
+    each law takes a stack of states, one per row. Other games evaluate the
+    law per call, which checks the state's length (``LayoutMismatchError``);
+    the compiled product refuses a wrong length (``ValueError``), and its
+    closure does not test the game per call.
     The consensus laws apply M1 = ``estimation_matrix(graph, 1)``, one node
     per player, to each action channel of the estimates (M = M1 (x) I_p).
     """
@@ -376,19 +380,16 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None):
             zdot = neg_kbar * game.own_gradients_at_estimates(y)
             return np.concatenate([nu, -(x - z) - (nu - zdot), zdot, consensus(y, z)], axis=-1)
 
-    ua, ub = layout.offsets["nu" if layout.has_velocity else "x"]
-    check, size = layout.check, layout.size
+    control, check, size = layout.control, layout.check, layout.size
 
     if not isinstance(game, QuadraticGame):
 
-        def rhs(s, out=None):
-            if out is None:
-                out = np.empty(size)
+        def rhs(s, out):
             out[:] = law(check(s))
-            u = out[ua:ub]
             if clamped:
+                u = out[control]
                 clip(u, lower, upper, u)
-            return out, u
+            return out
 
         return rhs, layout
 
@@ -396,18 +397,14 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None):
     b = law(np.zeros(size))
     A = np.ascontiguousarray((law(np.eye(size)) - b).T)
     add = np.add
-    # with out given the state goes unchecked: the product still refuses
-    # any length but layout.size
 
-    def rhs(s, out=None):
-        if out is None:
-            s, out = check(s), np.empty(size)
+    def rhs(s, out):
         A.dot(s, out)
         add(out, b, out)
-        u = out[ua:ub]
         if clamped:
+            u = out[control]
             clip(u, lower, upper, u)
-        return out, u
+        return out
 
     return rhs, layout
 
@@ -433,8 +430,8 @@ def lyapunov_value(tag, game, state, *, gains=None, sat_spec=None, P=None, x_sta
     - SECOND_ORDER_DIST_SAT: as above with the tracking terms replaced by
       clamp integrals and full weight on the velocity error.
 
-    Raises ``ValueError`` when a required ingredient (P, x_star, symmetric
-    bounds) is missing.
+    Raises ``ValueError`` when a required ingredient (P, x_star, the gains
+    theta1 and K, symmetric bounds) is missing.
     """
     tag = StrategyTag(tag)
     layout = StateLayout(tag, game.n_players, game.action_dim)
@@ -458,6 +455,8 @@ def lyapunov_value(tag, game, state, *, gains=None, sat_spec=None, P=None, x_sta
         x_star = np.asarray(x_star, dtype=float).ravel()
         if x_star.size != n:
             raise DimensionMismatchError("x_star", n, x_star.size)
+        gains = gains if gains is not None else GainSet()
+        gains.require("theta1", "K")
     states = np.asarray(state, dtype=float)
     if states.ndim not in (1, 2) or states.shape[-1] != layout.size:
         raise LayoutMismatchError(

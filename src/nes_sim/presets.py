@@ -38,8 +38,7 @@ def sensor_network_game():
 
 
 def complete_graph_adjacency(n=3):
-    a = np.ones((n, n)) - np.eye(n)
-    return a
+    return np.ones((n, n)) - np.eye(n)
 
 
 def path_graph_adjacency(n=3):

@@ -180,18 +180,16 @@ def integrate(rhs, state0, cfg, layout):
     Parameters
     ----------
     rhs : callable
-        ``rhs(state, out=None) -> (dstate, u)``, called once per stage of
-        every step and once more at the final state (``cfg.rhs_evals``
-        calls), always as ``rhs(state, row)``. ``row`` is a derivative row
-        of the loop; a ``dstate`` other than ``row`` is copied into it, so
-        a field that ignores its second argument still works. ``u`` must
-        have ``layout.action_size`` entries; it is read before ``rhs`` is
-        called again.
+        ``rhs(state, out)`` writes the derivative at ``state`` into ``out``,
+        a derivative row of the loop. It is called once per stage of every
+        step and once more at the final state (``cfg.rhs_evals`` calls).
     state0 : array_like
         Initial flat state in ``layout`` order.
     cfg : SimConfig
     layout : dynamics.StateLayout
-        Used for validation and for naming blocks in divergence reports.
+        Validates the state, names blocks in divergence reports, and gives
+        each record's control: the ``layout.control`` rows of the derivative
+        at its state, the rate of each player's last integrator.
 
     Raises
     ------
@@ -221,36 +219,23 @@ def integrate(rhs, state0, cfg, layout):
     ]
     step_dot = np.array([dt * w for w in scheme.weights]).dot
     s_dot, isfinite = s.dot, math.isfinite
+    control = k1[layout.control]  # the control at s once rhs(s, k1) has run
 
     n_rec = (n_steps - 1) // stride + 2
     states = np.empty((n_rec, layout.size))
     controls = np.empty((n_rec, layout.action_size))
     times = np.r_[0:n_steps:stride, n_steps] * dt
 
-    def field_at_s():
-        # the first stage of the step from s; a field that ignores its
-        # row has its result copied there
-        k, u = rhs(s, k1)
-        if k is not k1:
-            k1[:] = k
-        return u
-
     def advance(count):
-        # count steps from s, whose first stage is in k1 on entry and on
-        # return; gives the control at the last state
+        # count steps from s, whose first stage is in k1 on entry and on return
         nonlocal s
         for _ in range(count):
             for stage_dot, src, dst in stages:
                 stage_dot(src, buf)
-                k = rhs(buf, dst)[0]
-                if k is not dst:
-                    dst[:] = k
+                rhs(buf, dst)
             step_dot(ks, buf)
             s += buf
-            k, u = rhs(s, k1)
-            if k is not k1:
-                k1[:] = k
-        return u
+            rhs(s, k1)
 
     def diverged(mark, lo, hi):
         # replay steps lo+1..hi from mark, screening every step, to name
@@ -258,7 +243,7 @@ def integrate(rhs, state0, cfg, layout):
         # leaves step hi named
         end = s.copy()
         s[:] = mark
-        field_at_s()
+        rhs(s, k1)
         for step in range(lo + 1, hi + 1):
             advance(1)
             if not np.isfinite(s).all():
@@ -275,21 +260,21 @@ def integrate(rhs, state0, cfg, layout):
     # until the next screen: entered once, so the loop pays nothing per step
     mark = np.empty(layout.size)  # the first state of the screened run
     with np.errstate(over="ignore", invalid="ignore"):
-        u = field_at_s()
+        rhs(s, k1)
         for rec, start in enumerate(range(0, n_steps, stride)):
             states[rec] = s
-            controls[rec] = u
+            controls[rec] = control
             stop = min(start + stride, n_steps)
             for lo in range(start, stop, _SCREEN_STEPS):
                 mark[:] = s
                 hi = min(lo + _SCREEN_STEPS, stop)
-                u = advance(hi - lo)
+                advance(hi - lo)
                 # s.s is finite unless an entry is non-finite or |s| passes
                 # ~1e154; only then does the exact test run
                 if not isfinite(s_dot(s)) and not np.isfinite(s).all():
                     raise diverged(mark, lo, hi)
     states[-1] = s
-    controls[-1] = u
+    controls[-1] = control
     return Trajectory(times=times, states=states, controls=controls, layout=layout)
 
 
@@ -367,26 +352,27 @@ def monitor_lyapunov(traj, game, *, gains=None, sat_spec=None, P=None, x_star=No
 def stability_guard(cfg, tag, gains=None, M=None, game=None):
     """Estimate dt * (fastest mode rate) and warn when it nears instability.
 
-    For consensus strategies the fastest mode is the estimation flow,
-    rate (theta * theta1) * max(theta_bar) * lambda_max(M); otherwise the
-    game Jacobian's norm (plus damping gains) is used. Violation warns
-    rather than aborts: saturation often tames the transient. ``M`` is
-    the per-channel ``estimation_matrix(graph, 1)``, whose largest
-    eigenvalue is that of the full M1 (x) I_p.
+    For consensus strategies the fastest mode is the estimation flow, rate
+    (theta * theta1) * max(theta_bar) * lambda_max(M), and the strategy's
+    gains are required as ``make_rhs`` requires them; otherwise the game
+    Jacobian's norm (plus damping gains) is used. Violation warns rather
+    than aborts: saturation often tames the transient. ``M`` is the
+    per-channel ``estimation_matrix(graph, 1)``, whose largest eigenvalue
+    is that of the full M1 (x) I_p.
     """
     tag = dyn.StrategyTag(tag)
     blocks = dyn.STRATEGIES[tag].blocks
+    gains = gains if gains is not None else dyn.GainSet()
     rate = 0.0
     if M is not None and "y" in blocks:
+        gains.require(*dyn.STRATEGIES[tag].gains)
         scale = gains.estimation_gain("nu" in blocks)
         tb_max = float(np.max(np.asarray(gains.theta_bar if gains.theta_bar is not None else 1.0)))
         rate = scale * tb_max * float(np.linalg.eigvalsh(M)[-1])
     elif game is not None:
-        h_norm = float(np.linalg.norm(game.game_jacobian(np.zeros(game.profile_dim)), 2))
+        rate = float(np.linalg.norm(game.game_jacobian(np.zeros(game.profile_dim)), 2))
         if tag is dyn.StrategyTag.SECOND_ORDER_CENTRAL:
-            rate = h_norm + (gains.alpha or 0.0) + (gains.beta or 0.0)
-        else:
-            rate = h_norm
+            rate = rate + (gains.alpha or 0.0) + (gains.beta or 0.0)
     product = cfg.dt * rate
     limit = cfg.guard_limit
     if product > limit:

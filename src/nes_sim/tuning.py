@@ -245,8 +245,11 @@ def theta_bounds_second_order(
                 f"theta_star={theta_star:.12g}); the decrease matrix A1 is not "
                 "positive definite"
             )
-        lambda_min_a1 = float(_lambda_min_2x2(m, -l1 / 2.0, lam_q * theta - l2))
-        theta1_star = float((4.0 * lambda_min_a1 / (theta * theta * l3 * l3)) ** (1.0 / 3.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            lambda_min_a1 = float(_lambda_min_2x2(m, -l1 / 2.0, lam_q * theta - l2))
+            theta1_star = float((4.0 * lambda_min_a1 / (theta * theta * l3 * l3)) ** (1.0 / 3.0))
+        if not np.isfinite([lambda_min_a1, theta1_star]).all():
+            raise ValueError(f"theta={theta:.12g} gives a non-finite lambda_min(A1) or theta1_star")
         if saturated:
             caveats.append(
                 "theta1_star is a starting heuristic only: the sufficient value "

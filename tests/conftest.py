@@ -14,6 +14,12 @@ from nes_sim.presets import figure_preset, path_graph_adjacency
 X0 = np.array([10.0, 0.0, 0.0, 5.0, 0.0, 0.0])
 
 
+def evaluate(rhs, layout, state):
+    """A field's derivative at ``state`` in a fresh row, and its control rows."""
+    ds = rhs(state, np.empty(layout.size))
+    return ds, ds[layout.control]
+
+
 def central_difference(f, x):
     """Central differences of ``f`` at ``x``, one column per coordinate of
     ``x``: the gradient of a scalar ``f``, the Jacobian of a vector one.

@@ -189,7 +189,7 @@ def test_criterion_7_property_suites(sensor_game):
 
     # RK4 order factor
     lay1 = StateLayout(StrategyTag.SAT_GRAD_PLAY, 1, 1)
-    decay = lambda s, out=None: (-s, -s)
+    decay = lambda s, out: np.negative(s, out)
 
     def endpoint_error(dt):
         traj = integrate(decay, np.array([1.0]), SimConfig(dt=dt, t_end=1.0), lay1)
@@ -208,16 +208,15 @@ def test_criterion_7_property_suites(sensor_game):
     _report("7 property suites", f"rk4 factor={factor:.2f}, residual={pair.residual:.1e}")
 
 
-def _gradient_play(game, state):
+def _gradient_play(game, state, out):
     # plain (unclamped) gradient play: the unsaturated reference flow
-    u = -game.pseudo_gradient(state)
-    return u.copy(), u
+    return np.negative(game.pseudo_gradient(state), out)
 
 
 def test_criterion_8_unsaturated_limit_equivalence(sensor_game):
     big = SaturationSpec.symmetric(1e12)
     rhs_sat, lay = make_rhs(StrategyTag.SAT_GRAD_PLAY, sensor_game, sat_spec=big)
-    rhs_plain = lambda s, out=None: _gradient_play(sensor_game, s)
+    rhs_plain = lambda s, out: _gradient_play(sensor_game, s, out)
     cfg = SimConfig(dt=1e-3, t_end=5.0, record_stride=10)
     a = integrate(rhs_sat, X0, cfg, lay)
     b = integrate(rhs_plain, X0, cfg, lay)

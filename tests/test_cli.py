@@ -1,5 +1,6 @@
 import copy
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -271,6 +272,26 @@ def test_tune_refusal_names_theta_and_theta_star(tmp_path, capsys):
     assert main(["tune", _write(tmp_path, doc)]) == 1
     err = capsys.readouterr().err
     assert f"theta=1, theta_star={theta_star}" in err
+
+
+def test_theta_too_large_for_the_ceiling_exits_one_and_run_reports_it(tmp_path, capsys):
+    # lambda_min(A1) would overflow to -inf and theta1_star to nan: tune refuses
+    # theta, and run echoes the refusal. theta * theta1 = 100 keeps the run finite.
+    doc = _short_run_doc(tmp_path, "fig4")
+    doc["strategy"]["gains"].update(theta=1e308, theta1=1e-306)
+    path = _write(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["tune", path]) == 1
+        captured = capsys.readouterr()
+        assert "nan" not in captured.out and "inf" not in captured.out
+        assert captured.err == (
+            "error: theta=1e+308 gives a non-finite lambda_min(A1) or theta1_star\n"
+        )
+        assert main(["--t-end", "0.01", "run", path]) == 2
+    out = capsys.readouterr().out
+    assert "tuner_error=theta=1e+308 gives a non-finite lambda_min(A1) or theta1_star" in out
+    assert "tuner_theta1_star" not in out
 
 
 @pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN", "1e999"])

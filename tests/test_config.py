@@ -403,6 +403,42 @@ def test_ensemble_entry_hash_is_pinned():
 
 
 @pytest.mark.parametrize(
+    "name, where, as_floats, as_given",
+    [
+        ("fig2", ("game", "q"), [3.0, 3.0, 6.0], [3, 3, 6]),
+        ("fig2", ("game", "m_weights"), [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]],
+         [[0, 1, 0], [1, 0, 1], [0, 1, 0]]),
+        ("fig3", ("graph", "lyapunov_q"), 2.0, 2),
+        ("fig3", ("graph", "lyapunov_q"), np.eye(18).tolist(), np.eye(18, dtype=int).tolist()),
+        ("fig3", ("graph", "lyapunov_q"), np.eye(18).tolist(), np.eye(18)),
+        ("fig2", ("strategy", "tuner_overrides"), {"monotonicity_m": 1.0}, {"monotonicity_m": 1}),
+        ("fig2", ("strategy", "tuner_overrides"), {"lipschitz_constants": [12.0] * 3},
+         {"lipschitz_constants": [12, 12, 12]}),
+    ],
+    ids=["int-q", "int-m-weights", "int-scalar-q", "int-matrix-q", "ndarray-q",
+         "int-override", "int-lipschitz"],
+)
+def test_equal_documents_hash_equal(name, where, as_floats, as_given):
+    # the normalized form holds what the parse read, so numbers equal as
+    # floats give one hash whatever their JSON type or container
+    floats = parse_config(_with(figure_preset(name), where, as_floats))
+    given = parse_config(_with(figure_preset(name), where, as_given))
+    assert json.dumps(given.to_dict()) == json.dumps(floats.to_dict())
+    assert given.config_hash() == floats.config_hash()
+
+
+@pytest.mark.parametrize(
+    "key, value", [("theta_bar", [[1.0] * 3] * 3), ("K", [[0.1]] * 3)], ids=["theta_bar", "K"]
+)
+def test_gains_with_more_than_one_axis_are_refused(key, value):
+    # read flat, they would be hashed nested: refused like 2-D saturation bounds
+    doc = figure_preset("fig4")
+    doc["strategy"]["gains"][key] = value
+    with pytest.raises(ConfigError, match=f"^strategy.gains.{key}: expected a number or a flat"):
+        parse_config(doc)
+
+
+@pytest.mark.parametrize(
     "where, value, path",
     [
         (("game", "r", 1, 0, 1), True, "game.r"),

@@ -24,7 +24,7 @@ from nes_sim import (
     sat_integral,
     solve_lyapunov,
 )
-from tests.conftest import X0
+from tests.conftest import X0, evaluate
 
 SPEC5 = SaturationSpec.symmetric(5.0)
 
@@ -191,6 +191,20 @@ def test_layout_sizes():
         assert StateLayout(tag, 3, 2).size == size
 
 
+def test_layout_control_is_the_x_rows_or_the_nu_rows():
+    # xdot = u for first-order players, nudot = u for second-order ones
+    controls = {
+        StrategyTag.SAT_GRAD_PLAY: slice(0, 6),
+        StrategyTag.FIRST_ORDER_DIST: slice(0, 6),
+        StrategyTag.SECOND_ORDER_CENTRAL: slice(6, 12),
+        StrategyTag.SECOND_ORDER_DIST: slice(6, 12),
+        StrategyTag.SECOND_ORDER_DIST_SAT: slice(6, 12),
+    }
+    for tag, control in controls.items():
+        assert StateLayout(tag, 3, 2).control == control
+    assert StateLayout(StrategyTag.SECOND_ORDER_DIST, 4, 1).control == slice(4, 8)
+
+
 def test_layout_pack_split_roundtrip():
     lay = StateLayout(StrategyTag.SECOND_ORDER_DIST, 3, 2)
     rng = np.random.default_rng(3)
@@ -247,19 +261,19 @@ GAINS2 = GainSet(theta=200.0, theta1=1.0, K=0.1, theta_bar=1.0)
 
 
 def test_sat_gradient_play_control(sensor_game):
-    ds, u = make_rhs(StrategyTag.SAT_GRAD_PLAY, sensor_game, sat_spec=SPEC5)[0](X0)
+    ds, u = evaluate(*make_rhs(StrategyTag.SAT_GRAD_PLAY, sensor_game, sat_spec=SPEC5), X0)
     np.testing.assert_array_equal(u, [-5.0, 5.0, 5.0, -5.0, 4.0, 5.0])
     np.testing.assert_array_equal(ds, u)
 
 
 def test_sat_gradient_play_equilibrium(sensor_game, x_star):
-    ds, u = make_rhs(StrategyTag.SAT_GRAD_PLAY, sensor_game, sat_spec=SPEC5)[0](x_star)
+    ds, u = evaluate(*make_rhs(StrategyTag.SAT_GRAD_PLAY, sensor_game, sat_spec=SPEC5), x_star)
     assert np.max(np.abs(ds)) <= 1e-10
 
 
 def test_sat_gradient_play_unsaturated_limit(sensor_game):
     big = SaturationSpec.symmetric(1e12)
-    ds, u = make_rhs(StrategyTag.SAT_GRAD_PLAY, sensor_game, sat_spec=big)[0](X0)
+    ds, u = evaluate(*make_rhs(StrategyTag.SAT_GRAD_PLAY, sensor_game, sat_spec=big), X0)
     np.testing.assert_array_equal(ds, -sensor_game.pseudo_gradient(X0))
 
 
@@ -269,9 +283,9 @@ def test_first_order_dist_consensus_reduces_to_gradient_play(sensor_game, path_g
     rhs, _ = make_rhs(
         StrategyTag.FIRST_ORDER_DIST, sensor_game, graph=path_graph, gains=GAINS1, sat_spec=SPEC5
     )
-    ds, u = rhs(s)
+    ds, u = evaluate(rhs, lay, s)
     np.testing.assert_array_equal(ds[6:], np.zeros(18))
-    _, u_ref = make_rhs(StrategyTag.SAT_GRAD_PLAY, sensor_game, sat_spec=SPEC5)[0](X0)
+    _, u_ref = evaluate(*make_rhs(StrategyTag.SAT_GRAD_PLAY, sensor_game, sat_spec=SPEC5), X0)
     np.testing.assert_allclose(u, u_ref, atol=1e-12)
 
 
@@ -281,7 +295,7 @@ def test_first_order_dist_equilibrium(sensor_game, path_graph, x_star):
     rhs, _ = make_rhs(
         StrategyTag.FIRST_ORDER_DIST, sensor_game, graph=path_graph, gains=GAINS1, sat_spec=SPEC5
     )
-    ds, _ = rhs(s)
+    ds, _ = evaluate(rhs, lay, s)
     assert np.max(np.abs(ds)) <= 1e-10
 
 
@@ -292,20 +306,20 @@ def test_first_order_dist_all_tens_estimates(sensor_game, path_graph):
     rhs, _ = make_rhs(
         StrategyTag.FIRST_ORDER_DIST, sensor_game, graph=path_graph, gains=GAINS1, sat_spec=SPEC5
     )
-    _, u = rhs(s)
+    _, u = evaluate(rhs, lay, s)
     np.testing.assert_array_equal(u, np.full(6, -5.0))
 
 
 def test_second_order_central_equilibrium(sensor_game, x_star):
     rhs, lay = make_rhs(StrategyTag.SECOND_ORDER_CENTRAL, sensor_game, gains=GAINS_C)
-    ds, _ = rhs(lay.pack(x=x_star))
+    ds, _ = evaluate(rhs, lay, lay.pack(x=x_star))
     assert np.max(np.abs(ds)) <= 1e-10
 
 
 def test_second_order_central_zero_velocity(sensor_game):
     gains = GainSet(alpha=2.5, beta=1.0)
     rhs, lay = make_rhs(StrategyTag.SECOND_ORDER_CENTRAL, sensor_game, gains=gains)
-    ds, u = rhs(lay.pack(x=X0))
+    ds, u = evaluate(rhs, lay, lay.pack(x=X0))
     np.testing.assert_allclose(u, -2.5 * sensor_game.pseudo_gradient(X0), atol=1e-12)
     np.testing.assert_array_equal(ds[:6], np.zeros(6))
 
@@ -314,7 +328,7 @@ def test_second_order_central_benchmark_value(sensor_game):
     # independent oracle: explicit matrix arithmetic -g - nu - H @ nu with
     # H constant; hand value [-45, 9, 19, -31, 1, 5]
     rhs, lay = make_rhs(StrategyTag.SECOND_ORDER_CENTRAL, sensor_game, gains=GAINS_C)
-    ds, u = rhs(lay.pack(x=X0, nu=np.ones(6)))
+    ds, u = evaluate(rhs, lay, lay.pack(x=X0, nu=np.ones(6)))
     H = sensor_game.game_jacobian(X0)
     oracle = -sensor_game.pseudo_gradient(X0) - np.ones(6) - H @ np.ones(6)
     np.testing.assert_allclose(u, oracle, atol=1e-12)
@@ -328,7 +342,7 @@ def _second_order(tag, game, path_graph):
 
 def test_second_order_dist_equilibrium(sensor_game, path_graph, x_star):
     rhs, lay = _second_order(StrategyTag.SECOND_ORDER_DIST, sensor_game, path_graph)
-    ds, _ = rhs(lay.pack(x=x_star, z=x_star, y=np.tile(x_star, 3)))
+    ds, _ = evaluate(rhs, lay, lay.pack(x=x_star, z=x_star, y=np.tile(x_star, 3)))
     assert np.max(np.abs(ds)) <= 1e-10
 
 
@@ -338,7 +352,7 @@ def test_second_order_dist_tracking_manifold(sensor_game, path_graph):
     z = np.array([1.0, -2.0, 0.5, 0.0, 3.0, 1.5])
     y = np.tile(z, 3)
     zdot = -0.1 * sensor_game.own_gradients_at_estimates(y)
-    ds, u = rhs(lay.pack(x=z, nu=zdot, z=z, y=y))
+    ds, u = evaluate(rhs, lay, lay.pack(x=z, nu=zdot, z=z, y=y))
     np.testing.assert_allclose(u, np.zeros(6), atol=1e-12)
     np.testing.assert_array_equal(ds[:6], zdot)
 
@@ -346,7 +360,7 @@ def test_second_order_dist_tracking_manifold(sensor_game, path_graph):
 def test_second_order_dist_zero_state(sensor_game, path_graph):
     # gradients at the origin reduce to the linear coefficients
     rhs, lay = _second_order(StrategyTag.SECOND_ORDER_DIST, sensor_game, path_graph)
-    ds, u = rhs(lay.pack())
+    ds, u = evaluate(rhs, lay, lay.pack())
     expected_zdot = np.array([-0.2, 0.2, 0.2, 0.2, 0.4, -0.2])
     np.testing.assert_allclose(ds[12:18], expected_zdot, atol=1e-15)
     np.testing.assert_allclose(u, expected_zdot, atol=1e-15)
@@ -354,7 +368,7 @@ def test_second_order_dist_zero_state(sensor_game, path_graph):
 
 def test_second_order_dist_sat_equilibrium(sensor_game, path_graph, x_star):
     rhs, lay = _second_order(StrategyTag.SECOND_ORDER_DIST_SAT, sensor_game, path_graph)
-    ds, _ = rhs(lay.pack(x=x_star, z=x_star, y=np.tile(x_star, 3)))
+    ds, _ = evaluate(rhs, lay, lay.pack(x=x_star, z=x_star, y=np.tile(x_star, 3)))
     assert np.max(np.abs(ds)) <= 1e-10
 
 
@@ -364,8 +378,8 @@ def test_second_order_dist_sat_matches_unsaturated_inside_bounds(sensor_game, pa
     rng = np.random.default_rng(8)
     for _ in range(10):
         s = rng.uniform(-0.5, 0.5, lay.size)
-        ds_sat, u_sat = rhs_sat(s)
-        ds_raw, u_raw = rhs_raw(s)
+        ds_sat, u_sat = evaluate(rhs_sat, lay, s)
+        ds_raw, u_raw = evaluate(rhs_raw, lay, s)
         if np.max(np.abs(u_raw)) < 5.0:
             np.testing.assert_array_equal(u_sat, u_raw)
             np.testing.assert_array_equal(ds_sat, ds_raw)
@@ -373,7 +387,7 @@ def test_second_order_dist_sat_matches_unsaturated_inside_bounds(sensor_game, pa
 
 def test_second_order_dist_sat_zero_init_control(sensor_game, path_graph):
     rhs, lay = _second_order(StrategyTag.SECOND_ORDER_DIST_SAT, sensor_game, path_graph)
-    _, u = rhs(lay.pack())
+    _, u = evaluate(rhs, lay, lay.pack())
     # clamp inactive: |zdot| = 0.4 < 5, so u = zdot
     np.testing.assert_allclose(u, [-0.2, 0.2, 0.2, 0.2, 0.4, -0.2], atol=1e-15)
 
@@ -398,12 +412,19 @@ def test_make_rhs_refuses_a_graph_of_the_wrong_size(tag, sensor_game):
 
 @pytest.mark.parametrize("tag", list(StrategyTag))
 def test_make_rhs_rejects_wrong_state_length(tag, sensor_game, path_graph):
+    # the per-call law checks the layout; the compiled product refuses the length itself
     gains = GainSet(theta=200.0, theta1=1.0, K=0.1, alpha=1.0, beta=1.0)
-    rhs, lay = make_rhs(tag, sensor_game, graph=path_graph, gains=gains, sat_spec=SPEC5)
-    rhs(lay.pack())  # the right length is accepted
+    per_call, lay = make_rhs(
+        tag, _generic_twin(sensor_game), graph=path_graph, gains=gains, sat_spec=SPEC5
+    )
+    compiled, _ = make_rhs(tag, sensor_game, graph=path_graph, gains=gains, sat_spec=SPEC5)
+    for rhs in (per_call, compiled):
+        evaluate(rhs, lay, lay.pack())  # the right length is accepted
     for size in (lay.size - 1, lay.size + 1):
         with pytest.raises(LayoutMismatchError, match=f"length {lay.size}, got {size}"):
-            rhs(np.zeros(size))
+            evaluate(per_call, lay, np.zeros(size))
+        with pytest.raises(ValueError):
+            evaluate(compiled, lay, np.zeros(size))
 
 
 def _generic_twin(game):
@@ -436,8 +457,8 @@ def test_compiled_field_matches_per_call_law(tag):
         compiled, lay = make_rhs(tag, game, graph=graph, gains=gains, sat_spec=spec)
         per_call, _ = make_rhs(tag, _generic_twin(game), graph=graph, gains=gains, sat_spec=spec)
         for s in rng.normal(scale=3.0, size=(100, lay.size)):
-            ds, u = compiled(s)
-            ds_ref, u_ref = per_call(s)
+            ds, u = evaluate(compiled, lay, s)
+            ds_ref, u_ref = evaluate(per_call, lay, s)
             scale = max(1.0, float(np.max(np.abs(ds_ref))))
             assert np.max(np.abs(ds - ds_ref)) <= 1e-12 * scale
             assert np.max(np.abs(u - u_ref)) <= 1e-12 * scale
@@ -460,7 +481,7 @@ def _closure(rhs, *names):
 @pytest.mark.parametrize("tag", [t for t in StrategyTag if StateLayout(t, 2, 1).is_saturated])
 def test_compiled_clamped_field_is_affine_map_then_max_min(tag):
     # the compiled field is A s + b with its control rows clamped in place:
-    # bit for bit max-then-min of those rows, with and without a row to fill
+    # bit for bit max-then-min of those rows
     rng = np.random.default_rng(43)
     n_clamped = n_free = 0
     for _ in range(4):
@@ -472,20 +493,16 @@ def test_compiled_clamped_field_is_affine_map_then_max_min(tag):
             sat_spec=spec,
         )
         A, b = _closure(rhs, "A", "b")
-        ua, ub = lay.offsets["nu" if lay.has_velocity else "x"]
         row = np.empty(lay.size)
         for s in rng.normal(scale=rng.choice([0.01, 1.0, 5.0]), size=(30, lay.size)):
             expected = A.dot(s) + b
-            u_raw = expected[ua:ub].copy()
-            expected[ua:ub] = np.minimum(np.maximum(u_raw, spec.lower), spec.upper)
+            u_raw = expected[lay.control].copy()
+            expected[lay.control] = np.minimum(np.maximum(u_raw, spec.lower), spec.upper)
             clamped = (u_raw < spec.lower) | (u_raw > spec.upper)
             n_clamped += int(clamped.sum())
             n_free += int((~clamped).sum())
-            for ds, u in (rhs(s), rhs(s, row)):
-                assert np.array_equal(_bits(ds), _bits(expected))
-                assert np.array_equal(_bits(u), _bits(expected[ua:ub]))
-                assert np.shares_memory(u, ds)
-            assert rhs(s, row)[0] is row
+            assert rhs(s, row) is row
+            assert np.array_equal(_bits(row), _bits(expected))
     assert n_clamped > 100 and n_free > 100  # both sides of the clamp were met
 
 
@@ -517,8 +534,8 @@ def _compiled_and_column_by_column(tag, graph, rng):
     twin = _generic_twin(game)
     per_call, _ = make_rhs(tag, twin, graph=graph, gains=gains, sat_spec=UNBOUND)
     A, b = _closure(compiled, "A", "b")
-    b_ref = per_call(np.zeros(lay.size))[0]
-    A_ref = np.column_stack([per_call(e)[0] - b_ref for e in np.eye(lay.size)])
+    b_ref = evaluate(per_call, lay, np.zeros(lay.size))[0]
+    A_ref = np.column_stack([evaluate(per_call, lay, e)[0] - b_ref for e in np.eye(lay.size)])
     assert A.flags.c_contiguous and A.shape == A_ref.shape
     return A, b, A_ref, b_ref
 
@@ -572,7 +589,7 @@ def test_law_on_a_stack_of_states_equals_single_state_calls(tag):
         assert stacked.shape == states.shape
         for s, row in zip(states, stacked):
             scale = np.max(np.abs(A) @ np.abs(s) + np.abs(b))
-            assert np.max(np.abs(row - per_call(s)[0])) <= 1e-15 * scale
+            assert np.max(np.abs(row - evaluate(per_call, lay, s)[0])) <= 1e-15 * scale
 
 
 @pytest.mark.parametrize("tag", list(StrategyTag))
@@ -830,3 +847,10 @@ def test_lyapunov_missing_ingredients(sensor_game, path_graph, x_star):
     asym = SaturationSpec(lower=np.full(6, -4.0), upper=np.full(6, 5.0))
     with pytest.raises(ValueError, match="symmetric"):
         lyapunov_value(StrategyTag.SAT_GRAD_PLAY, sensor_game, X0, sat_spec=asym)
+
+
+@pytest.mark.parametrize("tag", [StrategyTag.SECOND_ORDER_DIST, StrategyTag.SECOND_ORDER_DIST_SAT])
+def test_lyapunov_value_without_gains_names_them(tag, sensor_game, x_star):
+    lay = StateLayout(tag, 3, 2)
+    with pytest.raises(ValueError, match="^missing required gains: theta1, K$"):
+        lyapunov_value(tag, sensor_game, lay.pack(), sat_spec=SPEC5, P=np.eye(9), x_star=x_star)

@@ -32,14 +32,14 @@ from nes_sim import (
     stability_guard,
 )
 from nes_sim.simulate import _SCREEN_STEPS
-from tests.conftest import X0
+from tests.conftest import X0, evaluate
 
 SPEC5 = SaturationSpec.symmetric(5.0)
 SCALAR_LAYOUT = StateLayout(StrategyTag.SAT_GRAD_PLAY, 1, 1)
 
 
-def _decay_rhs(s, out=None):
-    return -s, -s
+def _decay_rhs(s, out):
+    return np.negative(s, out)
 
 
 def test_rk4_accuracy_on_exponential():
@@ -71,7 +71,7 @@ def test_euler_is_first_order():
 
 
 def test_zero_field_constant_trajectory():
-    rhs = lambda s, out=None: (np.zeros_like(s), np.zeros_like(s))
+    rhs = lambda s, out: np.multiply(s, 0.0, out)
     traj = integrate(rhs, np.array([2.5]), SimConfig(dt=0.1, t_end=1.0), SCALAR_LAYOUT)
     np.testing.assert_array_equal(traj.states, np.full((11, 1), 2.5))
     # s.s overflows here, but every entry is finite: no divergence
@@ -138,7 +138,7 @@ def _divergence_message(rhs, s0, layout, **sim):
 
 @pytest.mark.parametrize("stride", [1, 7, 1000])
 def test_divergence_abort_names_block(stride):
-    rhs = lambda s, out=None: (s * s * 1e150, s)
+    rhs = lambda s, out: np.multiply(s * s, 1e150, out)
     sim = dict(dt=1.0, t_end=5.0)
     with np.errstate(over="ignore"):
         message = _divergence_message(rhs, np.array([1e200]), SCALAR_LAYOUT, record_stride=stride, **sim)
@@ -155,9 +155,10 @@ def test_divergence_stops_within_a_screen_interval_whatever_the_stride():
     for stride in (1, 10**9):
         calls = []
 
-        def growth(s, out=None):
+        def growth(s, out):
             calls.append(None)
-            return s, s
+            out[:] = s
+            return out
 
         message = _divergence_message(
             growth, np.array([1.0]), SCALAR_LAYOUT, dt=1.0, t_end=1e5, record_stride=stride
@@ -307,6 +308,21 @@ def test_stability_guard_warns(sensor_game, path_graph):
             SimConfig(dt=1e-4, t_end=1.0), StrategyTag.FIRST_ORDER_DIST, gains=gains, M=M
         )
     assert 0.0 < product < 2.5
+
+
+@pytest.mark.parametrize(
+    "tag, missing",
+    [
+        (StrategyTag.FIRST_ORDER_DIST, "theta"),
+        (StrategyTag.SECOND_ORDER_DIST, "theta, theta1, K"),
+        (StrategyTag.SECOND_ORDER_DIST_SAT, "theta, theta1, K"),
+    ],
+)
+def test_stability_guard_without_gains_names_them(tag, missing, path_graph):
+    # the consensus rate reads the gains: refused as make_rhs refuses them
+    M = estimation_matrix(path_graph, 1)
+    with pytest.raises(ValueError, match=f"^missing required gains: {missing}$"):
+        stability_guard(SimConfig(dt=1e-3, t_end=1.0), tag, M=M)
 
 
 def test_grid_refinement_fig2(sensor_game):
@@ -471,20 +487,25 @@ def test_run_sweep_executes_real_runs(sensor_game):
 
 @pytest.mark.parametrize("integrator", ["rk4", "euler"])
 def test_rhs_evals_counts_vector_field_calls(integrator, sensor_game):
-    # the invariant the benchmark's tracer asserts: stages * steps + 1 calls
+    # the invariant the benchmark's tracer asserts: stages * steps + 1 calls,
+    # counted through a wrapper, for a scalar field and the fields of every
+    # strategy, compiled and per call
     compiled, lay = make_rhs(StrategyTag.SAT_GRAD_PLAY, sensor_game, sat_spec=SPEC5)
-    fields = ((_decay_rhs, np.array([1.0]), SCALAR_LAYOUT), (compiled, X0, lay))
+    fields = [(_decay_rhs, np.array([1.0]), SCALAR_LAYOUT), (compiled, X0, lay)]
+    for tag in StrategyTag:
+        fields += [(rhs, lay.pack(), lay) for _, rhs, lay in _compiled_and_generic_fields(tag)]
     # 3 and 4 do not divide the 10 steps, 25 exceeds them
-    for (field, s0, layout), stride in zip(fields * 4, (1, 1, 3, 3, 4, 4, 25, 25)):
-        calls = []
+    for stride in (1, 3, 4, 25):
+        for field, s0, layout in fields:
+            calls = []
 
-        def counted(s, out=None):
-            calls.append(1)
-            return field(s, out=out)
+            def counted(s, out):
+                calls.append(1)
+                return field(s, out)
 
-        cfg = SimConfig(dt=0.1, t_end=1.0, integrator=integrator, record_stride=stride)
-        integrate(counted, s0, cfg, layout)
-        assert len(calls) == cfg.rhs_evals == (4 if integrator == "rk4" else 1) * 10 + 1
+            cfg = SimConfig(dt=1e-3, t_end=1e-2, integrator=integrator, record_stride=stride)
+            integrate(counted, s0, cfg, layout)
+            assert len(calls) == cfg.rhs_evals == (4 if integrator == "rk4" else 1) * 10 + 1
 
 
 def _random_compiled_fields(tag, seed, count):
@@ -514,10 +535,10 @@ def test_rk4_step_matches_the_textbook_step(tag):
     dt = 1e-3
     for rng, rhs, lay, _ in _random_compiled_fields(tag, 23, 4):
         for s in rng.normal(scale=3.0, size=(10, lay.size)):
-            k1 = rhs(s)[0].copy()
-            k2 = rhs(s + (0.5 * dt) * k1)[0].copy()
-            k3 = rhs(s + (0.5 * dt) * k2)[0].copy()
-            k4 = rhs(s + dt * k3)[0].copy()
+            k1 = evaluate(rhs, lay, s)[0]
+            k2 = evaluate(rhs, lay, s + (0.5 * dt) * k1)[0]
+            k3 = evaluate(rhs, lay, s + (0.5 * dt) * k2)[0]
+            k4 = evaluate(rhs, lay, s + dt * k3)[0]
             ref = s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             got = integrate(rhs, s, SimConfig(dt=dt, t_end=dt), lay).final_state()
             assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, float(np.max(np.abs(ref))))
@@ -531,7 +552,7 @@ def test_euler_is_bitwise_the_textbook_step(tag):
         traj = integrate(rhs, s, SimConfig(dt=dt, t_end=n_steps * dt, integrator="euler"), lay)
         states, controls = [], []
         for _ in range(n_steps + 1):
-            k, u = rhs(s)
+            k, u = evaluate(rhs, lay, s)
             states.append(s)
             controls.append(u.copy())
             s = s + dt * k
@@ -541,7 +562,8 @@ def test_euler_is_bitwise_the_textbook_step(tag):
 
 @pytest.mark.parametrize("tag", list(StrategyTag))
 def test_rhs_writes_its_derivative_into_out(tag):
-    # rhs(s, out=row) gives the derivative of rhs(s) in row itself, u a view of it
+    # rhs(s, row) writes the derivative into row and returns row; what row
+    # held before does not matter
     generic = GAME_REGISTRY["decoupled_quartic"]()
     spec = SaturationSpec.symmetric(1.0)
     gains = GainSet(theta=10.0, theta1=1.0, K=0.1, alpha=1.0, beta=1.0)
@@ -552,17 +574,39 @@ def test_rhs_writes_its_derivative_into_out(tag):
     for rhs, lay, sp in fields:
         for s in rng.normal(scale=3.0, size=(5, lay.size)):
             s0, buf = s.copy(), np.full(lay.size, np.nan)
-            ds, u = rhs(s, out=buf)
-            assert ds is buf
-            assert np.array_equal(buf, rhs(s)[0])
-            assert np.shares_memory(u, buf)
+            assert rhs(s, buf) is buf
+            assert np.array_equal(buf, rhs(s, np.zeros(lay.size)))
+            u = buf[lay.control]
             if lay.is_saturated:
                 assert np.all(sp.lower <= u) and np.all(u <= sp.upper)
             assert np.array_equal(s, s0)
         for size in (lay.size - 1, lay.size + 1):
             # LayoutMismatchError from the check, or ValueError from the product
             with pytest.raises(ValueError):
-                rhs(np.ones(size), out=np.empty(lay.size))
+                rhs(np.ones(size), np.empty(lay.size))
+
+
+def _compiled_and_generic_fields(tag):
+    generic = GAME_REGISTRY["decoupled_quartic"]()
+    spec = SaturationSpec.symmetric(1.0)
+    gains = GainSet(theta=10.0, theta1=1.0, K=0.1, alpha=1.0, beta=1.0)
+    graph = CommGraph([[0.0, 1.0], [1.0, 0.0]])
+    fields = [(rng, rhs, lay) for rng, rhs, lay, _ in _random_compiled_fields(tag, 47, 2)]
+    rhs, lay = make_rhs(tag, generic, graph=graph, gains=gains, sat_spec=spec)
+    return fields + [(np.random.default_rng(53), rhs, lay)]
+
+
+@pytest.mark.parametrize("tag", list(StrategyTag))
+def test_recorded_controls_are_the_control_rows_of_the_derivative(tag):
+    # each record's control is rhs(s, row)[layout.control] at its state, bit for bit
+    for rng, rhs, lay in _compiled_and_generic_fields(tag):
+        s0 = rng.normal(scale=3.0, size=lay.size)
+        traj = integrate(rhs, s0, SimConfig(dt=1e-3, t_end=0.05, record_stride=3), lay)
+        assert traj.n_records == 18
+        row = np.empty(lay.size)
+        for s, u in zip(traj.states, traj.controls):
+            expected = rhs(s, row)[lay.control]
+            assert np.array_equal(u.view(np.uint64), expected.view(np.uint64))
 
 
 @pytest.mark.parametrize(

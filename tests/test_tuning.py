@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -221,6 +222,15 @@ def test_theta1_star_requires_theta_above_bound(sensor_game, path_graph):
         theta_bounds_second_order(
             sensor_game, path_graph, lyap, GAINS2, theta=0.5 * rep.theta_star
         )
+
+
+def test_theta_that_overflows_the_ceiling_is_refused(sensor_game, path_graph):
+    # (a - d)^2 overflows in lambda_min(A1): a ValueError naming theta, and no warning
+    lyap = _sensor_lyap(path_graph)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^theta=1e\+308 gives a non-finite lambda_min\(A1\)"):
+            theta_bounds_second_order(sensor_game, path_graph, lyap, GAINS2, theta=1e308)
 
 
 def test_a1_positive_definite_above_theta_star(sensor_game, path_graph):
