@@ -79,7 +79,7 @@ def cmd_run(args):
                     _set_dotted(variant, dotted, value)
                 if "sweep" in variant:
                     raise ConfigError("an entry may not set its own sweep")
-                variants.append(parse_config(variant))
+                variants.append(parse_config(_apply_overrides(variant, args)))
                 check_output_paths(variants[-1].output)
             except ValueError as exc:
                 raise SweepEntryError(idx, exc) from exc
@@ -90,19 +90,18 @@ def cmd_run(args):
                         f"sweep entries {other} and {idx} both write {path}; "
                         "override the output paths so runs do not collide"
                     )
-        index = {id(cfg): idx for idx, cfg in enumerate(variants)}
 
         def run_entry(cfg):
             # returned, not raised: a raise would cancel the entries after it
             try:
                 return run_experiment(cfg)[0]
             except _USER_ERRORS as exc:
-                return SweepEntryError(index[id(cfg)], exc)
+                return exc
 
         failed, all_converged = False, True
         for idx, result in enumerate(run_sweep(variants, run_entry)):
-            if isinstance(result, SweepEntryError):
-                print(f"error: {result}", file=sys.stderr)
+            if isinstance(result, Exception):
+                print(f"error: sweep[{idx}]: {result}", file=sys.stderr)
                 failed = True
                 continue
             print(f"# sweep[{idx}]")

@@ -112,8 +112,6 @@ def _json_copy(value):
     its nested list), so it is converted or refused as before.
     """
     kind = type(value)
-    if kind in _JSON_LEAVES:
-        return value
     if kind is list or kind is tuple:  # leaves are tested in line to save a call each
         return [v if type(v) in _JSON_LEAVES else _json_copy(v) for v in value]
     if kind is dict and all(type(k) is str for k in value):
@@ -167,6 +165,8 @@ def _parse_game(section):
         if "name" in section:
             raise ConfigError("game: 'name' is only valid for type custom")
         arrays = {key: _numbers(section[key], f"game.{key}") for key in _QUADRATIC_KEYS}
+        if arrays["q"].ndim > 1:
+            raise ConfigError("game.q: expected a number or a flat list")
         try:
             return QuadraticGame(**arrays), arrays
         except (ValueError, TypeError) as exc:

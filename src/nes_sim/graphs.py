@@ -98,9 +98,7 @@ def estimation_matrix(graph, action_dim):
         )
     p = int(action_dim)
     lap = graph.laplacian()
-    m = np.kron(lap, np.eye(n * p)) + np.kron(np.diag(graph.adjacency.ravel()), np.eye(p))
-    assert np.array_equal(m, m.T)
-    return m
+    return np.kron(lap, np.eye(n * p)) + np.kron(np.diag(graph.adjacency.ravel()), np.eye(p))
 
 
 @dataclass

@@ -119,16 +119,14 @@ def run_experiment(cfg):
     """
     check_output_paths(cfg.output)
     game, graph, tag = cfg.game, cfg.graph, cfg.tag
-    layout = cfg.layout
 
-    # the estimation layer per action channel: M = M1 (x) I_p
-    M1 = estimation_matrix(graph, 1) if layout.has_estimates else None
-    guard = stability_guard(cfg.sim, tag, gains=cfg.gains, M=M1, game=game)
-
-    lyap = None
-    if layout.has_estimates and cfg.sim.monitor_lyapunov:
+    # the estimation layer per channel (M = M1 (x) I_p); the gain bounds need its pair
+    M1 = lyap = None
+    if cfg.layout.has_estimates:
+        M1 = estimation_matrix(graph, 1)
         tb = cfg.gains.theta_bar_vec(game.n_players)
         lyap = solve_lyapunov(M1, tb, cfg.lyapunov_q, game.action_dim)
+    guard = stability_guard(cfg.sim, tag, gains=cfg.gains, M=M1, game=game)
 
     try:
         x_star = game.exact_ne()

@@ -188,8 +188,8 @@ def alpha_beta_star(game, alpha=None, beta=None, *, m=None):
 
 
 def _lambda_min_2x2(a, b, d):
-    # symmetric [[a, b], [b, d]]
-    return 0.5 * ((a + d) - np.sqrt((a - d) ** 2 + 4.0 * b * b))
+    # symmetric [[a, b], [b, d]]: det / lambda_max, which does not cancel when d >> a
+    return (a * d - b * b) / (0.5 * ((a + d) + np.hypot(a - d, 2.0 * b)))
 
 
 def theta_bounds_second_order(
@@ -246,10 +246,12 @@ def theta_bounds_second_order(
                 "positive definite"
             )
         with np.errstate(over="ignore", invalid="ignore"):
-            lambda_min_a1 = float(_lambda_min_2x2(m, -l1 / 2.0, lam_q * theta - l2))
-            theta1_star = float((4.0 * lambda_min_a1 / (theta * theta * l3 * l3)) ** (1.0 / 3.0))
+            lambda_min_a1 = _lambda_min_2x2(m, -l1 / 2.0, lam_q * theta - l2)
+            theta1_star = (4.0 * lambda_min_a1 / (theta * theta * l3 * l3)) ** (1.0 / 3.0)
         if not np.isfinite([lambda_min_a1, theta1_star]).all():
             raise ValueError(f"theta={theta:.12g} gives a non-finite lambda_min(A1) or theta1_star")
+        if not min(lambda_min_a1, theta1_star) > 0.0:  # e.g. theta * theta overflows
+            raise ValueError(f"theta={theta:.12g} gives a zero lambda_min(A1) or theta1_star")
         if saturated:
             caveats.append(
                 "theta1_star is a starting heuristic only: the sufficient value "

@@ -126,6 +126,56 @@ def test_run_writes_outputs_and_exits_zero(tmp_path, capsys):
     assert "config_hash=" in summary
 
 
+def _second_order_doc(tmp_path, tag):
+    # fig4's game and path graph with u_bar = 5; the bound is checked, not applied
+    doc = _short_run_doc(tmp_path, "fig4")
+    if tag == "second_order_central":
+        doc["strategy"] = {
+            "tag": tag, "gains": {"alpha": 1.0, "beta": 1.0}, "saturation": {"u_bar": 5.0}
+        }
+        doc["sim"]["t_end"] = 20.0
+        doc["init"] = {"x0": figure_preset("fig2")["init"]["x0"]}
+    else:
+        doc["strategy"]["tag"] = tag
+        doc["sim"]["t_end"] = 60.0
+    return doc
+
+
+@pytest.mark.parametrize(
+    "tag, t_hit, bounds_ok",
+    [("second_order_central", 7.4, "false"), ("second_order_dist", 20.8, "true")],
+)
+def test_the_unsaturated_second_order_laws_run_end_to_end(tmp_path, capsys, tag, t_hit, bounds_ok):
+    doc = _second_order_doc(tmp_path, tag)
+    assert main(["run", _write(tmp_path, doc)]) == 0
+    out = capsys.readouterr().out
+    assert _key(out, "strategy") == tag and _key(out, "converged") == "true"
+    assert float(_key(out, "t_hit")) == pytest.approx(t_hit, abs=1e-9)
+    assert float(_key(out, "max_lyapunov_increment")) <= 0.0
+    # the central law is unbounded: its transient leaves the bound the paper saturates it by
+    assert _key(out, "bounds_ok") == bounds_ok
+    cfg = parse_config(doc)
+    if tag == "second_order_central":
+        rate = float(np.linalg.norm(cfg.game.jacobian_matrix, 2)) + 1.0 + 1.0
+        assert float(_key(out, "worst_bound_violation")) > 0.0
+    else:
+        M = estimation_matrix(cfg.graph, 1)
+        rate = 200.0 * 1.0 * 1.0 * float(np.linalg.eigvalsh(M)[-1])
+    assert float(_key(out, "guard_product")) == cfg.sim.dt * rate
+
+    with open(tmp_path / "t.csv") as fh:
+        header = fh.readline().strip().split(",")
+    table = np.loadtxt(tmp_path / "t.csv", delimiter=",", skiprows=1)
+    names = [f"{b}_{i}_{d}" for b in ("x", "nu", "u") for i in (1, 2, 3) for d in (1, 2)]
+    assert header[: 1 + len(names)] == ["t", *names]
+    t, x, nu = table[:, 0], table[:, 1:7], table[:, 7:13]
+    assert np.all(np.diff(table[:, header.index("V")]) <= 0.0)
+    assert np.all(nu[0] == 0.0) and np.abs(nu[-1]).max() < cfg.sim.convergence_tol
+    # x is the integral of nu: the trapezoid rule over the 0.1 s records, to 1 %
+    drift = x[-1] - x[0]
+    np.testing.assert_allclose(np.trapezoid(nu, t, axis=0), drift, atol=0.01 * np.abs(drift).max())
+
+
 def test_run_requires_output_section(tmp_path, capsys):
     doc = _fast_run_doc(tmp_path)
     doc.pop("output")
@@ -713,8 +763,9 @@ def test_run_time_error_names_its_entry_and_later_entries_still_run(tmp_path, ca
     doc["sim"]["t_end"] = 0.05
     diverging = {"sim.dt": 1e-2, "sim.t_end": 1.0, **_entry_outputs(tmp_path, "b")}
     doc["sweep"] = [_entry_outputs(tmp_path, "a"), diverging, _entry_outputs(tmp_path, "c")]
-    assert main(["run", _write(tmp_path, doc)]) == 1
-    err = capsys.readouterr().err  # the stability guard's warning comes first
+    with pytest.warns(RuntimeWarning, match="stability guard"):
+        assert main(["run", _write(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
     assert err.splitlines()[-1].startswith("error: sweep[1]: non-finite state at step ")
     assert "Traceback" not in err
     assert (tmp_path / "a.csv").exists() and (tmp_path / "c.txt").exists()
@@ -760,6 +811,24 @@ def test_sweep_entries_are_built_from_the_base_document_alone(tmp_path, monkeypa
     assert all("sweep" not in cfg.normalized for cfg in captured)
 
 
+@pytest.mark.parametrize(
+    "flag, value, n_steps, code", [("--t-end", "0.1", 100, 2), ("--dt", "0.01", 1000, 0)]
+)
+def test_flags_reach_every_sweep_entry(tmp_path, capsys, flag, value, n_steps, code):
+    # entry 0 sets the whole sim section, entry 1 one key of it
+    doc = _fast_run_doc(tmp_path, t_end=10.0)
+    doc["sweep"] = [
+        {"sim": dict(doc["sim"]), **_entry_outputs(tmp_path, "a")},
+        {"sim.record_stride": 5, **_entry_outputs(tmp_path, "b")},
+    ]
+    assert main([flag, value, "run", _write(tmp_path, doc)]) == code
+    out = capsys.readouterr().out
+    assert out.count("# sweep[") == 2
+    assert [line for line in out.splitlines() if line.startswith("n_steps=")] == [
+        f"n_steps={n_steps}"
+    ] * 2
+
+
 def test_failed_sweep_entries_do_not_stop_the_others(tmp_path, capsys):
     doc = _short_run_doc(tmp_path, "fig3")
     doc["sim"]["t_end"] = 0.05
@@ -768,7 +837,8 @@ def test_failed_sweep_entries_do_not_stop_the_others(tmp_path, capsys):
         {**(diverging if k in (1, 3) else {}), **_entry_outputs(tmp_path, name)}
         for k, name in enumerate("abcde")
     ]
-    assert main(["run", _write(tmp_path, doc)]) == 1
+    with pytest.warns(RuntimeWarning, match="stability guard"):
+        assert main(["run", _write(tmp_path, doc)]) == 1
     captured = capsys.readouterr()
     headers = [line for line in captured.out.splitlines() if line.startswith("# sweep")]
     assert headers == ["# sweep[0]", "# sweep[2]", "# sweep[4]"]
@@ -799,12 +869,55 @@ def test_summary_reports_the_lyapunov_residual(tmp_path, capsys):
     # the gate is 1e-8 ||Q||_F of the full equation: sqrt(p) times the per-channel Q's
     assert 0.0 <= pair.residual <= 1e-8 * np.sqrt(p) * np.linalg.norm(pair.Q, "fro")
     assert f"lyap_residual={_key(out, 'lyap_residual')}\n" in (tmp_path / "s.txt").read_text()
-    # no solve ran: no estimates (fig2), or no monitor
+    # no solve ran: no estimates (fig2)
     assert main(["--t-end", "0.01", "run", _write(tmp_path, _short_run_doc(tmp_path, "fig2"))]) == 2
     assert _key(capsys.readouterr().out, "lyap_residual") == "none"
+    # the pair follows the strategy, not the monitor
     doc["sim"]["monitor_lyapunov"] = False
     assert main(["--t-end", "0.01", "run", _write(tmp_path, doc)]) == 2
-    assert _key(capsys.readouterr().out, "lyap_residual") == "none"
+    assert float(_key(capsys.readouterr().out, "lyap_residual")) == pair.residual
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig4"])
+def test_an_unmonitored_run_echoes_what_tune_prints(tmp_path, capsys, name):
+    doc = _short_run_doc(tmp_path, name)
+    doc["sim"]["monitor_lyapunov"] = False
+    path = _write(tmp_path, doc)
+    assert main(["tune", path]) == 0
+    tuned = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert main(["--t-end", "0.01", "run", path]) == 2
+    out = capsys.readouterr().out
+    summary = dict(line.split("=", 1) for line in out.splitlines())
+    echoed = {
+        key.removeprefix("tuner_"): val for key, val in summary.items() if key.startswith("tuner_")
+    }
+    assert "error" not in echoed and "theta_star" in echoed
+    # tune prints 12 significant digits, the summary 17
+    assert {key: f"{float(val):.12g}" for key, val in echoed.items()} == {
+        key: tuned[key] for key in echoed
+    }
+    M, tb, q, p = _estimation_system(doc)
+    pair = solve_lyapunov(M, tb, q, p)
+    assert float(_key(out, "lyap_residual")) == pair.residual
+    assert float(_key(out, "lyap_cond")) == pair.cond
+    assert _key(out, "max_lyapunov_increment") == "none"
+
+
+@pytest.mark.parametrize("monitor", [True, False])
+def test_a_refused_lyapunov_pair_stops_the_run(tmp_path, monkeypatch, capsys, monitor):
+    def never(*args, **kwargs):
+        raise AssertionError("integrate entered although the Lyapunov solve refused the pair")
+
+    monkeypatch.setattr(nes_sim.runner, "integrate", never)
+    doc = _short_run_doc(tmp_path, "fig3")
+    doc["sim"]["monitor_lyapunov"] = monitor
+    # weights twelve decades apart: the weighted system's condition passes 1e12
+    doc["strategy"]["gains"]["theta_bar"] = np.geomspace(1e-6, 1e6, 9).tolist()
+    assert main(["run", _write(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Lyapunov system condition estimate ")
+    assert "exceeds 1e12" in err
+    assert not (tmp_path / "s.txt").exists()
 
 
 def test_summary_reports_the_lyapunov_condition(tmp_path, capsys):

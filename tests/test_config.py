@@ -439,6 +439,37 @@ def test_gains_with_more_than_one_axis_are_refused(key, value):
 
 
 @pytest.mark.parametrize(
+    "where, value, message",
+    [
+        (("graph",), 5, "graph: expected an object"),
+        (("game", "name"), "skew_bilinear", "game: 'name' is only valid for type custom"),
+        (
+            ("game",),
+            {"type": "custom", "name": "skew_bilinear", "q": [1.0, 1.0]},
+            "game: keys ['q'] are only valid for type quadratic",
+        ),
+        # read flat, a nested q would be hashed nested: refused like theta_bar and K
+        (("game", "q"), [[3.0], [3.0], [6.0]], "game.q: expected a number or a flat list"),
+        (
+            ("graph", "adjacency", 0, 1),
+            0.5,
+            "graph.adjacency: adjacency must be symmetric (undirected graph)",
+        ),
+        (
+            ("graph", "lyapunov_q"),
+            np.eye(6).tolist(),
+            "graph.lyapunov_q: expected a scalar or a 18x18 matrix",
+        ),
+    ],
+    ids=["section", "quadratic-name", "custom-keys", "nested-q", "graph", "lyapunov_q-shape"],
+)
+def test_malformed_sections_are_refused(where, value, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(_with(figure_preset("fig3"), where, value))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
     "where, value, path",
     [
         (("game", "r", 1, 0, 1), True, "game.r"),

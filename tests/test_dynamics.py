@@ -230,6 +230,11 @@ def test_layout_mismatch_errors():
         lay.check(np.zeros(7))
     with pytest.raises(LayoutMismatchError, match="no block"):
         lay.pack(nu=np.zeros(6))
+    with pytest.raises(DimensionMismatchError, match="^block x: expected length 6, got 5$"):
+        lay.pack(x=np.zeros(5))
+    assert lay.block_name(5) == "x[5]"
+    with pytest.raises(IndexError, match="^6$"):
+        lay.block_name(6)
 
 
 def test_gains_validation():
@@ -242,6 +247,8 @@ def test_gains_validation():
     np.testing.assert_array_equal(g.k_vec(2, 2), [0.5, 0.5, 0.5, 0.5])
     with pytest.raises(ValueError, match="missing required gains"):
         GainSet(theta=1.0).require("theta", "theta1")
+    with pytest.raises(DimensionMismatchError, match="^K: expected length 2, got 3$"):
+        GainSet(K=[0.1, 0.2, 0.3]).k_vec(2, 2)
 
 
 def test_gains_refuse_nan_vector_gains():
@@ -844,9 +851,20 @@ def test_lyapunov_missing_ingredients(sensor_game, path_graph, x_star):
         lyapunov_value(
             StrategyTag.SECOND_ORDER_DIST, sensor_game, lay2.pack(), gains=GAINS2, P=np.eye(18)
         )
+    with pytest.raises(DimensionMismatchError, match="^x_star: expected length 6, got 5$"):
+        lyapunov_value(
+            StrategyTag.SECOND_ORDER_DIST,
+            sensor_game,
+            lay2.pack(),
+            gains=GAINS2,
+            P=np.eye(18),
+            x_star=x_star[:5],
+        )
     asym = SaturationSpec(lower=np.full(6, -4.0), upper=np.full(6, 5.0))
     with pytest.raises(ValueError, match="symmetric"):
         lyapunov_value(StrategyTag.SAT_GRAD_PLAY, sensor_game, X0, sat_spec=asym)
+    with pytest.raises(ValueError, match="^saturation bounds are required for this Lyapunov"):
+        lyapunov_value(StrategyTag.SAT_GRAD_PLAY, sensor_game, X0)
 
 
 @pytest.mark.parametrize("tag", [StrategyTag.SECOND_ORDER_DIST, StrategyTag.SECOND_ORDER_DIST_SAT])

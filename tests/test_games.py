@@ -144,6 +144,45 @@ def test_quadratic_rejects_asymmetric_couplings():
         )
 
 
+# two players on one action channel, coupled
+GOOD_ARRAYS = {"r": np.ones((2, 1, 1)), "p_vec": np.zeros((2, 1)), "q": np.zeros(2),
+               "m_weights": np.ones((2, 2)) - np.eye(2)}
+
+
+@pytest.mark.parametrize(
+    "key, value, error, message",
+    [
+        ("r", np.ones((2, 1, 2)), ValueError, "r must have shape (n_players, p, p)"),
+        ("p_vec", np.zeros((2, 2)), DimensionMismatchError,
+         "linear coefficients p_vec: expected length 2, got 4"),
+        ("q", np.zeros(3), DimensionMismatchError, "constant offsets q: expected length 2, got 3"),
+        ("m_weights", np.zeros((2, 3)), DimensionMismatchError,
+         "coupling matrix m_weights: expected length 4, got 6"),
+        ("m_weights", np.ones((2, 2)), ValueError, "m_weights must have a zero diagonal"),
+        ("m_weights", -(np.ones((2, 2)) - np.eye(2)), ValueError,
+         "m_weights must be nonnegative"),
+    ],
+    ids=["r-shape", "p_vec-shape", "q-size", "m_weights-shape", "diagonal", "negative"],
+)
+def test_quadratic_game_refuses_malformed_arrays(key, value, error, message):
+    QuadraticGame(**GOOD_ARRAYS)
+    with pytest.raises(error) as info:
+        QuadraticGame(**{**GOOD_ARRAYS, key: value})
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "n_players, action_dim, message",
+    [
+        (0, 1, "n_players must be a positive integer"),
+        (1, 0, "action_dim must be a positive integer"),
+    ],
+)
+def test_a_game_needs_a_player_and_an_action_channel(n_players, action_dim, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GameDefinition(n_players, action_dim, lambda rows: rows, lambda x: np.eye(1))
+
+
 def _gradient_gap(game, x):
     # analytic pseudo-gradient against central differences of the costs,
     # relative to max(1, largest difference quotient)

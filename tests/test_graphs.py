@@ -69,6 +69,8 @@ def test_connectivity_matches_fiedler_sign():
 
 
 def test_graph_validation():
+    with pytest.raises(ValueError, match="^adjacency must be a square matrix$"):
+        CommGraph(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="symmetric"):
         CommGraph([[0, 1], [0, 0]])
     with pytest.raises(ValueError, match="nonnegative"):
@@ -284,6 +286,11 @@ def test_solve_lyapunov_rejects_indefinite_and_ill_conditioned():
         solve_lyapunov(np.eye(2), theta_bar=[1.0, 0.0])
     with pytest.raises(ValueError, match="symmetric"):
         solve_lyapunov(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    message = "^theta_bar diagonal: expected length 2, got 3$"
+    with pytest.raises(DimensionMismatchError, match=message):
+        solve_lyapunov(np.eye(2), theta_bar=[1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="^Q must be positive definite$"):
+        solve_lyapunov(np.eye(2), 1.0, np.diag([1.0, -1.0]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -17,6 +17,7 @@ from nes_sim import (
     StateLayout,
     StrategyTag,
     Trajectory,
+    attach_estimation_error,
     check_control_bounds,
     detect_convergence,
     estimation_matrix,
@@ -219,6 +220,14 @@ def test_sim_config_validation():
         SimConfig(dt=0.1, t_end=1.0, record_stride=0)
     with pytest.raises(ValueError, match="integrator"):
         SimConfig(dt=0.1, t_end=1.0, integrator="rk45")
+    for t_end in (0.0, -1.0):
+        with pytest.raises(ValueError, match="^t_end must be positive$"):
+            SimConfig(dt=0.1, t_end=t_end)
+    with pytest.raises(ValueError, match="^t_end / dt, the step count, must be finite$"):
+        SimConfig(dt=1e-300, t_end=1e300)
+    for tol in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="^convergence_tol must be positive$"):
+            SimConfig(dt=0.1, t_end=1.0, convergence_tol=tol)
 
 
 def _toy_traj(times, xs, controls=None):
@@ -228,6 +237,11 @@ def _toy_traj(times, xs, controls=None):
         np.zeros((len(times), 1)) if controls is None else np.asarray(controls).reshape(-1, 1)
     )
     return Trajectory(times=times, states=xs, controls=controls, layout=SCALAR_LAYOUT)
+
+
+def test_estimation_error_needs_an_estimate_block():
+    with pytest.raises(ValueError, match="^layout has no estimate block$"):
+        attach_estimation_error(_toy_traj([0.0, 1.0], [1.0, 0.5]))
 
 
 def test_detect_convergence_constant_at_star():

@@ -1,4 +1,6 @@
+import decimal
 import math
+import re
 import warnings
 
 import numpy as np
@@ -12,11 +14,13 @@ from nes_sim import (
     alpha_beta_star,
     estimation_matrix,
     lipschitz_constants,
+    parse_config,
     solve_lyapunov,
     theta_bounds_second_order,
     theta_star_first_order,
 )
-from nes_sim.presets import GAME_REGISTRY
+from nes_sim.presets import GAME_REGISTRY, figure_preset
+from nes_sim.tuning import gain_report
 
 GAINS2 = GainSet(theta=200.0, theta1=1.0, K=0.1, theta_bar=1.0)
 
@@ -145,6 +149,9 @@ def test_alpha_beta_star_boundary_rejected():
     )  # m = 1
     with pytest.raises(ValueError, match="strictly below"):
         alpha_beta_star(g, alpha=1.0)
+    for alpha in (0.0, -0.5):
+        with pytest.raises(ValueError, match="^alpha must be positive$"):
+            alpha_beta_star(g, alpha=alpha)
 
 
 def test_alpha_beta_star_substitution():
@@ -231,6 +238,41 @@ def test_theta_that_overflows_the_ceiling_is_refused(sensor_game, path_graph):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"^theta=1e\+308 gives a non-finite lambda_min\(A1\)"):
             theta_bounds_second_order(sensor_game, path_graph, lyap, GAINS2, theta=1e308)
+
+
+@pytest.mark.parametrize("theta", [2e2, 1e6, 1e12, 1e100])
+def test_lambda_min_a1_matches_a_decimal_oracle(sensor_game, path_graph, theta):
+    # A1 = [[m, -l1/2], [-l1/2, d]], d = lambda_min(Q) theta - l2, from the report's
+    # constants; the textbook form cancels about 2 log10(d) digits, so the oracle
+    # carries 50 more than that
+    rep = theta_bounds_second_order(
+        sensor_game, path_graph, _sensor_lyap(path_graph), GAINS2, theta=theta
+    )
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50 + 2 * int(math.log10(theta))
+        a, b = decimal.Decimal(rep.m), decimal.Decimal(rep.l1) / 2
+        d = decimal.Decimal(rep.lambda_min_q * theta - rep.l2)
+        exact = ((a + d) - ((a - d) ** 2 + 4 * b * b).sqrt()) / 2
+        assert abs(decimal.Decimal(rep.lambda_min_a1) / exact - 1) < decimal.Decimal(4e-16)
+
+
+@pytest.mark.parametrize("theta", [1e154, 1e200])
+def test_theta_whose_square_overflows_is_refused(sensor_game, path_graph, theta):
+    # theta1_star would read 0: refused like a non-finite one, and no warning
+    lyap = _sensor_lyap(path_graph)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = f"theta={theta:.12g} gives a zero lambda_min(A1) or theta1_star"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            theta_bounds_second_order(sensor_game, path_graph, lyap, GAINS2, theta=theta)
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig4"])
+def test_distributed_gain_report_needs_the_lyapunov_pair(name):
+    cfg = parse_config(figure_preset(name))
+    message = f"{cfg.tag.value} gain bounds need the Lyapunov pair of the estimation matrix"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        gain_report(cfg)
 
 
 def test_a1_positive_definite_above_theta_star(sensor_game, path_graph):
