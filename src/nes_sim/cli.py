@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,17 +31,10 @@ from .runner import check_output_paths, run_experiment
 from .simulate import run_sweep
 
 
-class SweepEntryError(Exception):
-    """A user error in building or running one sweep entry; the message names the entry."""
-
-    def __init__(self, idx, exc):
-        super().__init__(f"sweep[{idx}]: {exc}")
-
-
 # every package error but DivergenceError is a ValueError; OSError covers
 # output files that cannot be written, MemoryError record arrays that
 # cannot be allocated
-_USER_ERRORS = (ValueError, DivergenceError, OSError, MemoryError, SweepEntryError)
+_USER_ERRORS = (ValueError, DivergenceError, OSError, MemoryError)
 
 
 def _set_dotted(doc, dotted, value):
@@ -82,7 +76,7 @@ def cmd_run(args):
                 variants.append(parse_config(_apply_overrides(variant, args)))
                 check_output_paths(variants[-1].output)
             except ValueError as exc:
-                raise SweepEntryError(idx, exc) from exc
+                raise ConfigError(f"sweep[{idx}]: {exc}") from exc
             for path in variants[-1].output.values():
                 other = writers.setdefault(os.path.realpath(path), idx)
                 if other != idx:
@@ -92,14 +86,19 @@ def cmd_run(args):
                     )
 
         def run_entry(cfg):
-            # returned, not raised: a raise would cancel the entries after it
-            try:
-                return run_experiment(cfg)[0]
-            except _USER_ERRORS as exc:
-                return exc
+            # returned with its warnings, not raised: a raise would cancel the entries
+            # after it; catch_warnings is process-wide, and run_sweep runs one at a time
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    return run_experiment(cfg)[0], caught
+                except _USER_ERRORS as exc:
+                    return exc, caught
 
         failed, all_converged = False, True
-        for idx, result in enumerate(run_sweep(variants, run_entry)):
+        for idx, (result, caught) in enumerate(run_sweep(variants, run_entry)):
+            for warning in caught:
+                print(f"warning: sweep[{idx}]: {warning.message}", file=sys.stderr)
             if isinstance(result, Exception):
                 print(f"error: sweep[{idx}]: {result}", file=sys.stderr)
                 failed = True

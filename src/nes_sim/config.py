@@ -100,27 +100,11 @@ def _positive(value, path):
     return v
 
 
-_JSON_LEAVES = frozenset((str, float, bool, type(None)))
-
-
-def _json_copy(value):
-    """A copy of ``value`` in JSON's own types, as ``json.loads(json.dumps(value))``.
-
-    Lists, tuples, dicts with string keys and the leaf types above are
-    copied without the text; a numpy number becomes the Python number it
-    equals. Anything else takes the text round trip (a numpy array becomes
-    its nested list), so it is converted or refused as before.
-    """
-    kind = type(value)
-    if kind is list or kind is tuple:  # leaves are tested in line to save a call each
-        return [v if type(v) in _JSON_LEAVES else _json_copy(v) for v in value]
-    if kind is dict and all(type(k) is str for k in value):
-        return {k: v if type(v) in _JSON_LEAVES else _json_copy(v) for k, v in value.items()}
-    if isinstance(value, numbers.Integral):
-        return int(str(value))  # json.dumps's conversion, with its digit limit
-    if isinstance(value, numbers.Real):
-        return float(value)
-    return json.loads(json.dumps(value, default=np.ndarray.tolist))
+def _json_plain(value):
+    """``json.dumps``'s fallback: numpy arrays as nested lists, numpy scalars as numbers."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 @dataclass
@@ -157,6 +141,7 @@ class ExperimentConfig:
 
 
 def _parse_game(section):
+    """The game and its normalized section: the arrays as float lists, or the registered name."""
     _reject_unknown(section, _GAME_KEYS, "game")
     kind = _require(section, "type", "game")
     if kind == "quadratic":
@@ -168,9 +153,10 @@ def _parse_game(section):
         if arrays["q"].ndim > 1:
             raise ConfigError("game.q: expected a number or a flat list")
         try:
-            return QuadraticGame(**arrays), arrays
+            game = QuadraticGame(**arrays)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"game: {exc}") from exc
+        return game, {"type": kind, **{key: val.tolist() for key, val in arrays.items()}}
     if kind == "custom":
         name = _require(section, "name", "game")
         if not isinstance(name, str):
@@ -182,7 +168,7 @@ def _parse_game(section):
             raise ConfigError(
                 f"game: unknown custom game {_echo(name)}; available: {sorted(GAME_REGISTRY)}"
             )
-        return GAME_REGISTRY[name](), {}
+        return GAME_REGISTRY[name](), {"type": kind, "name": name}
     raise ConfigError(f"game: type must be 'quadratic' or 'custom', got {_echo(kind)}")
 
 
@@ -211,16 +197,17 @@ def _parse_vector(value, length, path):
 def parse_config(doc):
     """Validate a configuration dict and build the experiment objects.
 
-    The normalized form (``to_dict``, ``config_hash``) is a copy of ``doc``
-    with the parsed values written back: floats wherever numbers are read, the
-    whole ``sim`` section, every init block, symmetric bounds as ``u_bar``,
-    and no empty ``gains`` or ``tuner_overrides``.
+    The normalized form (``to_dict``, ``config_hash``) is built from the
+    parsed values, not copied from ``doc``: floats wherever numbers are read,
+    the whole ``sim`` section, every init block, symmetric bounds as
+    ``u_bar``, no empty ``gains`` or ``tuner_overrides``, and the sweep in
+    JSON's own types.
     """
     _reject_unknown(doc, _TOP_KEYS, "config")
     for key in ("game", "graph", "strategy", "sim"):
         _require(doc, key, "config")
 
-    game, game_arrays = _parse_game(doc["game"])
+    game, game_sec = _parse_game(doc["game"])
     n, p = game.n_players, game.action_dim
 
     graph_sec = doc["graph"]
@@ -349,27 +336,27 @@ def parse_config(doc):
         if not isinstance(sweep, list) or not all(isinstance(e, dict) for e in sweep):
             raise ConfigError("sweep: expected a list of override objects")
 
-    # the document itself, with each value the parse reads or fills in written back
-    try:
-        normalized = _json_copy(doc)
-    except RecursionError:  # nested past Python's recursion limit; json's C code goes deeper
-        normalized = json.loads(json.dumps(doc))
-    normalized["game"].update((k, v.tolist()) for k, v in game_arrays.items())
-    normalized["graph"]["adjacency"] = adjacency.tolist()
+    strategy = {"tag": tag.value}
+    if kwargs:
+        strategy["gains"] = {key: np.asarray(val).tolist() for key, val in kwargs.items()}
+    if sat_spec is not None:  # symmetric lower/upper fold to u_bar
+        bounds = {"lower": sat_spec.lower.tolist(), "upper": sat_spec.upper.tolist()}
+        strategy["saturation"] = {"u_bar": bounds["upper"]} if sat_spec.is_symmetric else bounds
+    if overrides:
+        strategy["tuner_overrides"] = dict(overrides)
+    normalized = {
+        "game": game_sec,
+        "graph": {"adjacency": adjacency.tolist()},
+        "strategy": strategy,
+        "sim": {f.name: getattr(sim, f.name) for f in fields(sim)},
+        "init": {f"{key}0": val.tolist() for key, val in sorted(init.items())},
+    }
     if "lyapunov_q" in graph_sec:
         normalized["graph"]["lyapunov_q"] = np.asarray(lyap_q).tolist()
-    strategy = normalized["strategy"]
-    strategy["gains"] = {k: np.asarray(v).tolist() for k, v in kwargs.items()}
-    strategy["tuner_overrides"] = dict(overrides)
-    for key in ("gains", "tuner_overrides"):  # dropped when empty
-        if not strategy.get(key):
-            strategy.pop(key, None)
-    if sat_spec is not None:
-        lower, upper = sat_spec.lower.tolist(), sat_spec.upper.tolist()
-        symmetric = sat_spec.is_symmetric  # symmetric lower/upper fold to u_bar
-        strategy["saturation"] = {"u_bar": upper} if symmetric else {"lower": lower, "upper": upper}
-    normalized["sim"] = {f.name: getattr(sim, f.name) for f in fields(sim)}
-    normalized["init"] = {f"{k}0": v.tolist() for k, v in sorted(init.items())}
+    if output is not None:
+        normalized["output"] = dict(output)
+    if sweep is not None:
+        normalized["sweep"] = json.loads(json.dumps(sweep, default=_json_plain))
 
     return ExperimentConfig(
         game=game,

@@ -91,12 +91,11 @@ def estimation_matrix(graph, action_dim):
     matrix (a lone player needs no estimation). A disconnected graph of two
     or more nodes raises ``DisconnectedGraphError``.
     """
-    n = graph.n_nodes
-    if n > 1 and not graph.is_connected():
+    if not graph.is_connected():
         raise DisconnectedGraphError(
             "communication graph must be connected for consensus estimation"
         )
-    p = int(action_dim)
+    n, p = graph.n_nodes, int(action_dim)
     lap = graph.laplacian()
     return np.kron(lap, np.eye(n * p)) + np.kron(np.diag(graph.adjacency.ravel()), np.eye(p))
 

@@ -763,9 +763,10 @@ def test_run_time_error_names_its_entry_and_later_entries_still_run(tmp_path, ca
     doc["sim"]["t_end"] = 0.05
     diverging = {"sim.dt": 1e-2, "sim.t_end": 1.0, **_entry_outputs(tmp_path, "b")}
     doc["sweep"] = [_entry_outputs(tmp_path, "a"), diverging, _entry_outputs(tmp_path, "c")]
-    with pytest.warns(RuntimeWarning, match="stability guard"):
-        assert main(["run", _write(tmp_path, doc)]) == 1
+    assert main(["run", _write(tmp_path, doc)]) == 1
     err = capsys.readouterr().err
+    warned = [line for line in err.splitlines() if line.startswith("warning: ")]
+    assert [line.split(": ")[1:3] for line in warned] == [["sweep[1]", "stability guard"]]
     assert err.splitlines()[-1].startswith("error: sweep[1]: non-finite state at step ")
     assert "Traceback" not in err
     assert (tmp_path / "a.csv").exists() and (tmp_path / "c.txt").exists()
@@ -837,9 +838,13 @@ def test_failed_sweep_entries_do_not_stop_the_others(tmp_path, capsys):
         {**(diverging if k in (1, 3) else {}), **_entry_outputs(tmp_path, name)}
         for k, name in enumerate("abcde")
     ]
-    with pytest.warns(RuntimeWarning, match="stability guard"):
-        assert main(["run", _write(tmp_path, doc)]) == 1
+    assert main(["run", _write(tmp_path, doc)]) == 1
     captured = capsys.readouterr()
+    warned = [line for line in captured.err.splitlines() if line.startswith("warning: ")]
+    assert [line.split(": ")[1:3] for line in warned] == [
+        ["sweep[1]", "stability guard"],
+        ["sweep[3]", "stability guard"],
+    ]
     headers = [line for line in captured.out.splitlines() if line.startswith("# sweep")]
     assert headers == ["# sweep[0]", "# sweep[2]", "# sweep[4]"]
     assert captured.out.count("strategy=first_order_dist\n") == 3
@@ -851,6 +856,29 @@ def test_failed_sweep_entries_do_not_stop_the_others(tmp_path, capsys):
         assert (tmp_path / f"{name}.csv").exists() and (tmp_path / f"{name}.txt").exists()
     for name in "bd":
         assert not (tmp_path / f"{name}.csv").exists() and not (tmp_path / f"{name}.txt").exists()
+
+
+def test_each_sweep_entry_prints_its_own_warnings(tmp_path, capsys):
+    # entries 1 and 2 raise the same warning text; each is named, once
+    doc = _short_run_doc(tmp_path, "fig3")
+    doc["sim"]["t_end"] = 0.05
+    doc["sweep"] = [
+        {**({"sim.dt": 7e-4} if k in (1, 2) else {}), **_entry_outputs(tmp_path, name)}
+        for k, name in enumerate("abcd")
+    ]
+    assert main(["run", _write(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(" = ")[0] for line in err] == [
+        f"warning: sweep[{k}]: stability guard: dt * fastest-mode-rate" for k in (1, 2)
+    ]
+
+
+def test_a_single_run_keeps_the_python_warning(tmp_path, capsys):
+    doc = _short_run_doc(tmp_path, "fig3")
+    doc["sim"].update(dt=7e-4, t_end=0.05)
+    with pytest.warns(RuntimeWarning, match="^stability guard: "):
+        assert main(["run", _write(tmp_path, doc)]) == 2
+    assert "warning: " not in capsys.readouterr().err
 
 
 def _estimation_system(doc):

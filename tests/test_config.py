@@ -402,6 +402,59 @@ def test_ensemble_entry_hash_is_pinned():
     assert parse_config(_ensemble_entry_0(1)).config_hash() == "662176fee52dec71"
 
 
+_CUSTOM_DOC = {
+    "game": {"type": "custom", "name": "decoupled_quartic"},
+    "graph": {"adjacency": [[0.0, 1.0], [1.0, 0.0]]},
+    "strategy": {"tag": "second_order_central", "gains": {"alpha": 1.0, "beta": 1.0}},
+    "sim": {"dt": 0.01, "t_end": 1.0},
+    "init": {"x0": [3.0, 0.0]},
+}
+
+
+@pytest.mark.parametrize(
+    "doc, config_hash",
+    [
+        (_CUSTOM_DOC, "58361a8159123b0f"),
+        (
+            _with(figure_preset("fig2"), ("strategy", "saturation"),
+                  {"lower": [-1, -2, -3, -4, -5, -6], "upper": [6, 5, 4, 3, 2, 1]}),
+            "a62bd6b83dc36fdc",
+        ),
+        (
+            _with(figure_preset("fig2"), ("strategy", "saturation"), {"lower": -2, "upper": 2}),
+            "87a3d3fc8d774402",
+        ),
+        (_with(figure_preset("fig3"), ("graph", "lyapunov_q"), 2.0 * np.eye(18)),
+         "f4d5c678d5faad6d"),
+        # empty sections are dropped: the hash is fig2's own
+        (
+            _with(_with(figure_preset("fig2"), ("strategy", "gains"), {}),
+                  ("strategy", "tuner_overrides"), {}),
+            "d7fd5a31c78c9740",
+        ),
+        (
+            _with(figure_preset("fig2"), ("sweep",), [
+                {"sim.dt": np.float64(2e-3), "sim.record_stride": np.int64(5)},
+                {"init.x0": np.arange(6.0)},
+            ]),
+            "3ffe85fa25e16edf",
+        ),
+    ],
+    ids=["custom", "asymmetric-bounds", "symmetric-lower-upper", "ndarray-q", "empty-sections",
+         "numpy-sweep"],
+)
+def test_normalized_sections_hash_as_pinned(doc, config_hash):
+    # each pin is a section the normalized form builds from the parse
+    assert parse_config(doc).config_hash() == config_hash
+
+
+def test_a_deeply_nested_sweep_parses():
+    deep = json.loads("[" * 900 + "1" + "]" * 900)
+    cfg = parse_config(_with(figure_preset("fig2"), ("sweep",), [{"init.x0": deep}]))
+    assert cfg.to_dict()["sweep"] == [{"init.x0": deep}]
+    assert len(cfg.config_hash()) == 16
+
+
 @pytest.mark.parametrize(
     "name, where, as_floats, as_given",
     [

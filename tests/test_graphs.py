@@ -49,6 +49,7 @@ def test_connectivity():
     assert CommGraph(path_graph_adjacency()).is_connected()
     assert CommGraph(complete_graph_adjacency()).is_connected()
     assert CommGraph([[0.0]]).is_connected()
+    assert CommGraph([[0.0]]).algebraic_connectivity() == 0.0
     two_edges = np.zeros((4, 4))
     two_edges[0, 1] = two_edges[1, 0] = 1.0
     two_edges[2, 3] = two_edges[3, 2] = 1.0
@@ -99,8 +100,8 @@ def test_estimation_matrix_path_structure():
 
 
 def test_estimation_matrix_single_node_degenerate():
-    m = estimation_matrix(CommGraph([[0.0]]), 1)
-    np.testing.assert_array_equal(m, [[0.0]])
+    for p in (1, 2, 3):
+        np.testing.assert_array_equal(estimation_matrix(CommGraph([[0.0]]), p), np.zeros((p, p)))
 
 
 def test_estimation_matrix_kron_expansion_in_action_dim():

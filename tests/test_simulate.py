@@ -261,6 +261,8 @@ def test_detect_convergence_failure():
     traj = _toy_traj([0.0, 1.0], [1.0, 0.5])
     converged, t_hit = detect_convergence(traj, np.array([0.0]), 1e-3)
     assert not converged and t_hit is None
+    with pytest.raises(ValueError, match="^trajectory is empty$"):
+        detect_convergence(_toy_traj([], []), np.array([0.0]), 1e-3)
 
 
 def test_check_control_bounds():
