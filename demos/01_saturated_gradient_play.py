@@ -14,6 +14,7 @@ from nes_sim import (
     SaturationSpec,
     SimConfig,
     StrategyTag,
+    attach_distance,
     check_control_bounds,
     detect_convergence,
     integrate,
@@ -37,12 +38,13 @@ rhs, layout = make_rhs(StrategyTag.SAT_GRAD_PLAY, game, sat_spec=spec)
 cfg = SimConfig(dt=1e-3, t_end=20.0, record_stride=10, convergence_tol=1e-3)
 traj = integrate(rhs, x0, cfg, layout)
 
-converged, t_hit = detect_convergence(traj, x_star, cfg.convergence_tol)
+dist = attach_distance(traj, x_star)
+converged, t_hit = detect_convergence(traj.times, dist, cfg.convergence_tol)
 ok, worst = check_control_bounds(traj, spec)
 values, max_inc = monitor_lyapunov(traj, game, sat_spec=spec)
 
 print(f"\nconverged: {converged} (within 1e-3 from t = {t_hit:.2f} s)")
-print(f"final distance to equilibrium: {traj.diagnostics['dist_ne'][-1]:.2e}")
+print(f"final distance to equilibrium: {dist[-1]:.2e}")
 print(f"control bound respected exactly: {ok} (worst violation {worst})")
 print(f"peak |u| over the run: {np.max(np.abs(traj.controls)):.1f}")
 print(f"stability certificate decreased from {values[0]:.1f} to {values[-1]:.2e}"

@@ -19,6 +19,7 @@ from nes_sim import (
     SaturationSpec,
     SimConfig,
     StrategyTag,
+    attach_distance,
     attach_estimation_error,
     detect_convergence,
     estimation_matrix,
@@ -47,13 +48,14 @@ state0 = layout.pack(x=[10.0, 0.0, 0.0, 5.0, 0.0, 0.0], y=np.full(18, 10.0))
 cfg = SimConfig(dt=1e-4, t_end=10.0, record_stride=100, convergence_tol=1e-2)
 traj = integrate(rhs, state0, cfg, layout)
 
-converged, t_hit = detect_convergence(traj, x_star, cfg.convergence_tol)
+dist = attach_distance(traj, x_star)
+converged, t_hit = detect_convergence(traj.times, dist, cfg.convergence_tol)
 est_err = attach_estimation_error(traj)
 
 print("distance to equilibrium and estimation error over time:")
 for k in np.linspace(0, traj.n_records - 1, 8, dtype=int):
     print(
-        f"  t={traj.times[k]:6.2f}   |x - x*|_inf = {traj.diagnostics['dist_ne'][k]:9.2e}"
+        f"  t={traj.times[k]:6.2f}   |x - x*|_inf = {dist[k]:9.2e}"
         f"   ||y - truth|| = {est_err[k]:9.2e}"
     )
 print(f"\nconverged: {converged} (t_hit = {t_hit:.2f} s)")

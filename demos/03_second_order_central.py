@@ -21,6 +21,7 @@ from nes_sim import (
     SimConfig,
     StrategyTag,
     alpha_beta_star,
+    attach_distance,
     check_control_bounds,
     detect_convergence,
     integrate,
@@ -46,7 +47,8 @@ state0 = layout.pack(x=[10.0, 0.0, 0.0, 5.0, 0.0, 0.0])  # velocities start at r
 cfg = SimConfig(dt=1e-3, t_end=50.0, record_stride=50, convergence_tol=1e-3)
 traj = integrate(rhs, state0, cfg, layout)
 
-converged, t_hit = detect_convergence(traj, x_star, cfg.convergence_tol)
+dist = attach_distance(traj, x_star)
+converged, t_hit = detect_convergence(traj.times, dist, cfg.convergence_tol)
 values, max_inc = monitor_lyapunov(traj, game, gains=gains)
 ok, worst = check_control_bounds(traj, SaturationSpec.symmetric(5.0))
 

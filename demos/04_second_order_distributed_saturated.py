@@ -23,6 +23,7 @@ from nes_sim import (
     SaturationSpec,
     SimConfig,
     StrategyTag,
+    attach_distance,
     attach_estimation_error,
     check_control_bounds,
     detect_convergence,
@@ -46,14 +47,15 @@ rhs, layout = make_rhs(
 cfg = SimConfig(dt=1e-3, t_end=200.0, record_stride=200, convergence_tol=1e-2)
 traj = integrate(rhs, layout.pack(), cfg, layout)
 
-converged, t_hit = detect_convergence(traj, x_star, cfg.convergence_tol)
+dist = attach_distance(traj, x_star)
+converged, t_hit = detect_convergence(traj.times, dist, cfg.convergence_tol)
 est_err = attach_estimation_error(traj)
 ok, _ = check_control_bounds(traj, spec)
 peak = np.max(np.abs(traj.controls))
 
 print(f"converged: {converged} (within 1e-2 from t = {t_hit:.1f} s)")
 print(f"bound respected exactly: {ok}; peak |u| = {peak:.2f} of 5.00 allowed")
-print(f"final distance to equilibrium: {traj.diagnostics['dist_ne'][-1]:.2e}")
+print(f"final distance to equilibrium: {dist[-1]:.2e}")
 print(f"final reference-estimation error: {est_err[-1]:.2e}")
 
 print("\nslow-reference architecture at work (player 3, first coordinate):")

@@ -19,6 +19,7 @@ from nes_sim import (
     SaturationSpec,
     SimConfig,
     StrategyTag,
+    attach_distance,
     attach_estimation_error,
     detect_convergence,
     estimation_matrix,
@@ -55,7 +56,8 @@ for trial in range(8):
         SimConfig(dt=dt, t_end=12.0, record_stride=200, convergence_tol=1e-3),
         layout,
     )
-    converged, t_hit = detect_convergence(traj, game.exact_ne(), 1e-3)
+    dist = attach_distance(traj, game.exact_ne())
+    converged, t_hit = detect_convergence(traj.times, dist, 1e-3)
     print(
         f"  N={n} p={p}  theta*={theta_star:8.1f}  dt={dt:.1e}"
         f"  converged={converged} (t_hit={t_hit:.2f})"

@@ -356,7 +356,10 @@ def parse_config(doc):
     if output is not None:
         normalized["output"] = dict(output)
     if sweep is not None:
-        normalized["sweep"] = json.loads(json.dumps(sweep, default=_json_plain))
+        try:
+            normalized["sweep"] = json.loads(json.dumps(sweep, default=_json_plain))
+        except (TypeError, ValueError) as exc:  # a set, say, or a list that holds itself
+            raise ConfigError(f"sweep: {exc}") from None
 
     return ExperimentConfig(
         game=game,

@@ -210,6 +210,19 @@ class StateLayout:
             )
         return state
 
+    def estimate_error(self, states):
+        """y - 1_N (x) target for one state or a ``(B, size)`` stack of them.
+
+        The target is the reference z when the layout has one, else x. The
+        consensus term of the vector field, the Lyapunov candidate and the
+        ``est_err`` diagnostic all read this one error.
+        """
+        if not self.has_estimates:
+            raise ValueError("layout has no estimate block")
+        a, b = self.offsets["z" if self.has_reference else "x"]
+        lo, hi = self.offsets["y"]
+        return states[..., lo:hi] - np.tile(states[..., a:b], self.n_players)
+
     def split(self, state):
         """Views of the state's blocks keyed by block name."""
         state = self.check(state)
@@ -279,20 +292,21 @@ class GainSet:
 
     def theta_bar_vec(self, n_players):
         """Diagonal of the per-estimate weight matrix: N^2 weights, each shared by p channels."""
-        n2 = n_players * n_players
-        tb = np.asarray(self.theta_bar if self.theta_bar is not None else 1.0, dtype=float)
-        tb = np.full(n2, float(tb)) if tb.ndim == 0 else tb.ravel()
-        if tb.size != n2:
-            raise DimensionMismatchError("theta_bar", n2, tb.size)
-        return tb
+        tb = 1.0 if self.theta_bar is None else self.theta_bar
+        return _broadcast("theta_bar", tb, n_players * n_players)
 
     def k_vec(self, n_players, action_dim):
         """Per-player reference gains expanded to Np channels."""
-        k = np.asarray(self.K, dtype=float)
-        k = np.full(n_players, float(k)) if k.ndim == 0 else k.ravel()
-        if k.size != n_players:
-            raise DimensionMismatchError("K", n_players, k.size)
-        return np.repeat(k, action_dim)
+        return np.repeat(_broadcast("K", self.K, n_players), action_dim)
+
+
+def _broadcast(name, value, n):
+    """A scalar gain as ``n`` equal floats, or a vector gain of ``n`` entries, flat."""
+    v = np.asarray(value, dtype=float)
+    v = np.full(n, float(v)) if v.ndim == 0 else v.ravel()
+    if v.size != n:
+        raise DimensionMismatchError(name, n, v.size)
+    return v
 
 
 def _per_channel(m, v):
@@ -342,9 +356,9 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None):
         # one gain per estimate, a column so that it scales the estimate's p channels
         coef = -gains.estimation_gain(layout.has_velocity) * gains.theta_bar_vec(n)[:, None]
 
-        def consensus(y, target):
+        def consensus(s):
             # the estimates contract to the tiled target through M = M1 (x) I_p
-            e = y - np.tile(target, n)
+            e = layout.estimate_error(s)
             return (coef * _per_channel(M1, e)).reshape(e.shape)
 
     # Each law takes one state or a stack of them, one per row, so matrix
@@ -366,8 +380,8 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None):
     elif tag is StrategyTag.FIRST_ORDER_DIST:
         def law(s):
             # gradient at the local estimates; the estimates contract to tiled x
-            x, y = s[..., :d], s[..., d:]
-            return np.concatenate([-game.own_gradients_at_estimates(y), consensus(y, x)], axis=-1)
+            grad = game.own_gradients_at_estimates(s[..., d:])
+            return np.concatenate([-grad, consensus(s)], axis=-1)
 
     else:
         # Distributed second order: z descends the gradient at the estimates
@@ -378,7 +392,7 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None):
         def law(s):
             x, nu, z, y = s[..., :d], s[..., d : 2 * d], s[..., 2 * d : 3 * d], s[..., 3 * d :]
             zdot = neg_kbar * game.own_gradients_at_estimates(y)
-            return np.concatenate([nu, -(x - z) - (nu - zdot), zdot, consensus(y, z)], axis=-1)
+            return np.concatenate([nu, -(x - z) - (nu - zdot), zdot, consensus(s)], axis=-1)
 
     control, check, size = layout.control, layout.check, layout.size
 
@@ -480,7 +494,7 @@ def lyapunov_value(tag, game, state, *, gains=None, sat_spec=None, P=None, x_sta
         v = sat_sum(game.pseudo_gradient(x))
 
     elif tag is StrategyTag.FIRST_ORDER_DIST:
-        v = sat_sum(game.pseudo_gradient(x)) + quad(y - np.tile(x, game.n_players))
+        v = sat_sum(game.pseudo_gradient(x)) + quad(layout.estimate_error(states))
 
     elif tag is StrategyTag.SECOND_ORDER_CENTRAL:
         g = game.pseudo_gradient(x)
@@ -491,7 +505,7 @@ def lyapunov_value(tag, game, state, *, gains=None, sat_spec=None, P=None, x_sta
         zdot = -(gains.theta1 * k) * game.own_gradients_at_estimates(y)
         ez = z - x_star
         ev = nu - zdot
-        base = 0.5 * dot(ez, ez / k) + quad(y - np.tile(z, game.n_players))
+        base = 0.5 * dot(ez, ez / k) + quad(layout.estimate_error(states))
         if tag is StrategyTag.SECOND_ORDER_DIST:
             et = x - z
             v = base + 0.5 * dot(et, et) + 0.5 * dot(ev, ev)

@@ -159,6 +159,9 @@ class QuadraticGame(GameDefinition):
     m_weights : array_like, shape (N, N)
         Symmetric, nonnegative, zero diagonal. Asymmetric couplings are
         rejected rather than silently symmetrised.
+
+    Every entry must be finite, and so must H and its symmetric part: a
+    game whose H overflows the float range is refused with ``ValueError``.
     """
 
     def __init__(self, r, p_vec, q, m_weights):
@@ -175,6 +178,9 @@ class QuadraticGame(GameDefinition):
             raise DimensionMismatchError("constant offsets q", n, q.size)
         if w.shape != (n, n):
             raise DimensionMismatchError("coupling matrix m_weights", n * n, w.size)
+        for name, val in (("r", r), ("p_vec", p_vec), ("q", q), ("m_weights", w)):
+            if not np.isfinite(val).all():
+                raise ValueError(f"{name} must be finite")
         if not (w == w.T).all():
             raise ValueError("m_weights must be symmetric (undirected physical coupling)")
         if (w.diagonal() != 0.0).any():
@@ -182,7 +188,6 @@ class QuadraticGame(GameDefinition):
         if (w < 0.0).any():
             raise ValueError("m_weights must be nonnegative")
 
-        self.r = 0.5 * (r + np.transpose(r, (0, 2, 1)))
         self.p_vec = p_vec.copy()
         self.q = q.copy()
         self.m_weights = w.copy()
@@ -192,10 +197,20 @@ class QuadraticGame(GameDefinition):
         H = np.zeros((n, p, n, p))
         eye = np.eye(p)
         i, j = w.nonzero()  # the zero diagonal leaves out i == j
-        H[i, :, j, :] = (-2.0 * w[i, j])[:, None, None] * eye
         k = np.arange(n)
-        H[k, :, k, :] = 2.0 * self.r + (2.0 * w.sum(axis=1))[:, None, None] * eye
-        self._H = H.reshape(n * p, n * p)
+        # finite entries near the float range overflow here: refused below, not warned
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.r = 0.5 * (r + np.transpose(r, (0, 2, 1)))
+            H[i, :, j, :] = (-2.0 * w[i, j])[:, None, None] * eye
+            H[k, :, k, :] = 2.0 * self.r + (2.0 * w.sum(axis=1))[:, None, None] * eye
+            H = H.reshape(n * p, n * p)
+            # the symmetric part, which the monotonicity constant reads, too
+            finite = np.isfinite(H + H.T).all()
+        if not finite:
+            raise ValueError(
+                "the pseudo-gradient matrix H overflows the float range; rescale r and m_weights"
+            )
+        self._H = H
         self._c = self.p_vec.ravel().copy()
         super().__init__(n, p, self._affine, self._constant_jacobian)
 

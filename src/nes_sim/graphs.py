@@ -33,8 +33,9 @@ class CommGraph:
     Parameters
     ----------
     adjacency : array_like, shape (N, N)
-        Finite, symmetric, nonnegative weights with a zero diagonal, at
-        least one node. Any positive entry is a communication link.
+        Finite, symmetric, nonnegative weights with a zero diagonal and
+        finite row sums (degrees), at least one node. Any positive entry is
+        a communication link.
     """
 
     def __init__(self, adjacency):
@@ -51,6 +52,10 @@ class CommGraph:
             raise ValueError("adjacency weights must be nonnegative")
         if (a.diagonal() != 0.0).any():
             raise ValueError("adjacency must have a zero diagonal (no self-loops)")
+        with np.errstate(over="ignore"):
+            degrees = a.sum(axis=1)
+        if not np.isfinite(degrees).all():
+            raise ValueError("adjacency degrees (row sums) overflow the float range")
         self.adjacency = a.copy()
 
     @property

@@ -140,9 +140,9 @@ def run_experiment(cfg):
 
     converged, t_hit, final_dist = False, None, None
     if x_star is not None:
-        attach_distance(traj, x_star)
-        converged, t_hit = detect_convergence(traj, x_star, cfg.sim.convergence_tol)
-        final_dist = float(traj.diagnostics["dist_ne"][-1])
+        dist = attach_distance(traj, x_star)
+        converged, t_hit = detect_convergence(traj.times, dist, cfg.sim.convergence_tol)
+        final_dist = float(dist[-1])
     if layout.has_estimates:
         attach_estimation_error(traj)
 
@@ -157,7 +157,7 @@ def run_experiment(cfg):
                 P=lyap.P if lyap is not None else None,
                 x_star=x_star,
             )
-        except ValueError as exc:  # the candidate lacks an ingredient
+        except ValueError as exc:  # the candidate lacks an ingredient or is not finite
             lyap_error = str(exc)
 
     bounds_ok, worst = None, None

@@ -285,36 +285,32 @@ def attach_distance(traj, x_star):
     traj.diagnostics["dist_ne"] = dist
     return dist
 
+
 def attach_estimation_error(traj):
     """Attach ||y - tiled target|| (2-norm); target is x or the reference z."""
-    if not traj.layout.has_estimates:
-        raise ValueError("layout has no estimate block")
-    target = "z" if traj.layout.has_reference else "x"
-    ref = traj.block_history(target)
-    y = traj.block_history("y")
-    err = np.linalg.norm(y - np.tile(ref, (1, traj.layout.n_players)), axis=1)
+    err = np.linalg.norm(traj.layout.estimate_error(traj.states), axis=1)
     traj.diagnostics["est_err"] = err
     return err
 
 
-def detect_convergence(traj, x_star, tol):
-    """Earliest recorded time after which x stays within ``tol`` of x_star.
+def detect_convergence(times, dist, tol):
+    """Earliest record time after which the distance stays within ``tol``.
 
-    Uses the suffix criterion: a single crossing during an overshoot does
-    not count; the hit time starts the final in-tolerance stretch.
+    ``dist`` is the distance series of the records at ``times``, as
+    :func:`attach_distance` returns it. Uses the suffix criterion: a single
+    crossing during an overshoot does not count; the hit time starts the
+    final in-tolerance stretch.
 
     Returns ``(converged, t_hit)`` with ``t_hit=None`` when the final
     record is out of tolerance.
     """
-    if traj.n_records == 0:
-        raise ValueError("trajectory is empty")
-    dist = attach_distance(traj, x_star)
-    inside = dist <= tol
+    if len(dist) == 0:
+        raise ValueError("distance series is empty")
+    inside = np.asarray(dist) <= tol
     if not inside[-1]:
         return False, None
     outside = np.flatnonzero(~inside)
-    start = 0 if outside.size == 0 else int(outside[-1]) + 1
-    return True, float(traj.times[start])
+    return True, float(times[outside[-1] + 1 if outside.size else 0])
 
 
 def check_control_bounds(traj, spec):
@@ -339,11 +335,17 @@ def monitor_lyapunov(traj, game, *, gains=None, sat_spec=None, P=None, x_star=No
     matrix. Attaches the series as diagnostic ``V`` and returns
     ``(values, max_increment)`` where the increment is the largest
     positive jump between consecutive records (0.0 for a monotone
-    series).
+    series). A candidate that overflows or turns NaN at some record raises
+    ``ValueError`` naming the first such record's time, without a warning,
+    and attaches nothing.
     """
-    values = dyn.lyapunov_value(
-        traj.layout.tag, game, traj.states, gains=gains, sat_spec=sat_spec, P=P, x_star=x_star
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = dyn.lyapunov_value(
+            traj.layout.tag, game, traj.states, gains=gains, sat_spec=sat_spec, P=P, x_star=x_star
+        )
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"Lyapunov candidate is not finite at t={traj.times[bad[0]]:.6g}")
     traj.diagnostics["V"] = values
     increments = np.diff(values)
     return values, float(increments.max(initial=0.0))
@@ -352,27 +354,32 @@ def monitor_lyapunov(traj, game, *, gains=None, sat_spec=None, P=None, x_star=No
 def stability_guard(cfg, tag, gains=None, M=None, game=None):
     """Estimate dt * (fastest mode rate) and warn when it nears instability.
 
-    For consensus strategies the fastest mode is the estimation flow, rate
-    (theta * theta1) * max(theta_bar) * lambda_max(M), and the strategy's
-    gains are required as ``make_rhs`` requires them; otherwise the game
-    Jacobian's norm (plus damping gains) is used. Violation warns rather
-    than aborts: saturation often tames the transient. ``M`` is the
-    per-channel ``estimation_matrix(graph, 1)``, whose largest eigenvalue
-    is that of the full M1 (x) I_p.
+    The tag alone picks the mode, and the tag's gains are required as
+    ``make_rhs`` requires them. For a strategy with estimates the fastest
+    mode is the estimation flow, rate (theta * theta1) * max(theta_bar) *
+    lambda_max(M), and ``M`` is required: the per-channel
+    ``estimation_matrix(graph, 1)``, whose largest eigenvalue is that of
+    the full M1 (x) I_p. For the others it is the norm of the game's
+    Jacobian at 0, plus alpha + beta for the centralized second-order law,
+    and ``game`` is required. A missing ingredient raises ``ValueError``.
+    Violation warns rather than aborts: saturation often tames the
+    transient.
     """
     tag = dyn.StrategyTag(tag)
     blocks = dyn.STRATEGIES[tag].blocks
     gains = gains if gains is not None else dyn.GainSet()
-    rate = 0.0
-    if M is not None and "y" in blocks:
-        gains.require(*dyn.STRATEGIES[tag].gains)
-        scale = gains.estimation_gain("nu" in blocks)
+    gains.require(*dyn.STRATEGIES[tag].gains)
+    if "y" in blocks:
+        if M is None:
+            raise ValueError(f"stability guard for {tag.value} requires the estimation matrix M")
         tb_max = float(np.max(np.asarray(gains.theta_bar if gains.theta_bar is not None else 1.0)))
-        rate = scale * tb_max * float(np.linalg.eigvalsh(M)[-1])
-    elif game is not None:
+        rate = gains.estimation_gain("nu" in blocks) * tb_max * float(np.linalg.eigvalsh(M)[-1])
+    else:
+        if game is None:
+            raise ValueError(f"stability guard for {tag.value} requires the game")
         rate = float(np.linalg.norm(game.game_jacobian(np.zeros(game.profile_dim)), 2))
         if tag is dyn.StrategyTag.SECOND_ORDER_CENTRAL:
-            rate = rate + (gains.alpha or 0.0) + (gains.beta or 0.0)
+            rate = rate + gains.alpha + gains.beta
     product = cfg.dt * rate
     limit = cfg.guard_limit
     if product > limit:

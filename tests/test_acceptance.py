@@ -16,6 +16,7 @@ from nes_sim import (
     SimConfig,
     StateLayout,
     StrategyTag,
+    attach_distance,
     check_control_bounds,
     detect_convergence,
     estimation_matrix,
@@ -102,7 +103,7 @@ def test_criterion_5_centralized_second_order(sensor_game, x_star):
     rhs, lay = make_rhs(StrategyTag.SECOND_ORDER_CENTRAL, sensor_game, gains=gains)
     cfg = SimConfig(dt=1e-3, t_end=50.0, record_stride=10, convergence_tol=1e-3)
     traj = integrate(rhs, lay.pack(x=X0), cfg, lay)
-    converged, t_hit = detect_convergence(traj, x_star, 1e-3)
+    converged, t_hit = detect_convergence(traj.times, attach_distance(traj, x_star), 1e-3)
     assert converged
     _, max_inc = monitor_lyapunov(traj, sensor_game, gains=gains)
     assert max_inc <= 1e-8
@@ -136,7 +137,8 @@ def test_criterion_6_sufficiency_bound_consistency():
             dt=dt, t_end=15.0, record_stride=max(1, int(round(0.05 / dt))), convergence_tol=1e-3
         )
         traj = integrate(rhs, lay.pack(x=x0), cfg, lay)
-        converged, _ = detect_convergence(traj, game.exact_ne(), 1e-3)
+        dist = attach_distance(traj, game.exact_ne())
+        converged, _ = detect_convergence(traj.times, dist, 1e-3)
         hits += converged
     elapsed = time.perf_counter() - start
     assert hits == 20

@@ -427,6 +427,52 @@ _SKEW_SECOND_ORDER = {
 }
 
 
+def _overflowing_doc(tmp_path, case):
+    if case == "adjacency":
+        doc = _short_run_doc(tmp_path, "fig3")
+        doc["graph"]["adjacency"] = (1e308 * np.array(doc["graph"]["adjacency"])).tolist()
+        return doc
+    doc = _short_run_doc(tmp_path, "fig2")
+    if case == "r":
+        doc["game"]["r"][0] = [[1e308, 0.0], [0.0, 1e308]]
+    else:
+        doc["game"]["m_weights"] = (1e308 * (1.0 - np.eye(3))).tolist()
+    return doc
+
+
+@pytest.mark.parametrize("command", ["oracle", "tune", "run"])
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("r", "game: the pseudo-gradient matrix H overflows the float range"),
+        ("m_weights", "game: the pseudo-gradient matrix H overflows the float range"),
+        ("adjacency", "graph.adjacency: adjacency degrees (row sums) overflow the float range"),
+    ],
+)
+def test_overflowing_game_and_graph_inputs_exit_one_by_name(
+    tmp_path, capsys, command, case, message
+):
+    # unchecked, these exit 1 with numpy's "Eigenvalues did not converge" or "SVD
+    # did not converge" after RuntimeWarnings (errors in this suite)
+    path = _write(tmp_path, _overflowing_doc(tmp_path, case))
+    assert main(["--t-end", "0.01", command, path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_run_reports_a_non_finite_lyapunov_candidate(tmp_path, capsys):
+    # p_vec of 1e308 overflows the candidate at t = 0: reported by reason, not as nan
+    doc = _short_run_doc(tmp_path, "fig2")
+    doc["game"]["p_vec"][0] = [1e308, 1e308]
+    assert main(["--t-end", "0.01", "run", _write(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "max_lyapunov_increment=none\n" in captured.out
+    assert "lyapunov_error=Lyapunov candidate is not finite at t=0\n" in captured.out
+    assert "nan" not in (tmp_path / "s.txt").read_text()
+
+
 @pytest.mark.parametrize(
     "case, reason",
     [

@@ -231,6 +231,18 @@ def test_sweep_section_validation():
         parse_config(doc)
 
 
+def test_a_sweep_value_that_is_not_json_is_a_config_error():
+    doc = figure_preset("fig2")
+    doc["sweep"] = [{"sim.dt": {1, 2}}]
+    with pytest.raises(ConfigError, match="^sweep: Object of type set is not JSON serializable$"):
+        parse_config(doc)
+    loop = []
+    loop.append(loop)
+    doc["sweep"] = [{"sim.dt": loop}]
+    with pytest.raises(ConfigError, match="^sweep: Circular reference detected$"):
+        parse_config(doc)
+
+
 @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
 def test_monitor_lyapunov_must_be_a_boolean(value):
     doc = figure_preset("fig2")

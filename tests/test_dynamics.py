@@ -224,6 +224,27 @@ def test_layout_pack_split_roundtrip():
     assert lay.block_name(18) == "y[0]"
 
 
+@pytest.mark.parametrize(
+    "tag, target",
+    [(StrategyTag.FIRST_ORDER_DIST, "x"), (StrategyTag.SECOND_ORDER_DIST, "z")],
+    ids=["x-tracking", "z-tracking"],
+)
+def test_layout_estimate_error_of_one_state_and_of_a_stack(tag, target):
+    lay = StateLayout(tag, 3, 2)
+    rng = np.random.default_rng(11)
+    states = rng.normal(size=(4, lay.size))
+    expected = []
+    for s in states:
+        blocks = lay.split(s)
+        # estimate y_ij of player j's action, tracking that player's block of the target
+        expected.append(blocks["y"] - np.concatenate([blocks[target]] * 3))
+        np.testing.assert_array_equal(lay.estimate_error(s), expected[-1])
+    np.testing.assert_array_equal(lay.estimate_error(states), np.array(expected))
+    assert lay.estimate_error(states).shape == (4, 18)
+    with pytest.raises(ValueError, match="^layout has no estimate block$"):
+        StateLayout(StrategyTag.SECOND_ORDER_CENTRAL, 3, 2).estimate_error(np.zeros(12))
+
+
 def test_layout_mismatch_errors():
     lay = StateLayout(StrategyTag.SAT_GRAD_PLAY, 3, 2)
     with pytest.raises(LayoutMismatchError, match="length 6"):

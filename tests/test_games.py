@@ -171,6 +171,31 @@ def test_quadratic_game_refuses_malformed_arrays(key, value, error, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("key", ["r", "p_vec", "q", "m_weights"])
+def test_quadratic_game_refuses_non_finite_arrays(key, bad):
+    # unchecked, a NaN r is accepted and exact_ne() calls the game "not strongly monotone"
+    value = np.array(GOOD_ARRAYS[key], dtype=float)
+    value.flat[1] = bad  # for m_weights, off the diagonal; finiteness is checked first
+    with pytest.raises(ValueError, match=f"^{key} must be finite$"):
+        QuadraticGame(**{**GOOD_ARRAYS, key: value})
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("r", np.full((2, 1, 1), 1e308)),  # 2 r overflows
+        ("r", np.full((2, 1, 1), 6e307)),  # H is finite, H + H^T is not
+        ("m_weights", 1e308 * (1.0 - np.eye(2))),  # -2 w overflows
+    ],
+    ids=["2r", "symmetric-part", "couplings"],
+)
+def test_quadratic_game_refuses_an_overflowing_h(key, value):
+    # refused by name and without a RuntimeWarning, which the suite makes an error
+    with pytest.raises(ValueError, match="^the pseudo-gradient matrix H overflows the float range"):
+        QuadraticGame(**{**GOOD_ARRAYS, key: value})
+
+
 @pytest.mark.parametrize(
     "n_players, action_dim, message",
     [

@@ -87,6 +87,16 @@ def test_graph_validation():
         CommGraph(np.zeros((0, 0)))
 
 
+def test_graph_refuses_degrees_that_overflow():
+    # each weight is finite, but node 0's degree 2e308 is not; unchecked, the
+    # Laplacian holds inf and the eigensolvers fail after RuntimeWarnings
+    a = 1e308 * (1.0 - np.eye(3))
+    message = r"^adjacency degrees \(row sums\) overflow the float range$"
+    with pytest.raises(ValueError, match=message):
+        CommGraph(a)
+    assert CommGraph(0.5 * a).laplacian()[0, 0] == 1e308
+
+
 def test_estimation_matrix_path_structure():
     g = CommGraph(path_graph_adjacency())
     m = estimation_matrix(g, 1)

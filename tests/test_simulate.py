@@ -17,6 +17,7 @@ from nes_sim import (
     StateLayout,
     StrategyTag,
     Trajectory,
+    attach_distance,
     attach_estimation_error,
     check_control_bounds,
     detect_convergence,
@@ -32,6 +33,7 @@ from nes_sim import (
     solve_lyapunov,
     stability_guard,
 )
+from nes_sim.presets import figure_preset
 from nes_sim.simulate import _SCREEN_STEPS
 from tests.conftest import X0, evaluate
 
@@ -246,23 +248,23 @@ def test_estimation_error_needs_an_estimate_block():
 
 def test_detect_convergence_constant_at_star():
     traj = _toy_traj([0.0, 1.0, 2.0], [4.0, 4.0, 4.0])
-    converged, t_hit = detect_convergence(traj, np.array([4.0]), 1e-3)
+    converged, t_hit = detect_convergence(traj.times, attach_distance(traj, [4.0]), 1e-3)
     assert converged and t_hit == 0.0
 
 
 def test_detect_convergence_suffix_semantics():
     # touches the tolerance at t=1, leaves, and returns for good at t=3
     traj = _toy_traj([0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 0.0005, 0.5, 0.0004, 0.0002])
-    converged, t_hit = detect_convergence(traj, np.array([0.0]), 1e-3)
+    converged, t_hit = detect_convergence(traj.times, attach_distance(traj, [0.0]), 1e-3)
     assert converged and t_hit == 3.0
 
 
 def test_detect_convergence_failure():
     traj = _toy_traj([0.0, 1.0], [1.0, 0.5])
-    converged, t_hit = detect_convergence(traj, np.array([0.0]), 1e-3)
+    converged, t_hit = detect_convergence(traj.times, attach_distance(traj, [0.0]), 1e-3)
     assert not converged and t_hit is None
-    with pytest.raises(ValueError, match="^trajectory is empty$"):
-        detect_convergence(_toy_traj([], []), np.array([0.0]), 1e-3)
+    with pytest.raises(ValueError, match="^distance series is empty$"):
+        detect_convergence(np.empty(0), np.empty(0), 1e-3)
 
 
 def test_check_control_bounds():
@@ -339,6 +341,74 @@ def test_stability_guard_without_gains_names_them(tag, missing, path_graph):
     M = estimation_matrix(path_graph, 1)
     with pytest.raises(ValueError, match=f"^missing required gains: {missing}$"):
         stability_guard(SimConfig(dt=1e-3, t_end=1.0), tag, M=M)
+
+
+@pytest.mark.parametrize(
+    "tag, gains, needs",
+    [
+        (StrategyTag.SAT_GRAD_PLAY, None, "the game"),
+        (StrategyTag.SECOND_ORDER_CENTRAL, GainSet(alpha=1.0, beta=1.0), "the game"),
+        (StrategyTag.FIRST_ORDER_DIST, GainSet(theta=1000.0), "the estimation matrix M"),
+        (
+            StrategyTag.SECOND_ORDER_DIST_SAT,
+            GainSet(theta=200.0, theta1=1.0, K=0.1),
+            "the estimation matrix M",
+        ),
+    ],
+)
+def test_stability_guard_refuses_a_missing_ingredient(tag, gains, needs, sensor_game, path_graph):
+    # the tag picks the mode: a consensus law given only the game no longer gets
+    # the game-Jacobian product (fig3: 0.0008 instead of 0.373), nor a call
+    # given neither ingredient 0.0
+    sim = SimConfig(dt=1e-4, t_end=1.0)
+    # the ingredient of the other mode does not stand in for the missing one
+    other = {"game": sensor_game} if "M" in needs else {"M": estimation_matrix(path_graph, 1)}
+    for given in ({}, other):
+        with pytest.raises(ValueError, match=f"^stability guard for {tag.value} requires {needs}$"):
+            stability_guard(sim, tag, gains=gains, **given)
+
+
+def test_stability_guard_of_the_central_law_requires_its_damping_gains(sensor_game):
+    # unchecked, a missing alpha or beta counted as 0.0
+    sim, tag = SimConfig(dt=1e-3, t_end=1.0), StrategyTag.SECOND_ORDER_CENTRAL
+    with pytest.raises(ValueError, match="^missing required gains: beta$"):
+        stability_guard(sim, tag, gains=GainSet(alpha=1.0), game=sensor_game)
+    rate = float(np.linalg.norm(sensor_game.jacobian_matrix, 2)) + 1.0 + 2.0
+    product = stability_guard(sim, tag, gains=GainSet(alpha=1.0, beta=2.0), game=sensor_game)
+    assert product == 1e-3 * rate
+
+
+def test_monitor_lyapunov_names_the_first_non_finite_record(sensor_game):
+    lay = StateLayout(StrategyTag.SAT_GRAD_PLAY, 3, 2)
+    states = np.array([X0, X0 / 2.0, np.full(6, 1e308), np.full(6, np.nan)])
+    traj = Trajectory(
+        times=np.array([0.0, 0.5, 1.25, 2.0]), states=states, controls=np.zeros((4, 6)), layout=lay
+    )
+    # no RuntimeWarning (an error in this suite) on the way, and no V attached
+    with pytest.raises(ValueError, match=r"^Lyapunov candidate is not finite at t=1\.25$"):
+        monitor_lyapunov(traj, sensor_game, sat_spec=SPEC5)
+    assert "V" not in traj.diagnostics
+
+
+def test_a_run_computes_the_distance_series_once(monkeypatch):
+    import nes_sim.runner
+    import nes_sim.simulate
+
+    calls = []
+    attach = nes_sim.simulate.attach_distance
+
+    def counted(traj, x_star):
+        calls.append(traj.n_records)
+        return attach(traj, x_star)
+
+    monkeypatch.setattr(nes_sim.runner, "attach_distance", counted)
+    monkeypatch.setattr(nes_sim.simulate, "attach_distance", counted)
+    doc = figure_preset("fig2")
+    doc.pop("output")
+    doc["sim"]["t_end"] = 0.1
+    summary, traj = run_experiment(parse_config(doc))
+    assert calls == [traj.n_records]
+    assert summary.final_dist_inf == traj.diagnostics["dist_ne"][-1]
 
 
 def test_grid_refinement_fig2(sensor_game):
