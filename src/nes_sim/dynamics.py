@@ -299,6 +299,11 @@ class GainSet:
         """Per-player reference gains expanded to Np channels."""
         return np.repeat(_broadcast("K", self.K, n_players), action_dim)
 
+    def reference_rate_gain(self, n_players, action_dim):
+        """-theta1 K over Np channels; times the own-gradients at the estimates
+        it is the reference rate zdot."""
+        return -(self.theta1 * self.k_vec(n_players, action_dim))
+
 
 def _broadcast(name, value, n):
     """A scalar gain as ``n`` equal floats, or a vector gain of ``n`` entries, flat."""
@@ -387,11 +392,11 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None):
         # Distributed second order: z descends the gradient at the estimates
         # (gain theta1 * K), the estimates track tiled z, and the double
         # integrator tracks z with the rate zdot substituted algebraically.
-        neg_kbar = -(gains.theta1 * gains.k_vec(n, p))
+        rate_gain = gains.reference_rate_gain(n, p)
 
         def law(s):
             x, nu, z, y = s[..., :d], s[..., d : 2 * d], s[..., 2 * d : 3 * d], s[..., 3 * d :]
-            zdot = neg_kbar * game.own_gradients_at_estimates(y)
+            zdot = rate_gain * game.own_gradients_at_estimates(y)
             return np.concatenate([nu, -(x - z) - (nu - zdot), zdot, consensus(s)], axis=-1)
 
     control, check, size = layout.control, layout.check, layout.size
@@ -501,8 +506,9 @@ def lyapunov_value(tag, game, state, *, gains=None, sat_spec=None, P=None, x_sta
         v = dot(nu, nu) + 0.5 * dot(g, g) + dot(nu, g)
 
     else:
-        k = gains.k_vec(game.n_players, game.action_dim)
-        zdot = -(gains.theta1 * k) * game.own_gradients_at_estimates(y)
+        shape = game.n_players, game.action_dim
+        k = gains.k_vec(*shape)
+        zdot = gains.reference_rate_gain(*shape) * game.own_gradients_at_estimates(y)
         ez = z - x_star
         ev = nu - zdot
         base = 0.5 * dot(ez, ez / k) + quad(layout.estimate_error(states))

@@ -6,11 +6,19 @@ y = [y_11, ..., y_1N, y_21, ..., y_NN] (player-major, each y_ij in R^p)
 contracts through M = L (x) I_{Np} + diag{a_ij} (x) I_p = M1 (x) I_p, which
 is symmetric positive definite exactly when the graph is connected. The
 simulator keeps only the per-channel M1 = ``estimation_matrix(graph, 1)``.
+
+Reordered from (i, j) to (j, i), M1 is exactly blockdiag_j(L + diag(A[:, j])):
+one pinned Laplacian per estimated player, its leader-following consensus.
+:func:`diagonal_blocks` finds such blocks from the nonzero pattern, and the
+Lyapunov pair (one solve path for a scalar and a matrix Q), the guard's
+largest eigenvalue and the gain bound's spectral norm are all taken per
+block, so with a scalar Q no set-up step decomposes a matrix of N^2 rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,8 +27,11 @@ from .errors import DimensionMismatchError, DisconnectedGraphError, IllCondition
 __all__ = [
     "CommGraph",
     "LyapunovPair",
+    "diagonal_blocks",
     "estimation_matrix",
+    "lambda_max",
     "solve_lyapunov",
+    "spectral_norm",
     "random_connected_graph",
 ]
 
@@ -105,6 +116,63 @@ def estimation_matrix(graph, action_dim):
     return np.kron(lap, np.eye(n * p)) + np.kron(np.diag(graph.adjacency.ravel()), np.eye(p))
 
 
+def diagonal_blocks(*mats):
+    """Index sets of the diagonal blocks that square matrices of one size share.
+
+    The blocks are the connected components of the joint nonzero pattern,
+    symmetrised. They are found by min-label propagation over the pattern's
+    entries: each index takes the smallest label among itself and its
+    neighbours, then the label of that label, until no label changes. Off
+    the blocks every matrix is exactly zero. Returns one ``(k, s)`` integer
+    array per block size ``s``, sizes ascending; each row is one block's
+    indices, ascending, and the rows follow their smallest index. For M1
+    the blocks are the N pinned Laplacians, one per estimated player.
+    """
+    link = mats[0] != 0
+    for a in mats[1:]:
+        link |= a != 0
+    link |= link.T
+    n = link.shape[0]
+    link.flat[:: n + 1] = True  # each index is its own neighbour: no row is empty
+    rows, cols = np.nonzero(link)
+    label = np.arange(n)
+    starts = np.searchsorted(rows, label)
+    while True:
+        new = np.minimum.reduceat(label[cols], starts)
+        new = new[new]
+        if new.tobytes() == label.tobytes():
+            break
+        label = new
+    sizes = np.bincount(label)
+    order = np.lexsort((label, sizes[label]))
+    groups, start = [], 0
+    for size, count in sorted(Counter(sizes[sizes > 0].tolist()).items()):
+        groups.append(order[start : start + size * count].reshape(count, size))
+        start += size * count
+    return groups
+
+
+def _stack(a, idx):
+    """The (k, s, s) stack of a's diagonal blocks listed by the rows of ``idx``."""
+    return a[idx[:, :, None], idx[:, None, :]]
+
+
+def _block_max(a, measure):
+    return max(float(measure(_stack(a, idx)).max()) for idx in diagonal_blocks(a))
+
+
+def lambda_max(a):
+    """Largest eigenvalue of a symmetric matrix: the max over its diagonal
+    blocks, one batched ``eigvalsh`` per block size."""
+    return _block_max(a, np.linalg.eigvalsh)
+
+
+def spectral_norm(a):
+    """Spectral norm (largest singular value) of a square matrix: the max
+    over its diagonal blocks, one batched SVD per block size."""
+    return _block_max(a, lambda stack: np.linalg.norm(stack, 2, axis=(1, 2)))
+
+
 @dataclass
 class LyapunovPair:
     """Solution P of  P Tb M + M Tb P = Q  with its verification numbers.
@@ -114,32 +182,31 @@ class LyapunovPair:
     :func:`solve_lyapunov` refuses a pair with residual above
     1e-8 * ||Q||_F or cond above 1e12. For a scalar Q, P and Q are per
     action channel (size N^2); the full pair is kron(X, I_p), which has
-    the same spectrum.
+    the same spectrum. ``p_norm`` (the spectral norm of P, its largest
+    eigenvalue) and ``lambda_min_q`` feed the gain bounds.
     """
 
     P: np.ndarray
     Q: np.ndarray
     residual: float
     cond: float | None = None
-
-    @property
-    def p_norm(self):
-        """Spectral norm of P (used by the gain bounds): its largest eigenvalue, P being SPD."""
-        return float(np.linalg.eigvalsh(self.P)[-1])
-
-    @property
-    def lambda_min_q(self):
-        return float(np.linalg.eigvalsh(self.Q)[0])
+    p_norm: float = field(kw_only=True)
+    lambda_min_q: float = field(kw_only=True)
 
 
 def solve_lyapunov(M, theta_bar=1.0, Q=None, action_dim=1):
     """Solve  P Tb M + M Tb P = Q  for symmetric positive definite P.
 
     ``Tb`` is the diagonal matrix of per-estimate gain weights. The
-    equation is solved in the eigenbasis of S M S, S = sqrt(Tb), which also
-    gives the condition estimate: O(n^3) time, O(n^2) memory. The
-    substitution residual and the condition estimate are recorded on the
-    returned pair.
+    equation splits over the diagonal blocks that M and Q share
+    (:func:`diagonal_blocks`), and P is exactly zero off them. Each block
+    is solved in the eigenbasis of its S M S, S = sqrt(Tb), with one
+    batched ``eigh`` per block size; the eigenvalues also give the
+    condition estimate. An irreducible M or a dense Q is the one-block
+    case. The substitution residual and the condition estimate, taken over
+    all blocks, are those of the full equation; P's spectrum, for
+    ``p_norm`` and the positive-definiteness check, and Q's, for
+    ``lambda_min_q``, are read from the blocks as well.
 
     ``M`` and ``theta_bar`` are one action channel's, as
     ``estimation_matrix(graph, 1)`` and ``GainSet.theta_bar_vec`` give
@@ -164,8 +231,8 @@ def solve_lyapunov(M, theta_bar=1.0, Q=None, action_dim=1):
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
-    if M.shape != (n, n) or not np.allclose(M, M.T, rtol=0.0, atol=1e-12):
-        raise ValueError("M must be a square symmetric matrix")
+    if M.shape != (n, n) or not np.isfinite(M).all() or not (np.abs(M - M.T) <= 1e-12).all():
+        raise ValueError("M must be a finite square symmetric matrix")
 
     tb = np.asarray(theta_bar, dtype=float).ravel()
     if tb.size == 1:
@@ -189,44 +256,72 @@ def solve_lyapunov(M, theta_bar=1.0, Q=None, action_dim=1):
             raise DimensionMismatchError("Q matrix", (n * p) ** 2, Qm.size)
         if not (np.isfinite(Qm).all() and np.allclose(Qm, Qm.T, rtol=0.0, atol=1e-12)):
             raise ValueError("Q must be finite and symmetric")
-        if np.linalg.eigvalsh(Qm)[0] <= 0.0:
-            raise ValueError("Q must be positive definite")
-        if p > 1:  # Q couples the channels: one solve at full size
+        if p > 1:  # Q couples the channels: the equation for kron(M, I_p)
             M, tb, p = np.kron(M, np.eye(p)), np.repeat(tb, p), 1
 
-    # S M S = U diag(eigs) U^T, S = sqrt(Tb): the condition estimate and the solve
+    blocks = diagonal_blocks(M, Qm)
+    if np.isscalar(Q):
+        lambda_min_q = float(Q)
+    else:
+        q_eigs = [np.linalg.eigvalsh(_stack(Qm, idx)) for idx in blocks]
+        lambda_min_q = float(min(e[:, 0].min() for e in q_eigs))
+        if lambda_min_q <= 0.0:
+            raise ValueError("Q must be positive definite")
+
+    # per block, S M S = U diag(eigs) U^T, S = sqrt(Tb): the condition estimate and the solve
     s = np.sqrt(tb)
-    ss = np.outer(s, s)
-    eigs, U = np.linalg.eigh(M * ss)
-    if eigs[0] <= 0.0:
+    spectra, lo, hi = [], np.inf, 0.0
+    for idx in blocks:
+        Mb, sb = _stack(M, idx), s[idx]
+        ss = sb[:, :, None] * sb[:, None, :]
+        eigs, U = np.linalg.eigh(Mb * ss)
+        lo, hi = min(lo, eigs[:, 0].min()), max(hi, eigs[:, -1].max())
+        spectra.append((idx, Mb, sb, ss, eigs, U))
+    if lo <= 0.0:
         raise ValueError(
             "estimation matrix must be positive definite; "
             "is the communication graph connected?"
         )
-    cond = eigs[-1] / eigs[0]
+    cond = hi / lo
     if cond > 1e12:
         raise IllConditionedError(
             f"Lyapunov system condition estimate {cond:.3e} exceeds 1e12; "
             "reduce the network size or rescale theta_bar"
         )
 
-    # P = V X V^T, V = S^-1 U, turns it into (eigs_i + eigs_j) X_ij = (U^T S Q S U)_ij
-    V = U / s[:, None]
-    X = (U.T @ (Qm * ss) @ U) / (eigs[:, None] + eigs[None, :])
-    P = V @ X @ V.T
-    P = 0.5 * (P + P.T)
-    mt = M * tb[None, :]  # M Tb
-    # the full defect is R (x) I_p, so its norms are sqrt(p) times R's and Q's
+    P = np.zeros_like(Qm)
+    defect2, p_lo, p_hi = 0.0, np.inf, 0.0
+    for idx, Mb, sb, ss, eigs, U in spectra:
+        # P = V X V^T, V = S^-1 U, turns it into (eigs_i + eigs_j) X_ij = (U^T S Q S U)_ij
+        Qb, tbb = _stack(Qm, idx), tb[idx]
+        V = U / sb[:, :, None]
+        X = (U.mT @ (Qb * ss) @ U) / (eigs[:, :, None] + eigs[:, None, :])
+        Pb = V @ X @ V.mT
+        Pb = 0.5 * (Pb + Pb.mT)
+        P[idx[:, :, None], idx[:, None, :]] = Pb
+        R = Pb @ (tbb[:, :, None] * Mb) + (Mb * tbb[:, None, :]) @ Pb - Qb
+        defect2 += float(np.vdot(R, R))
+        p_eigs = np.linalg.eigvalsh(Pb)
+        p_lo, p_hi = min(p_lo, p_eigs[:, 0].min()), max(p_hi, p_eigs[:, -1].max())
+    # off the blocks the defect is exactly 0; the full defect is R (x) I_p,
+    # so its norms are sqrt(p) times R's and Q's
     scale = np.sqrt(p)
-    residual = float(scale * np.linalg.norm(P @ (tb[:, None] * M) + mt @ P - Qm, "fro"))
+    residual = float(scale * np.sqrt(defect2))
     if residual > 1e-8 * scale * np.linalg.norm(Qm, "fro"):
         raise IllConditionedError(
             f"Lyapunov solve residual {residual:.3e} exceeds 1e-8 * ||Q||_F; "
             "reduce the network size or rescale theta_bar"
         )
-    if np.linalg.eigvalsh(P)[0] <= 0.0:
+    if p_lo <= 0.0:
         raise ValueError("Lyapunov solve produced a non-positive-definite P")
-    return LyapunovPair(P=P, Q=Qm, residual=residual, cond=float(cond))
+    return LyapunovPair(
+        P=P,
+        Q=Qm,
+        residual=residual,
+        cond=float(cond),
+        p_norm=float(p_hi),
+        lambda_min_q=lambda_min_q,
+    )
 
 
 def random_connected_graph(rng, n_nodes, edge_prob=0.5):

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from .errors import DivergenceError
+from .graphs import lambda_max
 
 __all__ = [
     "SimConfig",
@@ -359,11 +360,12 @@ def stability_guard(cfg, tag, gains=None, M=None, game=None):
     mode is the estimation flow, rate (theta * theta1) * max(theta_bar) *
     lambda_max(M), and ``M`` is required: the per-channel
     ``estimation_matrix(graph, 1)``, whose largest eigenvalue is that of
-    the full M1 (x) I_p. For the others it is the norm of the game's
-    Jacobian at 0, plus alpha + beta for the centralized second-order law,
-    and ``game`` is required. A missing ingredient raises ``ValueError``.
-    Violation warns rather than aborts: saturation often tames the
-    transient.
+    the full M1 (x) I_p and the largest of its diagonal blocks'. Its N^2
+    rows give N, and theta_bar is ``gains.theta_bar_vec(N)``. For the
+    others it is the norm of the game's Jacobian at 0, plus alpha + beta
+    for the centralized second-order law, and ``game`` is required. A
+    missing ingredient raises ``ValueError``. Violation warns rather than
+    aborts: saturation often tames the transient.
     """
     tag = dyn.StrategyTag(tag)
     blocks = dyn.STRATEGIES[tag].blocks
@@ -372,8 +374,9 @@ def stability_guard(cfg, tag, gains=None, M=None, game=None):
     if "y" in blocks:
         if M is None:
             raise ValueError(f"stability guard for {tag.value} requires the estimation matrix M")
-        tb_max = float(np.max(np.asarray(gains.theta_bar if gains.theta_bar is not None else 1.0)))
-        rate = gains.estimation_gain("nu" in blocks) * tb_max * float(np.linalg.eigvalsh(M)[-1])
+        M = np.asarray(M, dtype=float)
+        tb_max = float(np.max(gains.theta_bar_vec(math.isqrt(M.shape[0]))))
+        rate = gains.estimation_gain("nu" in blocks) * tb_max * lambda_max(M)
     else:
         if game is None:
             raise ValueError(f"stability guard for {tag.value} requires the game")

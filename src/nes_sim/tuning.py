@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import StrategyTag
 from .errors import NotStronglyMonotoneError
-from .graphs import estimation_matrix
+from .graphs import estimation_matrix, spectral_norm
 
 __all__ = [
     "TunerReport",
@@ -228,9 +228,10 @@ def theta_bounds_second_order(
     # block-diagonal estimate Jacobian: spectral norm is the largest
     # per-player Lipschitz constant (exact for quadratic games)
     sup_hbar = float(lbar.max())
-    # Tb M = (Tb1 M1) (x) I_p has the spectral norm of Tb1 M1, the p = 1 matrices
+    # Tb M = (Tb1 M1) (x) I_p has the spectral norm of Tb1 M1, the p = 1 matrices,
+    # the largest over its N pinned blocks
     tb_m1 = gains.theta_bar_vec(n)[:, None] * estimation_matrix(graph, 1)
-    l3 = float(np.max(k)) * sup_hbar * float(np.linalg.norm(tb_m1, 2))
+    l3 = float(np.max(k)) * sup_hbar * spectral_norm(tb_m1)
 
     theta_star = l1 * l1 / (4.0 * m * lam_q) + l2 / lam_q
 

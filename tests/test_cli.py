@@ -1162,3 +1162,66 @@ def test_a_refused_long_key_or_value_is_echoed_at_a_bounded_length(
     assert len(err.encode()) < 300
     assert not (tmp_path / "t.csv").exists()
 
+
+def _ring_network_doc(tmp_path, n):
+    # an n-sensor planar ring under the saturated distributed law, scalar Q
+    ring = (np.roll(np.eye(n), 1, axis=1) + np.roll(np.eye(n), -1, axis=1)).tolist()
+    return {
+        "game": {
+            "type": "quadratic",
+            "r": [np.eye(2).tolist()] * n,
+            "p_vec": [[(-1.0) ** i * (i % 4), (i % 3) - 1.0] for i in range(n)],
+            "q": [1.0] * n,
+            "m_weights": ring,
+        },
+        "graph": {"adjacency": ring},
+        "strategy": {
+            "tag": "second_order_dist_sat",
+            "gains": {"theta": 200.0, "theta1": 1.0, "K": 0.1, "theta_bar": 1.0},
+            "saturation": {"u_bar": 5.0},
+        },
+        "sim": {"dt": 1e-3, "t_end": 0.01, "monitor_lyapunov": True},
+        "init": {"x0": "zeros"},
+        "output": {"trajectory": str(tmp_path / "t.csv"), "summary": str(tmp_path / "s.txt")},
+    }
+
+
+class _ReachedIntegrate(Exception):
+    pass
+
+
+def test_set_up_decomposes_no_full_size_matrix(tmp_path, monkeypatch, capsys):
+    # A 6-player ring has N^2 = 36 estimates per channel. The Lyapunov pair,
+    # the guard and the gain bounds read M1's six 6 x 6 pinned blocks, so
+    # neither tune nor run up to integrate decomposes a matrix of 36 rows.
+    import numpy.linalg._linalg as linalg_impl
+
+    rows = []
+
+    def spy(fn):
+        def wrapped(a, *args, **kwargs):
+            rows.append(np.shape(a)[-2])
+            return fn(a, *args, **kwargs)
+
+        return wrapped
+
+    # np.linalg.norm(·, 2) calls svd as a global of numpy.linalg._linalg, the
+    # module it is defined in; set-up code calls the numpy.linalg names
+    for module in (np.linalg, linalg_impl):
+        for name in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(module, name, spy(getattr(linalg_impl, name)))
+
+    def stop(*args, **kwargs):
+        raise _ReachedIntegrate
+
+    monkeypatch.setattr(nes_sim.runner, "integrate", stop)
+    path = _write(tmp_path, _ring_network_doc(tmp_path, 6))
+    assert main(["tune", path]) == 0
+    assert "theta_star=" in capsys.readouterr().out
+    tune_rows, rows[:] = list(rows), []
+    with pytest.raises(_ReachedIntegrate):
+        main(["run", path])
+    for seen in (tune_rows, rows):
+        assert 6 in seen  # the spy sees the pinned blocks
+        assert max(seen) < 36
+

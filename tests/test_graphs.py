@@ -8,6 +8,7 @@ from nes_sim import (
     DisconnectedGraphError,
     GainSet,
     IllConditionedError,
+    LyapunovPair,
     SimConfig,
     StrategyTag,
     estimation_matrix,
@@ -15,7 +16,10 @@ from nes_sim import (
     solve_lyapunov,
     stability_guard,
 )
+from nes_sim.games import random_strongly_monotone_game
+from nes_sim.graphs import diagonal_blocks, lambda_max, spectral_norm
 from nes_sim.presets import complete_graph_adjacency, path_graph_adjacency
+from nes_sim.tuning import theta_bounds_second_order, theta_star_first_order
 
 
 def test_laplacian_path():
@@ -212,6 +216,158 @@ def test_solve_lyapunov_against_scipy(n_nodes):
     np.testing.assert_allclose(pair.P, expected, rtol=1e-9, atol=1e-11)
     # P is symmetric positive definite: its largest eigenvalue is its 2-norm
     assert abs(pair.p_norm - np.linalg.norm(pair.P, 2)) <= 1e-12 * np.linalg.norm(pair.P, 2)
+
+
+def _dense_q(n, rng):
+    a = rng.normal(size=(n, n))
+    return a @ a.T / n + np.eye(n)
+
+
+def _tridiagonal_q(n):
+    return 2.0 * np.eye(n) + 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1))
+
+
+def _full_reference(m, tb, qm):
+    """Test-local full-size pair: scipy's Bartels-Stewart P of (M Tb) P + P (M Tb)^T = Q,
+    with its spectra read by full-size eigvalsh."""
+    P = scipy.linalg.solve_continuous_lyapunov(m * tb[None, :], qm)
+    return LyapunovPair(
+        P=P,
+        Q=qm,
+        residual=0.0,
+        p_norm=float(np.linalg.eigvalsh(P)[-1]),
+        lambda_min_q=float(np.linalg.eigvalsh(qm)[0]),
+    )
+
+
+def test_block_solve_against_independent_oracles():
+    # 42 seeded connected graphs: every (N, p, theta_bar kind) with N = 2..8,
+    # p = 1, 2, 3 and scalar or vector theta_bar, once. The block solve agrees
+    # with scipy's P to 1e-12 of max |P|; cond, p_norm and the bounds built on
+    # them to 1e-10 relative; both residuals are rounding, within 1e-14 ||Q||_F.
+    rng = np.random.default_rng(27)
+    sim = SimConfig(dt=1e-4, t_end=1.0)
+    for case in range(42):
+        N, p, vector = 2 + case % 7, 1 + case % 3, case % 2 == 1
+        graph = random_connected_graph(rng, N)
+        game = random_strongly_monotone_game(rng, N, p)
+        m1, n, q = estimation_matrix(graph, 1), N * N, 2.5
+        # a connected graph splits into N pinned blocks of size N
+        (idx,) = diagonal_blocks(m1)
+        assert idx.shape == (N, N)
+        tb = rng.uniform(0.5, 2.0, n) if vector else np.full(n, 1.5)
+        theta_bar = tb if vector else 1.5
+
+        pair = solve_lyapunov(m1, theta_bar, q, action_dim=p)
+        ref = _full_reference(m1, tb, q * np.eye(n))
+        assert pair.P.shape == (n, n)
+        assert np.abs(pair.P - ref.P).max() <= 1e-12 * np.abs(ref.P).max()
+        defect = pair.P @ (tb[:, None] * m1) + (m1 * tb[None, :]) @ pair.P - q * np.eye(n)
+        q_norm = np.sqrt(p) * np.linalg.norm(ref.Q, "fro")
+        assert abs(pair.residual - np.sqrt(p) * np.linalg.norm(defect, "fro")) <= 1e-14 * q_norm
+        s = np.sqrt(tb)
+        eigs = np.linalg.eigvalsh(m1 * np.outer(s, s))
+        assert pair.cond == pytest.approx(eigs[-1] / eigs[0], rel=1e-10)
+        assert pair.p_norm == pytest.approx(ref.p_norm, rel=1e-10)
+        assert pair.lambda_min_q == ref.lambda_min_q == q
+
+        first = theta_star_first_order(game, graph, pair).theta_star
+        reference = theta_star_first_order(game, graph, ref).theta_star
+        assert first == pytest.approx(reference, rel=1e-10)
+
+        gains = GainSet(theta=1.0, theta1=1.0, K=rng.uniform(0.05, 0.2, N), theta_bar=theta_bar)
+        theta = 2.0 * theta_bounds_second_order(game, graph, ref, gains).theta_star
+        rep = theta_bounds_second_order(game, graph, pair, gains, theta=theta)
+        full = theta_bounds_second_order(game, graph, ref, gains, theta=theta)
+        l3 = np.max(gains.K) * rep.lbar.max() * np.linalg.norm(tb[:, None] * m1, 2)
+        theta1 = (4.0 * full.lambda_min_a1 / (theta * theta * l3 * l3)) ** (1.0 / 3.0)
+        assert rep.theta_star == pytest.approx(full.theta_star, rel=1e-10)
+        assert rep.l3 == pytest.approx(l3, rel=1e-10)
+        assert rep.theta1_star == pytest.approx(theta1, rel=1e-10)
+
+        guard_gains = GainSet(theta=10.0, theta_bar=theta_bar)
+        product = stability_guard(sim, StrategyTag.FIRST_ORDER_DIST, gains=guard_gains, M=m1)
+        rate = 10.0 * tb.max() * np.linalg.eigvalsh(m1)[-1]
+        assert product == pytest.approx(1e-4 * rate, rel=1e-12)
+
+        if p > 1:  # a matrix Q couples the channels: kron(M1, I_p) is solved
+            qm = _tridiagonal_q(n * p) if case % 4 < 2 else _dense_q(n * p, rng)
+            pair = solve_lyapunov(m1, theta_bar, qm, action_dim=p)
+            ref = _full_reference(np.kron(m1, np.eye(p)), np.repeat(tb, p), qm)
+            assert np.abs(pair.P - ref.P).max() <= 1e-12 * np.abs(ref.P).max()
+            assert pair.p_norm == pytest.approx(ref.p_norm, rel=1e-10)
+            assert pair.lambda_min_q == pytest.approx(ref.lambda_min_q, rel=1e-10)
+
+
+def _interleaved_blocks():
+    # blocks of sizes 3, 1, 2, 2 with their indices interleaved
+    m = np.zeros((8, 8))
+    for b in ([0, 4, 7], [1], [2, 6], [3, 5]):
+        m[np.ix_(b, b)] = 0.5 + np.eye(len(b))
+    return m
+
+
+def test_diagonal_blocks_groups_components_by_size():
+    m = _interleaved_blocks()
+    groups = diagonal_blocks(m)
+    assert [g.tolist() for g in groups] == [[[1]], [[2, 6], [3, 5]], [[0, 4, 7]]]
+    # a second matrix joins its pattern to the first's: [1] and [3, 5] merge
+    link = np.zeros((8, 8))
+    link[1, 5] = link[5, 1] = 0.5
+    assert [g.tolist() for g in diagonal_blocks(m, link)] == [[[2, 6]], [[0, 4, 7], [1, 3, 5]]]
+    assert lambda_max(m) == pytest.approx(np.linalg.eigvalsh(m)[-1], rel=1e-14)
+    # a pattern that is not symmetric splits by its symmetrised pattern
+    for skewed in (m * np.arange(1.0, 9.0)[:, None], np.triu(m + 1e-3 * m @ m)):
+        assert spectral_norm(skewed) == pytest.approx(np.linalg.norm(skewed, 2), rel=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["identity", "diagonal", "mixed blocks", "kron p=2", "kron p=3"])
+def test_block_solve_of_generic_matrices(kind):
+    # any symmetric positive definite M: scalar Q solves per block of M, a
+    # tridiagonal or dense Q joins every index into one block
+    rng = np.random.default_rng(33)
+    graph = random_connected_graph(rng, 4)
+    m, n_blocks = {
+        "identity": (np.eye(5), 5),
+        "diagonal": (np.diag(rng.uniform(0.5, 3.0, 6)), 6),
+        "mixed blocks": (_interleaved_blocks(), 4),
+        "kron p=2": (estimation_matrix(graph, 2), 8),
+        "kron p=3": (estimation_matrix(graph, 3), 12),
+    }[kind]
+    n = m.shape[0]
+    assert sum(len(g) for g in diagonal_blocks(m)) == n_blocks
+    tb = rng.uniform(0.5, 2.0, n)
+    for q in (1.5, _tridiagonal_q(n), _dense_q(n, rng)):
+        qm = q * np.eye(n) if np.isscalar(q) else q
+        if not np.isscalar(q):
+            assert [g.shape for g in diagonal_blocks(m, qm)] == [(1, n)]
+        pair = solve_lyapunov(m, tb, q)
+        ref = _full_reference(m, tb, qm)
+        assert np.abs(pair.P - ref.P).max() <= 1e-12 * np.abs(ref.P).max()
+        assert pair.p_norm == pytest.approx(ref.p_norm, rel=1e-10)
+        assert pair.lambda_min_q == pytest.approx(ref.lambda_min_q, rel=1e-10)
+        s = np.sqrt(tb)
+        eigs = np.linalg.eigvalsh(m * np.outer(s, s))
+        assert pair.cond == pytest.approx(eigs[-1] / eigs[0], rel=1e-10)
+        assert pair.residual <= 1e-12 * np.linalg.norm(qm, "fro")
+    # for a scalar Q, P is exactly zero off M's blocks
+    pair = solve_lyapunov(m, tb, 1.5)
+    same_block = np.zeros((n, n), dtype=bool)
+    for g in diagonal_blocks(m):
+        for row in g:
+            same_block[np.ix_(row, row)] = True
+    assert (pair.P[~same_block] == 0.0).all()
+
+
+def test_block_solve_refuses_a_singular_m():
+    # singular in one of several blocks, and singular and irreducible; the
+    # Laplacian's zero eigenvalue rounds to +-1e-16, refused either way
+    lap = CommGraph(path_graph_adjacency()).laplacian()
+    for m in (np.diag([1.0, 0.0, 2.0]), lap, np.zeros((1, 1))):
+        n = m.shape[0]
+        for q in (1.0, _dense_q(n, np.random.default_rng(4))):
+            with pytest.raises(ValueError, match="positive definite|condition estimate"):
+                solve_lyapunov(m, 1.0, q)
 
 
 def _ring_system(n_nodes, p):

@@ -10,6 +10,7 @@ import pytest
 from nes_sim import (
     GAME_REGISTRY,
     CommGraph,
+    DimensionMismatchError,
     DivergenceError,
     GainSet,
     SaturationSpec,
@@ -33,6 +34,7 @@ from nes_sim import (
     solve_lyapunov,
     stability_guard,
 )
+from nes_sim.graphs import lambda_max
 from nes_sim.presets import figure_preset
 from nes_sim.simulate import _SCREEN_STEPS
 from tests.conftest import X0, evaluate
@@ -326,6 +328,20 @@ def test_stability_guard_warns(sensor_game, path_graph):
             SimConfig(dt=1e-4, t_end=1.0), StrategyTag.FIRST_ORDER_DIST, gains=gains, M=M
         )
     assert 0.0 < product < 2.5
+
+
+def test_stability_guard_reads_theta_bar_through_the_gain_set(path_graph):
+    # N comes from M1's N^2 rows: a theta_bar vector is checked against it,
+    # and its largest weight scales the rate; the default weight is 1
+    M = estimation_matrix(path_graph, 1)
+    sim, tag = SimConfig(dt=1e-4, t_end=1.0), StrategyTag.FIRST_ORDER_DIST
+    lam = lambda_max(M)
+    tb = np.linspace(0.5, 2.0, 9)
+    assert stability_guard(sim, tag, gains=GainSet(theta=10.0), M=M) == 1e-4 * (10.0 * lam)
+    product = stability_guard(sim, tag, gains=GainSet(theta=10.0, theta_bar=tb), M=M)
+    assert product == 1e-4 * (10.0 * 2.0 * lam)
+    with pytest.raises(DimensionMismatchError, match="^theta_bar: expected length 9, got 3$"):
+        stability_guard(sim, tag, gains=GainSet(theta=10.0, theta_bar=[1.0, 2.0, 3.0]), M=M)
 
 
 @pytest.mark.parametrize(

@@ -59,7 +59,7 @@ def test_theta_star_formula_substitution():
     g = QuadraticGame(
         r=np.ones((1, 1, 1)), p_vec=np.zeros((1, 1)), q=np.zeros(1), m_weights=np.zeros((1, 1))
     )
-    lyap = LyapunovPair(P=np.eye(1), Q=np.eye(1), residual=0.0)
+    lyap = LyapunovPair(P=np.eye(1), Q=np.eye(1), residual=0.0, p_norm=1.0, lambda_min_q=1.0)
     rep = theta_star_first_order(g, None, lyap, m=2.0, lbar=np.array([1.0]), sup_h_norm=2.0)
     assert rep.l1 == rep.l2 == rep.l3 == 2.0
     assert rep.eps1 == rep.eps2 == 2.0
@@ -118,7 +118,9 @@ def test_theta_star_monotone_in_constants(sensor_game, path_graph):
     assert star(lbar_scale=1.1) > base.theta_star  # raises l1 and l2
     assert star(sup_scale=1.1) > base.theta_star  # raises l1
     # larger lambda_min(Q) lowers the bound (Q = 2I, P fixed by hand)
-    lyap_scaled = LyapunovPair(P=lyap.P, Q=2.0 * np.eye(18), residual=0.0)
+    lyap_scaled = LyapunovPair(
+        P=lyap.P, Q=2.0 * np.eye(18), residual=0.0, p_norm=lyap.p_norm, lambda_min_q=2.0
+    )
     assert (
         theta_star_first_order(sensor_game, path_graph, lyap_scaled).theta_star
         < base.theta_star
