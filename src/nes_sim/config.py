@@ -262,6 +262,12 @@ def parse_config(doc):
         raise ConfigError(f"strategy.gains: {exc}") from exc
 
     layout = StateLayout(tag, n, p)
+    if layout.has_estimates and n < 2:
+        # no neighbour would ever pin the lone player's estimate of itself
+        raise ConfigError(
+            f"strategy.tag: {tag.value} shares estimates between players and needs "
+            f"at least 2; the game has {n}"
+        )
     sat_spec = None
     if "saturation" in strat:
         sat_sec = strat["saturation"]
@@ -335,6 +341,8 @@ def parse_config(doc):
         sweep = doc["sweep"]
         if not isinstance(sweep, list) or not all(isinstance(e, dict) for e in sweep):
             raise ConfigError("sweep: expected a list of override objects")
+        if not sweep:
+            raise ConfigError("sweep: the list is empty; give at least one entry or drop the key")
 
     strategy = {"tag": tag.value}
     if kwargs:

@@ -39,7 +39,6 @@ from numpy._core.umath import clip
 
 from .errors import DimensionMismatchError, LayoutMismatchError
 from .games import QuadraticGame
-from .graphs import estimation_matrix
 
 __all__ = [
     "SaturationSpec",
@@ -337,8 +336,10 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None):
     law per call, which checks the state's length (``LayoutMismatchError``);
     the compiled product refuses a wrong length (``ValueError``), and its
     closure does not test the game per call.
-    The consensus laws apply M1 = ``estimation_matrix(graph, 1)``, one node
-    per player, to each action channel of the estimates (M = M1 (x) I_p).
+    The consensus laws apply M = M1 (x) I_p, with M1 the per-channel
+    :func:`~nes_sim.graphs.estimation_matrix`, as the graph's pinned blocks
+    (:meth:`~nes_sim.graphs.CommGraph.pinned_blocks`): each player's
+    estimates, one per owner, contract through its own block.
     """
     tag = StrategyTag(tag)
     layout = StateLayout(tag, game.n_players, game.action_dim)
@@ -357,14 +358,19 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None):
             raise ValueError(f"strategy {tag.value} requires a communication graph")
         if graph.n_nodes != n:
             raise DimensionMismatchError("graph nodes, one per player", n, graph.n_nodes)
-        M1 = estimation_matrix(graph, 1)
-        # one gain per estimate, a column so that it scales the estimate's p channels
-        coef = -gains.estimation_gain(layout.has_velocity) * gains.theta_bar_vec(n)[:, None]
+        blocks = graph.pinned_blocks()
+        # one gain per estimate, at (player j, owner i) so that it scales every column
+        tb = gains.theta_bar_vec(n).reshape(n, n).T[:, :, None]
+        coef = -gains.estimation_gain(layout.has_velocity) * tb
 
         def consensus(s):
-            # the estimates contract to the tiled target through M = M1 (x) I_p
-            e = layout.estimate_error(s)
-            return (coef * _per_channel(M1, e)).reshape(e.shape)
+            # owner i's estimate of player j, moved to (j, i, state, channel): each
+            # player's estimates contract to the tiled target through its pinned
+            # block, one product per block over every state and channel, which
+            # sums each estimate's terms in the dense M's order
+            v = layout.estimate_error(s).reshape(-1, n, n, p).transpose(2, 1, 0, 3)
+            w = coef * (blocks @ v.reshape(n, n, -1))
+            return w.reshape(v.shape).transpose(2, 1, 0, 3).reshape(*s.shape[:-1], -1)
 
     # Each law takes one state or a stack of them, one per row, so matrix
     # products are written (H @ v.T).T, which is H @ v for one state.
@@ -414,7 +420,11 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None):
 
     # the law is affine and row k of law(I) is law(e_k): A = (law(I) - law(0)).T
     b = law(np.zeros(size))
-    A = np.ascontiguousarray((law(np.eye(size)) - b).T)
+    # A starts on a 64-byte boundary: left to the allocator, its place depends on what
+    # set-up allocated before, and a misaligned A slowed the step loop by about 10 %
+    buf = np.empty(size * size + 8)
+    A = buf[(-buf.ctypes.data % 64) // 8 :][: size * size].reshape(size, size)
+    A[...] = (law(np.eye(size)) - b).T
     add = np.add
 
     def rhs(s, out):

@@ -5,14 +5,16 @@ y_i, an estimate of the full action profile, and the stacked vector
 y = [y_11, ..., y_1N, y_21, ..., y_NN] (player-major, each y_ij in R^p)
 contracts through M = L (x) I_{Np} + diag{a_ij} (x) I_p = M1 (x) I_p, which
 is symmetric positive definite exactly when the graph is connected. The
-simulator keeps only the per-channel M1 = ``estimation_matrix(graph, 1)``.
+simulator keeps only the per-channel M1, :func:`estimation_matrix` with p = 1.
 
 Reordered from (i, j) to (j, i), M1 is exactly blockdiag_j(L + diag(A[:, j])):
 one pinned Laplacian per estimated player, its leader-following consensus.
-:func:`diagonal_blocks` finds such blocks from the nonzero pattern, and the
-Lyapunov pair (one solve path for a scalar and a matrix Q), the guard's
-largest eigenvalue and the gain bound's spectral norm are all taken per
-block, so with a scalar Q no set-up step decomposes a matrix of N^2 rows.
+:meth:`CommGraph.pinned_blocks` gives that (N, N, N) stack, which the
+vector field and the stability guard read. :func:`diagonal_blocks` finds
+such blocks from a matrix's nonzero pattern, and the Lyapunov pair (one
+solve path for a scalar and a matrix Q) and the gain bound's spectral norm
+are taken per block, so with a scalar Q no set-up step decomposes a matrix
+of N^2 rows.
 """
 
 from __future__ import annotations
@@ -29,13 +31,13 @@ __all__ = [
     "LyapunovPair",
     "diagonal_blocks",
     "estimation_matrix",
-    "lambda_max",
     "solve_lyapunov",
     "spectral_norm",
     "random_connected_graph",
 ]
 
 _CONNECTIVITY_TOL = 1e-9
+_DISCONNECTED = "communication graph must be connected for consensus estimation"
 
 
 class CommGraph:
@@ -95,6 +97,20 @@ class CommGraph:
             return True
         return self.algebraic_connectivity() > _CONNECTIVITY_TOL
 
+    def pinned_blocks(self):
+        """The (N, N, N) stack of pinned Laplacians L + diag(A[:, j]), one per player j.
+
+        Block j is player j's leader-following consensus: row i is owner
+        i's estimate of player j, pinned by i's link to j. Reordered from
+        (i, j) to (j, i), M1 (:func:`estimation_matrix` with p = 1) is
+        exactly blockdiag_j of these blocks. A disconnected graph of two
+        or more nodes raises ``DisconnectedGraphError``, as
+        :func:`estimation_matrix` does; a single node gives one zero block.
+        """
+        if not self.is_connected():
+            raise DisconnectedGraphError(_DISCONNECTED)
+        return self.laplacian() + np.eye(self.n_nodes) * self.adjacency.T[:, None, :]
+
 
 def estimation_matrix(graph, action_dim):
     """Assemble the consensus-estimation matrix M = L (x) I_{Np} + diag{a_ij} (x) I_p.
@@ -108,9 +124,7 @@ def estimation_matrix(graph, action_dim):
     or more nodes raises ``DisconnectedGraphError``.
     """
     if not graph.is_connected():
-        raise DisconnectedGraphError(
-            "communication graph must be connected for consensus estimation"
-        )
+        raise DisconnectedGraphError(_DISCONNECTED)
     n, p = graph.n_nodes, int(action_dim)
     lap = graph.laplacian()
     return np.kron(lap, np.eye(n * p)) + np.kron(np.diag(graph.adjacency.ravel()), np.eye(p))
@@ -157,20 +171,10 @@ def _stack(a, idx):
     return a[idx[:, :, None], idx[:, None, :]]
 
 
-def _block_max(a, measure):
-    return max(float(measure(_stack(a, idx)).max()) for idx in diagonal_blocks(a))
-
-
-def lambda_max(a):
-    """Largest eigenvalue of a symmetric matrix: the max over its diagonal
-    blocks, one batched ``eigvalsh`` per block size."""
-    return _block_max(a, np.linalg.eigvalsh)
-
-
 def spectral_norm(a):
     """Spectral norm (largest singular value) of a square matrix: the max
     over its diagonal blocks, one batched SVD per block size."""
-    return _block_max(a, lambda stack: np.linalg.norm(stack, 2, axis=(1, 2)))
+    return max(float(np.linalg.norm(_stack(a, i), 2, (1, 2)).max()) for i in diagonal_blocks(a))
 
 
 @dataclass
@@ -209,7 +213,7 @@ def solve_lyapunov(M, theta_bar=1.0, Q=None, action_dim=1):
     ``lambda_min_q``, are read from the blocks as well.
 
     ``M`` and ``theta_bar`` are one action channel's, as
-    ``estimation_matrix(graph, 1)`` and ``GainSet.theta_bar_vec`` give
+    :func:`estimation_matrix` with p = 1 and ``GainSet.theta_bar_vec`` give
     them; the flow runs through M (x) I_p. For a scalar Q the equation is
     p copies of the one for M, so P and Q are per channel, and the gates
     hold for the full equation (same condition, residual sqrt(p) ||R||_F).

@@ -121,12 +121,12 @@ def run_experiment(cfg):
     game, graph, tag = cfg.game, cfg.graph, cfg.tag
 
     # the estimation layer per channel (M = M1 (x) I_p); the gain bounds need its pair
-    M1 = lyap = None
+    lyap = None
     if cfg.layout.has_estimates:
         M1 = estimation_matrix(graph, 1)
         tb = cfg.gains.theta_bar_vec(game.n_players)
         lyap = solve_lyapunov(M1, tb, cfg.lyapunov_q, game.action_dim)
-    guard = stability_guard(cfg.sim, tag, gains=cfg.gains, M=M1, game=game)
+    guard = stability_guard(cfg.sim, tag, gains=cfg.gains, graph=graph, game=game)
 
     try:
         x_star = game.exact_ne()

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import dynamics as dyn
 from .errors import DivergenceError
-from .graphs import lambda_max
 
 __all__ = [
     "SimConfig",
@@ -352,31 +351,31 @@ def monitor_lyapunov(traj, game, *, gains=None, sat_spec=None, P=None, x_star=No
     return values, float(increments.max(initial=0.0))
 
 
-def stability_guard(cfg, tag, gains=None, M=None, game=None):
+def stability_guard(cfg, tag, gains=None, graph=None, game=None):
     """Estimate dt * (fastest mode rate) and warn when it nears instability.
 
     The tag alone picks the mode, and the tag's gains are required as
     ``make_rhs`` requires them. For a strategy with estimates the fastest
     mode is the estimation flow, rate (theta * theta1) * max(theta_bar) *
-    lambda_max(M), and ``M`` is required: the per-channel
-    ``estimation_matrix(graph, 1)``, whose largest eigenvalue is that of
-    the full M1 (x) I_p and the largest of its diagonal blocks'. Its N^2
-    rows give N, and theta_bar is ``gains.theta_bar_vec(N)``. For the
-    others it is the norm of the game's Jacobian at 0, plus alpha + beta
-    for the centralized second-order law, and ``game`` is required. A
-    missing ingredient raises ``ValueError``. Violation warns rather than
-    aborts: saturation often tames the transient.
+    the largest eigenvalue of M1, and ``graph`` is required: that
+    eigenvalue is the largest over its pinned blocks
+    (:meth:`~nes_sim.graphs.CommGraph.pinned_blocks`), the same for the full
+    M1 (x) I_p, and theta_bar is ``gains.theta_bar_vec(graph.n_nodes)``.
+    For the others it is the norm of the game's Jacobian at 0, plus
+    alpha + beta for the centralized second-order law, and ``game`` is
+    required. A missing ingredient raises ``ValueError``. Violation warns
+    rather than aborts: saturation often tames the transient.
     """
     tag = dyn.StrategyTag(tag)
     blocks = dyn.STRATEGIES[tag].blocks
     gains = gains if gains is not None else dyn.GainSet()
     gains.require(*dyn.STRATEGIES[tag].gains)
     if "y" in blocks:
-        if M is None:
-            raise ValueError(f"stability guard for {tag.value} requires the estimation matrix M")
-        M = np.asarray(M, dtype=float)
-        tb_max = float(np.max(gains.theta_bar_vec(math.isqrt(M.shape[0]))))
-        rate = gains.estimation_gain("nu" in blocks) * tb_max * lambda_max(M)
+        if graph is None:
+            raise ValueError(f"stability guard for {tag.value} requires the communication graph")
+        tb_max = float(np.max(gains.theta_bar_vec(graph.n_nodes)))
+        lam = float(np.linalg.eigvalsh(graph.pinned_blocks()).max())
+        rate = gains.estimation_gain("nu" in blocks) * tb_max * lam
     else:
         if game is None:
             raise ValueError(f"stability guard for {tag.value} requires the game")

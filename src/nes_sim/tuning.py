@@ -188,7 +188,7 @@ def alpha_beta_star(game, alpha=None, beta=None, *, m=None):
 
 
 def _lambda_min_2x2(a, b, d):
-    # symmetric [[a, b], [b, d]]: det / lambda_max, which does not cancel when d >> a
+    # symmetric [[a, b], [b, d]]: det / the larger eigenvalue, which does not cancel when d >> a
     return (a * d - b * b) / (0.5 * ((a + d) + np.hypot(a - d, 2.0 * b)))
 
 

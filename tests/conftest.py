@@ -8,6 +8,7 @@ from nes_sim import (
     run_experiment,
     sensor_network_game,
 )
+from nes_sim.graphs import diagonal_blocks
 from nes_sim.presets import figure_preset, path_graph_adjacency
 
 # benchmark initial condition shared across suites
@@ -18,6 +19,16 @@ def evaluate(rhs, layout, state):
     """A field's derivative at ``state`` in a fresh row, and its control rows."""
     ds = rhs(state, np.empty(layout.size))
     return ds, ds[layout.control]
+
+
+def block_lambda_max(m):
+    """Largest eigenvalue of a symmetric matrix read from its diagonal blocks,
+    one batched ``eigvalsh`` per block size: for M1 these are the pinned
+    blocks, so this is the stability guard's eigenvalue, bit for bit."""
+    return max(
+        float(np.linalg.eigvalsh(m[idx[:, :, None], idx[:, None, :]]).max())
+        for idx in diagonal_blocks(m)
+    )
 
 
 def central_difference(f, x):

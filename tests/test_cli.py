@@ -183,6 +183,35 @@ def test_run_requires_output_section(tmp_path, capsys):
     assert "output section" in capsys.readouterr().err
 
 
+def test_run_refuses_an_empty_sweep_and_writes_nothing(tmp_path, capsys):
+    # an empty sweep used to run the base document and write its outputs (exit 2)
+    doc = _fast_run_doc(tmp_path, t_end=0.05)
+    doc["sweep"] = []
+    assert main(["run", _write(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: sweep: ")
+    assert not (tmp_path / "traj.csv").exists() and not (tmp_path / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "tune"])
+def test_a_one_player_game_with_estimates_exits_one_naming_the_tag(tmp_path, capsys, command):
+    # the lone player's M1 is the 1x1 zero matrix: refused at parse time, not
+    # as a graph that is not connected
+    doc = {
+        "game": {"type": "quadratic", "r": [[[1.0]]], "p_vec": [[0.5]], "q": [0.0],
+                 "m_weights": [[0.0]]},
+        "graph": {"adjacency": [[0.0]]},
+        "strategy": {"tag": "first_order_dist", "gains": {"theta": 10.0},
+                     "saturation": {"u_bar": 5.0}},
+        "sim": {"dt": 1e-3, "t_end": 0.01},
+        "output": {"trajectory": str(tmp_path / "t.csv"), "summary": str(tmp_path / "s.txt")},
+    }
+    assert main([command, _write(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: strategy.tag: first_order_dist shares estimates between players "
+                   "and needs at least 2; the game has 1"]
+
+
 def test_run_nonpositive_gain_exits_one(tmp_path, capsys):
     doc = figure_preset("fig3")
     doc["strategy"]["gains"]["theta"] = -5.0

@@ -231,6 +231,37 @@ def test_sweep_section_validation():
         parse_config(doc)
 
 
+def test_an_empty_sweep_is_refused():
+    # an empty list would fall through to one run of the base document
+    doc = figure_preset("fig2")
+    doc["sweep"] = []
+    with pytest.raises(ConfigError, match="^sweep: the list is empty"):
+        parse_config(doc)
+
+
+def _one_player_doc(tag):
+    gains = {"theta": 10.0, "theta1": 1.0, "K": 0.1, "alpha": 1.0, "beta": 1.0}
+    return {
+        "game": {"type": "quadratic", "r": [[[1.0]]], "p_vec": [[0.5]], "q": [0.0],
+                 "m_weights": [[0.0]]},
+        "graph": {"adjacency": [[0.0]]},
+        "strategy": {"tag": tag, "gains": {key: gains[key] for key in STRATEGIES[tag].gains},
+                     "saturation": {"u_bar": 5.0}},
+        "sim": {"dt": 1e-3, "t_end": 0.01},
+    }
+
+
+@pytest.mark.parametrize("tag", list(StrategyTag))
+def test_a_one_player_game_is_refused_for_the_strategies_with_estimates(tag):
+    # no neighbour pins the lone estimate, and its M1 is the 1x1 zero matrix
+    doc = _one_player_doc(tag)
+    if "y" not in STRATEGIES[tag].blocks:
+        assert parse_config(doc).game.n_players == 1
+        return
+    with pytest.raises(ConfigError, match=f"^strategy.tag: {tag.value} .* the game has 1$"):
+        parse_config(doc)
+
+
 def test_a_sweep_value_that_is_not_json_is_a_config_error():
     doc = figure_preset("fig2")
     doc["sweep"] = [{"sim.dt": {1, 2}}]

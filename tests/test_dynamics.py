@@ -6,6 +6,7 @@ from nes_sim import (
     GAME_REGISTRY,
     CommGraph,
     DimensionMismatchError,
+    DisconnectedGraphError,
     GainSet,
     GameDefinition,
     LayoutMismatchError,
@@ -706,6 +707,76 @@ def test_per_channel_field_on_real_weights_is_within_rounding(tag, p):
         (A, b), (A_ref, b_ref) = _per_channel_and_dense(tag, CommGraph(a + a.T), p, rng)
         assert np.max(np.abs(A - A_ref)) <= 1e-15 * np.max(np.abs(A_ref))
         assert np.array_equal(b, b_ref)
+
+
+def _weighted_graph(rng, n):
+    # random real weights on a random pattern that holds the path, so connected
+    a = np.triu(rng.uniform(0.1, 3.0, (n, n)) * (rng.random((n, n)) < 0.6), 1)
+    a[np.arange(n - 1), np.arange(1, n)] = rng.uniform(0.1, 3.0, n - 1)
+    return CommGraph(a + a.T)
+
+
+@pytest.mark.parametrize("tag", ESTIMATE_TAGS)
+def test_block_field_is_the_dense_field_bit_for_bit_on_real_weights(tag):
+    # the pinned blocks sum each estimate's terms in the dense product's order,
+    # so real edge weights and scalar or vector theta_bar give the dense M's A
+    # and b bit for bit, signs of zeros included; N = 2..8, p = 1..3
+    rng = np.random.default_rng(67)
+    for case in range(42):
+        n, p = 2 + case % 7, 1 + case % 3
+        graph = _weighted_graph(rng, n)
+        game = random_strongly_monotone_game(rng, n_players=n, action_dim=p)
+        gains = _random_gains(rng, n)
+        if case % 2:
+            gains.theta_bar = float(rng.uniform(0.5, 2.0))
+        compiled, _ = make_rhs(tag, game, graph=graph, gains=gains, sat_spec=UNBOUND)
+        for got, ref in zip(_closure(compiled, "A", "b"), _dense_compile(tag, game, graph, gains)):
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+@pytest.mark.parametrize("tag", ESTIMATE_TAGS)
+def test_per_call_consensus_is_m1_kron_identity_on_the_estimate_error(tag):
+    # the per-call law's estimate rows over a (B, size) stack against a
+    # test-local -gain * Tb (M1 (x) I_p) e, to 1e-12 of its largest entry
+    rng = np.random.default_rng(71)
+    for case in range(12):
+        n, p = 2 + case % 5, 1 + case % 3
+        graph = _weighted_graph(rng, n) if case % 2 else random_connected_graph(rng, n)
+        game = random_strongly_monotone_game(rng, n_players=n, action_dim=p)
+        gains = _random_gains(rng, n)
+        rhs, lay = make_rhs(tag, _generic_twin(game), graph=graph, gains=gains, sat_spec=UNBOUND)
+        (law,) = _closure(rhs, "law")
+        states = rng.normal(scale=3.0, size=(30, lay.size))
+        M = np.kron(estimation_matrix(graph, 1), np.eye(p))
+        gain = gains.estimation_gain(lay.has_velocity) * np.repeat(gains.theta_bar_vec(n), p)
+        ref = -gain * (M @ lay.estimate_error(states).T).T
+        got = law(states)[:, slice(*lay.offsets["y"])]
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("tag", list(StrategyTag))
+def test_compiled_a_starts_on_a_cache_line(tag):
+    # the step loop's speed depended on where the allocator put A; every size
+    # and tag gets a C-contiguous A from a 64-byte boundary
+    rng = np.random.default_rng(83)
+    for n, p in ((2, 1), (3, 2), (6, 2)):
+        game = random_strongly_monotone_game(rng, n_players=n, action_dim=p)
+        rhs, lay = make_rhs(
+            tag, game, graph=CommGraph(_ring(n)), gains=_random_gains(rng, n), sat_spec=UNBOUND
+        )
+        (A,) = _closure(rhs, "A")
+        assert A.ctypes.data % 64 == 0
+        assert A.flags.c_contiguous and A.shape == (lay.size, lay.size)
+
+
+@pytest.mark.parametrize("tag", ESTIMATE_TAGS)
+def test_make_rhs_refuses_a_disconnected_graph(tag, sensor_game):
+    two_parts = np.zeros((3, 3))
+    two_parts[0, 1] = two_parts[1, 0] = 1.0
+    gains = GainSet(theta=10.0, theta1=1.0, K=0.1)
+    with pytest.raises(DisconnectedGraphError, match="^communication graph must be connected"):
+        make_rhs(tag, sensor_game, graph=CommGraph(two_parts), gains=gains, sat_spec=SPEC5)
 
 
 @pytest.mark.parametrize("tag", ESTIMATE_TAGS)

@@ -16,10 +16,12 @@ from nes_sim import (
     solve_lyapunov,
     stability_guard,
 )
+from nes_sim import graphs
 from nes_sim.games import random_strongly_monotone_game
-from nes_sim.graphs import diagonal_blocks, lambda_max, spectral_norm
+from nes_sim.graphs import diagonal_blocks, spectral_norm
 from nes_sim.presets import complete_graph_adjacency, path_graph_adjacency
 from nes_sim.tuning import theta_bounds_second_order, theta_star_first_order
+from tests.conftest import block_lambda_max
 
 
 def test_laplacian_path():
@@ -165,6 +167,51 @@ def test_estimation_matrix_relabeling_invariance():
         np.testing.assert_array_equal(m2, m1[np.ix_(idx, idx)])
 
 
+def test_pinned_blocks_are_the_diagonal_blocks_of_m1():
+    # 48 seeded connected graphs, unit and random real weights, N = 2..9: block j
+    # of the stack is M1's block of player j's estimates, indices j, N + j, ...,
+    # bit for bit, signs of zeros included
+    rng = np.random.default_rng(73)
+    for case in range(48):
+        n = 2 + case % 8
+        graph = random_connected_graph(rng, n)
+        if case % 2:
+            weights = np.triu(rng.uniform(0.1, 3.0, (n, n)), 1)
+            graph = CommGraph(graph.adjacency * (weights + weights.T))
+        m1, blocks = estimation_matrix(graph, 1), graph.pinned_blocks()
+        assert blocks.shape == (n, n, n)
+        (groups,) = diagonal_blocks(m1)
+        for idx in groups:
+            j = idx[0]  # owner 0's estimate of player j
+            np.testing.assert_array_equal(idx, j + n * np.arange(n))
+            sub = m1[np.ix_(idx, idx)]
+            assert np.array_equal(blocks[j], sub)
+            assert np.array_equal(np.signbit(blocks[j]), np.signbit(sub))
+    np.testing.assert_array_equal(CommGraph([[0.0]]).pinned_blocks(), np.zeros((1, 1, 1)))
+
+
+def test_pinned_blocks_refuse_a_disconnected_graph_as_estimation_matrix_does():
+    two_edges = np.zeros((4, 4))
+    two_edges[0, 1] = two_edges[1, 0] = 1.0
+    two_edges[2, 3] = two_edges[3, 2] = 1.0
+    graph = CommGraph(two_edges)
+    with pytest.raises(DisconnectedGraphError) as blocks_err:
+        graph.pinned_blocks()
+    with pytest.raises(DisconnectedGraphError) as matrix_err:
+        estimation_matrix(graph, 1)
+    assert str(blocks_err.value) == str(matrix_err.value)
+
+
+def test_solve_lyapunov_refuses_a_p_that_is_not_positive_definite(monkeypatch):
+    # the solved P's spectrum, read by eigvalsh, is the last gate: flipped, it
+    # refuses the pair (with a scalar Q it is the only eigvalsh the solve takes)
+    m1 = estimation_matrix(CommGraph(path_graph_adjacency()), 1)
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(graphs.np.linalg, "eigvalsh", lambda a: -eigvalsh(a)[..., ::-1])
+    with pytest.raises(ValueError, match="^Lyapunov solve produced a non-positive-definite P$"):
+        solve_lyapunov(m1, 1.0, 1.0)
+
+
 def test_solve_lyapunov_identity():
     pair = solve_lyapunov(np.eye(3))
     np.testing.assert_allclose(pair.P, 0.5 * np.eye(3), atol=1e-14)
@@ -286,7 +333,7 @@ def test_block_solve_against_independent_oracles():
         assert rep.theta1_star == pytest.approx(theta1, rel=1e-10)
 
         guard_gains = GainSet(theta=10.0, theta_bar=theta_bar)
-        product = stability_guard(sim, StrategyTag.FIRST_ORDER_DIST, gains=guard_gains, M=m1)
+        product = stability_guard(sim, StrategyTag.FIRST_ORDER_DIST, gains=guard_gains, graph=graph)
         rate = 10.0 * tb.max() * np.linalg.eigvalsh(m1)[-1]
         assert product == pytest.approx(1e-4 * rate, rel=1e-12)
 
@@ -315,7 +362,7 @@ def test_diagonal_blocks_groups_components_by_size():
     link = np.zeros((8, 8))
     link[1, 5] = link[5, 1] = 0.5
     assert [g.tolist() for g in diagonal_blocks(m, link)] == [[[2, 6]], [[0, 4, 7], [1, 3, 5]]]
-    assert lambda_max(m) == pytest.approx(np.linalg.eigvalsh(m)[-1], rel=1e-14)
+    assert block_lambda_max(m) == pytest.approx(np.linalg.eigvalsh(m)[-1], rel=1e-14)
     # a pattern that is not symmetric splits by its symmetrised pattern
     for skewed in (m * np.arange(1.0, 9.0)[:, None], np.triu(m + 1e-3 * m @ m)):
         assert spectral_norm(skewed) == pytest.approx(np.linalg.norm(skewed, 2), rel=1e-14)
@@ -409,11 +456,11 @@ def test_factored_solve_matches_the_full_solve(n_nodes, p):
     eigs = np.linalg.eigvalsh(m * np.outer(s, s))
     assert fac.cond == pytest.approx(eigs[-1] / eigs[0], rel=1e-12)
 
-    # the guard reads lambda_max(M) from M1 = estimation_matrix(graph, 1)
+    # the guard reads the largest eigenvalue of the full M from the graph's pinned blocks
     sim, gains = SimConfig(dt=1e-4, t_end=1.0), GainSet(theta=1000.0, theta_bar=1.0)
     tag = StrategyTag.FIRST_ORDER_DIST
-    from_m1 = stability_guard(sim, tag, gains=gains, M=m1)
-    assert from_m1 == pytest.approx(stability_guard(sim, tag, gains=gains, M=m), rel=1e-12)
+    from_blocks = stability_guard(sim, tag, gains=gains, graph=graph)
+    assert from_blocks == pytest.approx(1e-4 * 1000.0 * np.linalg.eigvalsh(m)[-1], rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [2, 3])

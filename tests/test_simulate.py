@@ -34,10 +34,9 @@ from nes_sim import (
     solve_lyapunov,
     stability_guard,
 )
-from nes_sim.graphs import lambda_max
 from nes_sim.presets import figure_preset
 from nes_sim.simulate import _SCREEN_STEPS
-from tests.conftest import X0, evaluate
+from tests.conftest import X0, block_lambda_max, evaluate
 
 SPEC5 = SaturationSpec.symmetric(5.0)
 SCALAR_LAYOUT = StateLayout(StrategyTag.SAT_GRAD_PLAY, 1, 1)
@@ -313,11 +312,11 @@ def test_monitor_lyapunov_evaluates_the_candidate_once(sensor_game, monkeypatch)
 
 
 def test_stability_guard_warns(sensor_game, path_graph):
-    M = estimation_matrix(path_graph, 2)
     gains = GainSet(theta=1000.0, theta_bar=1.0)
     with pytest.warns(RuntimeWarning, match="stability guard"):
         stability_guard(
-            SimConfig(dt=1e-2, t_end=1.0), StrategyTag.FIRST_ORDER_DIST, gains=gains, M=M
+            SimConfig(dt=1e-2, t_end=1.0), StrategyTag.FIRST_ORDER_DIST,
+            gains=gains, graph=path_graph,
         )
     # the preset step size stays quiet
     import warnings
@@ -325,23 +324,52 @@ def test_stability_guard_warns(sensor_game, path_graph):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         product = stability_guard(
-            SimConfig(dt=1e-4, t_end=1.0), StrategyTag.FIRST_ORDER_DIST, gains=gains, M=M
+            SimConfig(dt=1e-4, t_end=1.0), StrategyTag.FIRST_ORDER_DIST,
+            gains=gains, graph=path_graph,
         )
     assert 0.0 < product < 2.5
 
 
 def test_stability_guard_reads_theta_bar_through_the_gain_set(path_graph):
-    # N comes from M1's N^2 rows: a theta_bar vector is checked against it,
+    # N comes from the graph's nodes: a theta_bar vector is checked against N^2,
     # and its largest weight scales the rate; the default weight is 1
-    M = estimation_matrix(path_graph, 1)
     sim, tag = SimConfig(dt=1e-4, t_end=1.0), StrategyTag.FIRST_ORDER_DIST
-    lam = lambda_max(M)
+    lam = block_lambda_max(estimation_matrix(path_graph, 1))
     tb = np.linspace(0.5, 2.0, 9)
-    assert stability_guard(sim, tag, gains=GainSet(theta=10.0), M=M) == 1e-4 * (10.0 * lam)
-    product = stability_guard(sim, tag, gains=GainSet(theta=10.0, theta_bar=tb), M=M)
+    assert stability_guard(sim, tag, gains=GainSet(theta=10.0), graph=path_graph) == 1e-4 * (
+        10.0 * lam
+    )
+    product = stability_guard(sim, tag, gains=GainSet(theta=10.0, theta_bar=tb), graph=path_graph)
     assert product == 1e-4 * (10.0 * 2.0 * lam)
+    short = GainSet(theta=10.0, theta_bar=[1.0, 2.0, 3.0])
     with pytest.raises(DimensionMismatchError, match="^theta_bar: expected length 9, got 3$"):
-        stability_guard(sim, tag, gains=GainSet(theta=10.0, theta_bar=[1.0, 2.0, 3.0]), M=M)
+        stability_guard(sim, tag, gains=short, graph=path_graph)
+
+
+@pytest.mark.parametrize(
+    "tag", [t for t in StrategyTag if StateLayout(t, 2, 1).has_estimates]
+)
+def test_stability_guard_is_the_consensus_rate_of_m1(tag):
+    # dt * gain * max(theta_bar) * lambda_max(M1), with the eigenvalue of the
+    # full M1 by a full-size eigvalsh, to 1e-12 relative: 21 seeded graphs with
+    # unit and random real weights, N = 2..8, scalar and vector theta_bar
+    rng = np.random.default_rng(79)
+    sim = SimConfig(dt=2e-4, t_end=1.0)
+    for case in range(21):
+        n = 2 + case % 7
+        graph = random_connected_graph(rng, n)
+        if case % 2:
+            weights = np.triu(rng.uniform(0.1, 3.0, (n, n)), 1)
+            graph = CommGraph(graph.adjacency * (weights + weights.T))
+        theta_bar = rng.uniform(0.5, 2.0, n * n) if case % 3 else 1.5
+        gains = GainSet(theta=rng.uniform(1.0, 10.0), theta1=rng.uniform(0.5, 2.0), K=0.1,
+                        theta_bar=theta_bar)
+        gain = gains.theta * (gains.theta1 if StateLayout(tag, n, 1).has_velocity else 1.0)
+        lam = np.linalg.eigvalsh(estimation_matrix(graph, 1))[-1]
+        expected = 2e-4 * gain * np.max(theta_bar) * lam
+        assert stability_guard(sim, tag, gains=gains, graph=graph) == pytest.approx(
+            expected, rel=1e-12
+        )
 
 
 @pytest.mark.parametrize(
@@ -354,9 +382,8 @@ def test_stability_guard_reads_theta_bar_through_the_gain_set(path_graph):
 )
 def test_stability_guard_without_gains_names_them(tag, missing, path_graph):
     # the consensus rate reads the gains: refused as make_rhs refuses them
-    M = estimation_matrix(path_graph, 1)
     with pytest.raises(ValueError, match=f"^missing required gains: {missing}$"):
-        stability_guard(SimConfig(dt=1e-3, t_end=1.0), tag, M=M)
+        stability_guard(SimConfig(dt=1e-3, t_end=1.0), tag, graph=path_graph)
 
 
 @pytest.mark.parametrize(
@@ -364,11 +391,11 @@ def test_stability_guard_without_gains_names_them(tag, missing, path_graph):
     [
         (StrategyTag.SAT_GRAD_PLAY, None, "the game"),
         (StrategyTag.SECOND_ORDER_CENTRAL, GainSet(alpha=1.0, beta=1.0), "the game"),
-        (StrategyTag.FIRST_ORDER_DIST, GainSet(theta=1000.0), "the estimation matrix M"),
+        (StrategyTag.FIRST_ORDER_DIST, GainSet(theta=1000.0), "the communication graph"),
         (
             StrategyTag.SECOND_ORDER_DIST_SAT,
             GainSet(theta=200.0, theta1=1.0, K=0.1),
-            "the estimation matrix M",
+            "the communication graph",
         ),
     ],
 )
@@ -378,7 +405,7 @@ def test_stability_guard_refuses_a_missing_ingredient(tag, gains, needs, sensor_
     # given neither ingredient 0.0
     sim = SimConfig(dt=1e-4, t_end=1.0)
     # the ingredient of the other mode does not stand in for the missing one
-    other = {"game": sensor_game} if "M" in needs else {"M": estimation_matrix(path_graph, 1)}
+    other = {"game": sensor_game} if "graph" in needs else {"graph": path_graph}
     for given in ({}, other):
         with pytest.raises(ValueError, match=f"^stability guard for {tag.value} requires {needs}$"):
             stability_guard(sim, tag, gains=gains, **given)
