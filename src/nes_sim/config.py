@@ -123,6 +123,8 @@ class ExperimentConfig:
     output: dict | None
     sweep: list | None
     normalized: dict = field(repr=False, default=None)
+    # each output path through os.path.realpath, by key: the file it names
+    output_files: dict | None = field(repr=False, default=None)
 
     @property
     def layout(self):
@@ -262,12 +264,10 @@ def parse_config(doc):
         raise ConfigError(f"strategy.gains: {exc}") from exc
 
     layout = StateLayout(tag, n, p)
-    if layout.has_estimates and n < 2:
-        # no neighbour would ever pin the lone player's estimate of itself
-        raise ConfigError(
-            f"strategy.tag: {tag.value} shares estimates between players and needs "
-            f"at least 2; the game has {n}"
-        )
+    try:
+        layout.check_players()
+    except ValueError as exc:
+        raise ConfigError(f"strategy.tag: {exc}") from exc
     sat_spec = None
     if "saturation" in strat:
         sat_sec = strat["saturation"]
@@ -325,7 +325,7 @@ def parse_config(doc):
     for block, size in block_sizes.items():
         init.setdefault(block, np.zeros(size))
 
-    output = None
+    output = output_files = None
     if "output" in doc:
         _reject_unknown(doc["output"], _OUTPUT_KEYS, "output")
         output = dict(doc["output"])
@@ -333,7 +333,8 @@ def parse_config(doc):
             path = _require(output, key, "output")
             if not isinstance(path, str) or not path:
                 raise ConfigError(f"output.{key}: expected a file path")
-        if os.path.realpath(output["trajectory"]) == os.path.realpath(output["summary"]):
+        output_files = {key: os.path.realpath(path) for key, path in output.items()}
+        if output_files["trajectory"] == output_files["summary"]:
             raise ConfigError("output: trajectory and summary must be different files")
 
     sweep = None
@@ -382,6 +383,7 @@ def parse_config(doc):
         output=output,
         sweep=sweep,
         normalized=normalized,
+        output_files=output_files,
     )
 
 

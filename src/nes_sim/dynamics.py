@@ -201,6 +201,15 @@ class StateLayout:
     def is_saturated(self):
         return STRATEGIES[self.tag].clamped
 
+    def check_players(self):
+        """Refuse estimates shared among fewer than two players: no neighbour
+        would ever pin the lone player's estimate of itself."""
+        if self.has_estimates and self.n_players < 2:
+            raise ValueError(
+                f"{self.tag.value} shares estimates between players and needs "
+                f"at least 2; the game has {self.n_players}"
+            )
+
     def check(self, state):
         state = np.asarray(state, dtype=float).ravel()
         if state.size != self.size:
@@ -354,6 +363,7 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None):
 
     n, p, d = game.n_players, game.action_dim, layout.action_size
     if layout.has_estimates:
+        layout.check_players()
         if graph is None:
             raise ValueError(f"strategy {tag.value} requires a communication graph")
         if graph.n_nodes != n:

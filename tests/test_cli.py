@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 import warnings
 
 import numpy as np
@@ -534,17 +535,68 @@ def test_run_reports_lyapunov_error(tmp_path, capsys, case, reason):
         ["--seed", "3", "replicate", "fig2", "--out", "OUT"],
         ["bogus"],
         ["replicate", "fig2"],
+        ["--dt", "abc", "run", "a.json"],
+        [],
+        ["run"],
+        ["run", "a.json", "b.json"],
+        ["tune", "a.json", "--out"],
+        ["--bogus", "run", "a.json"],
+        ["replicate", "fig2", "--out"],
+        ["--t", "1.0", "run", "a.json"],
+        ["run", "--dt", "0.1", "a.json"],
+        ["--dt", "0.1", "--dt=0.2", "run", "a.json"],
     ],
-    ids=["stale_seed_flag", "unknown_subcommand", "missing_out"],
+    ids=["stale_seed_flag", "unknown_subcommand", "missing_out", "dt_not_a_number",
+         "no_command", "no_config", "two_configs", "tune_out_without_value", "unknown_flag",
+         "replicate_out_without_value", "abbreviated_flag", "global_flag_after_command",
+         "flag_given_twice"],
 )
 def test_usage_errors_exit_one(tmp_path, capsys, argv):
-    # argparse would exit 2, the code reserved for a run that did not converge
+    # exit 1 with the usage and one error line, never 2: that code means a run
+    # that did not converge
     argv = [str(tmp_path) if arg == "OUT" else arg for arg in argv]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 2 and err[0].startswith("usage: nes-sim ")
+    assert err[1].startswith("nes-sim: error: ")
     assert not list(tmp_path.iterdir())
+
+
+def test_help_exits_zero_with_the_usage_on_stdout(capsys):
+    for argv in (["--help"], ["-h"], ["--dt", "0.1", "tune", "-h"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage:") and captured.err == ""
+        for command in ("run", "tune", "oracle", "replicate", "--dt", "--t-end", "--out"):
+            assert command in captured.out
+
+
+def test_joined_and_reordered_flags_give_the_same_outputs(tmp_path, capsys):
+    def outputs(argv, files):
+        assert main(argv) == 0
+        return capsys.readouterr().out, [(tmp_path / name).read_bytes() for name in files]
+
+    path = _write(tmp_path, _fast_run_doc(tmp_path))
+    spaced = outputs(["--dt", "2e-3", "--t-end", "6.0", "run", path], ["traj.csv"])
+    joined = outputs(["--dt=2e-3", "--t-end=6.0", "run", path], ["traj.csv"])
+    assert spaced[1] == joined[1]
+    # the summaries differ only in wall_clock_s
+    assert [ln for ln in spaced[0].splitlines() if not ln.startswith("wall_clock_s=")] == [
+        ln for ln in joined[0].splitlines() if not ln.startswith("wall_clock_s=")
+    ]
+
+    tune_path = _write(tmp_path, figure_preset("fig3"), "fig3.json")
+    report = str(tmp_path / "report.json")
+    spaced = outputs(["--t-end", "1", "tune", tune_path, "--out", report], ["report.json"])
+    for argv in (["--t-end=1", "tune", tune_path, f"--out={report}"],
+                 ["--t-end", "1", "tune", "--out", report, tune_path]):
+        assert outputs(argv, ["report.json"]) == spaced
 
 
 @pytest.mark.parametrize("integrator, evals_per_step", [("rk4", 4), ("euler", 1)])
@@ -605,6 +657,25 @@ def test_sweep_entries_must_not_share_outputs(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "sweep entries 0 and 1 both write" in err and "same.txt" in err
     assert not (tmp_path / "same.txt").exists()
+
+
+def test_each_sweep_output_path_is_resolved_once(tmp_path, monkeypatch, capsys):
+    # one realpath per path serves both collision checks: the entry's own
+    # trajectory against its summary, and the entries against each other
+    resolved = []
+
+    def realpath(path, *args, **kwargs):
+        resolved.append(path)
+        return original(path, *args, **kwargs)
+
+    original = os.path.realpath
+    monkeypatch.setattr(os.path, "realpath", realpath)
+    monkeypatch.setattr(nes_sim.cli, "run_sweep", lambda items, fn: [])
+    doc = _fast_run_doc(tmp_path, t_end=0.5)
+    doc["sweep"] = [_entry_outputs(tmp_path, f"e{k}") for k in range(3)]
+    assert main(["run", _write(tmp_path, doc)]) == 0
+    entries = [path for k in range(3) for path in _entry_outputs(tmp_path, f"e{k}").values()]
+    assert sorted(resolved) == sorted(entries + list(doc["output"].values()))
 
 
 def test_tune_and_monitored_run_on_a_twenty_player_ring(tmp_path, capsys):

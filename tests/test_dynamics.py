@@ -440,6 +440,20 @@ def test_make_rhs_refuses_a_graph_of_the_wrong_size(tag, sensor_game):
 
 
 @pytest.mark.parametrize("tag", list(StrategyTag))
+def test_make_rhs_refuses_one_player_under_a_law_with_estimates(tag):
+    # the lone estimate has no neighbour to pin it, so it would never move
+    game = QuadraticGame(r=[[[1.0]]], p_vec=[[0.5]], q=[0.0], m_weights=[[0.0]])
+    gains = GainSet(theta=10.0, theta1=1.0, K=0.1, alpha=1.0, beta=1.0)
+    kwargs = dict(graph=CommGraph([[0.0]]), gains=gains, sat_spec=SPEC5)
+    if not StateLayout(tag, 1, 1).has_estimates:
+        make_rhs(tag, game, **kwargs)
+        return
+    for one in (game, _generic_twin(game)):
+        with pytest.raises(ValueError, match=f"^{tag.value} shares .* the game has 1$"):
+            make_rhs(tag, one, **kwargs)
+
+
+@pytest.mark.parametrize("tag", list(StrategyTag))
 def test_make_rhs_rejects_wrong_state_length(tag, sensor_game, path_graph):
     # the per-call law checks the layout; the compiled product refuses the length itself
     gains = GainSet(theta=200.0, theta1=1.0, K=0.1, alpha=1.0, beta=1.0)
