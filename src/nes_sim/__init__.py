@@ -7,7 +7,7 @@ together with the sufficient-condition gain bounds that guarantee their
 convergence.
 """
 
-from .config import ExperimentConfig, load_config, parse_config
+from .config import ExperimentConfig, parse_config
 from .dynamics import (
     GainSet,
     SaturationSpec,

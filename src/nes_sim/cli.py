@@ -151,9 +151,9 @@ def cmd_replicate(args):
         raise ConfigError(exc.args[0]) from exc
     _apply_overrides(preset, args)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     preset["output"] = {key: str(outdir / path) for key, path in preset["output"].items()}
-    cfg = parse_config(preset)
+    cfg = parse_config(preset)  # refused before --out is created
+    outdir.mkdir(parents=True, exist_ok=True)
     summary, _ = run_experiment(cfg)
     for line in summary.lines():
         print(line)

@@ -24,7 +24,7 @@ from .graphs import CommGraph
 from .presets import GAME_REGISTRY
 from .simulate import SimConfig
 
-__all__ = ["ExperimentConfig", "parse_config", "read_document", "load_config"]
+__all__ = ["ExperimentConfig", "parse_config", "read_document"]
 
 _TOP_KEYS = {"game", "graph", "strategy", "sim", "init", "output", "sweep"}
 _QUADRATIC_KEYS = ("r", "p_vec", "q", "m_weights")
@@ -426,8 +426,3 @@ def read_document(path):
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
     return doc
-
-
-def load_config(path):
-    """Read and parse a JSON configuration file."""
-    return parse_config(read_document(path))

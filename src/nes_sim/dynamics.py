@@ -6,7 +6,10 @@ are skipped). Every player is an integrator chain (xdot = u, or xdot = nu
 and nudot = u), so the applied control is the derivative's x or nu rows,
 ``StateLayout.control``. A vector field ``rhs(state, out)`` writes the
 derivative into ``out`` (the integrator's stage row) and returns it; the
-recorder reads the control from ``out[layout.control]``.
+recorder reads the control from ``out[layout.control]``. A field is built
+in three stages: :func:`strategy_law` binds the unclamped law,
+:func:`compile_affine` compiles an affine law to ``A s + b``, and
+:func:`make_rhs` joins them and clamps.
 
 Strategies
 ----------
@@ -49,6 +52,8 @@ __all__ = [
     "StateLayout",
     "sat",
     "sat_integral",
+    "strategy_law",
+    "compile_affine",
     "make_rhs",
     "lyapunov_value",
 ]
@@ -231,11 +236,6 @@ class StateLayout:
         lo, hi = self.offsets["y"]
         return states[..., lo:hi] - np.tile(states[..., a:b], self.n_players)
 
-    def split(self, state):
-        """Views of the state's blocks keyed by block name."""
-        state = self.check(state)
-        return {name: state[a:b] for name, (a, b) in self.offsets.items()}
-
     def pack(self, x=None, nu=None, z=None, y=None):
         """Assemble a flat state; omitted blocks default to zeros."""
         given = {"x": x, "nu": nu, "z": z, "y": y}
@@ -329,22 +329,15 @@ def _per_channel(m, v):
     return np.moveaxis(np.tensordot(m, w, axes=(1, -2)), 0, -2)
 
 
-def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None):
-    """Bind a strategy's vector field to its game, graph, and gains.
+def strategy_law(tag, game, *, graph=None, gains=None):
+    """Bind a strategy's control law, unclamped, to its game, graph and gains.
 
-    Returns ``(rhs, layout)``. ``rhs(state, out)`` writes the derivative
-    into ``out`` (``layout.size`` floats, not overlapping the state) and
-    returns it; every player is an integrator chain, so the applied control
-    is ``out[layout.control]``. Each control law is written once here,
-    unclamped; ``rhs`` clamps the control rows in place with one call of
-    numpy's ``clip`` ufunc (the clamp ``sat`` uses, bitwise equal to
-    ``maximum`` with the lower bound then ``minimum`` with the upper). A
-    ``QuadraticGame`` law is affine (the pseudo-gradient is ``H x + c``), so
-    it is compiled once to ``A s + b`` from ``b = law(0)`` and ``law(I)``:
-    each law takes a stack of states, one per row. Other games evaluate the
-    law per call, which checks the state's length (``LayoutMismatchError``);
-    the compiled product refuses a wrong length (``ValueError``), and its
-    closure does not test the game per call.
+    Returns ``(law, layout)``. ``law`` takes one flat state or a ``(B,
+    size)`` stack of them, one per row, and gives the derivative of each
+    with the control rows (``layout.control``) unclamped; it does not
+    check the state's length. Each of the five laws is written once here.
+    The tag's gains are required, and a law with estimates requires a
+    connected graph of one node per player and at least two players.
     The consensus laws apply M = M1 (x) I_p, with M1 the per-channel
     :func:`~nes_sim.graphs.estimation_matrix`, as the graph's pinned blocks
     (:meth:`~nes_sim.graphs.CommGraph.pinned_blocks`): each player's
@@ -352,12 +345,6 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None):
     """
     tag = StrategyTag(tag)
     layout = StateLayout(tag, game.n_players, game.action_dim)
-    clamped = layout.is_saturated
-    if clamped:
-        if sat_spec is None:
-            raise ValueError(f"strategy {tag.value} requires saturation bounds")
-        sat_spec.check_size(layout.action_size)
-        lower, upper = sat_spec.lower, sat_spec.upper
     gains = gains if gains is not None else GainSet()
     gains.require(*STRATEGIES[tag].gains)
 
@@ -415,6 +402,51 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None):
             zdot = rate_gain * game.own_gradients_at_estimates(y)
             return np.concatenate([nu, -(x - z) - (nu - zdot), zdot, consensus(s)], axis=-1)
 
+    return law, layout
+
+
+def compile_affine(law, size):
+    """Compile an affine law of ``size``-float states to ``(A, b)``, law(s) = A s + b.
+
+    ``b = law(0)``, and row k of ``law(I)`` is ``law(e_k)``, so ``A = (law(I)
+    - b).T``: two law calls, whatever the size. ``A`` is C-contiguous and
+    starts on a 64-byte boundary.
+    """
+    b = law(np.zeros(size))
+    # left to the allocator, A's place depends on what set-up allocated
+    # before, and a misaligned A slowed the step loop by about 10 %
+    buf = np.empty(size * size + 8)
+    A = buf[(-buf.ctypes.data % 64) // 8 :][: size * size].reshape(size, size)
+    A[...] = (law(np.eye(size)) - b).T
+    return A, b
+
+
+def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None):
+    """Bind a strategy's vector field to its game, graph, and gains.
+
+    Returns ``(rhs, layout)``. ``rhs(state, out)`` writes the derivative
+    into ``out`` (``layout.size`` floats, not overlapping the state) and
+    returns it; every player is an integrator chain, so the applied control
+    is ``out[layout.control]``. The field is :func:`strategy_law`'s law
+    with, for a clamped strategy, its control rows clamped in place by one
+    call of numpy's ``clip`` ufunc (the clamp ``sat`` uses, bitwise equal
+    to ``maximum`` with the lower bound then ``minimum`` with the upper).
+    A ``QuadraticGame`` law is affine (the pseudo-gradient is ``H x + c``),
+    so it is compiled once by :func:`compile_affine` and each call computes
+    ``A s + b``. Other games evaluate the law per call, which checks the
+    state's length (``LayoutMismatchError``); the compiled product refuses
+    a wrong length (``ValueError``), and the compiled field does not test
+    the game per call. :func:`strategy_law`'s refusals come first; then a
+    clamped strategy requires saturation bounds of one scalar or one
+    entry per action channel.
+    """
+    law, layout = strategy_law(tag, game, graph=graph, gains=gains)
+    clamped = layout.is_saturated
+    if clamped:
+        if sat_spec is None:
+            raise ValueError(f"strategy {layout.tag.value} requires saturation bounds")
+        sat_spec.check_size(layout.action_size)
+        lower, upper = sat_spec.lower, sat_spec.upper
     control, check, size = layout.control, layout.check, layout.size
 
     if not isinstance(game, QuadraticGame):
@@ -428,13 +460,7 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None):
 
         return rhs, layout
 
-    # the law is affine and row k of law(I) is law(e_k): A = (law(I) - law(0)).T
-    b = law(np.zeros(size))
-    # A starts on a 64-byte boundary: left to the allocator, its place depends on what
-    # set-up allocated before, and a misaligned A slowed the step loop by about 10 %
-    buf = np.empty(size * size + 8)
-    A = buf[(-buf.ctypes.data % 64) // 8 :][: size * size].reshape(size, size)
-    A[...] = (law(np.eye(size)) - b).T
+    A, b = compile_affine(law, size)
     add = np.add
 
     def rhs(s, out):

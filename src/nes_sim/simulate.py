@@ -72,12 +72,13 @@ class SimConfig:
     monitor_lyapunov: bool = False
 
     def __post_init__(self):
+        for name in ("dt", "t_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
         if not self.t_end > 0.0:
             raise ValueError("t_end must be positive")
-        if not np.isfinite(self.t_end):
-            raise ValueError("t_end must be finite")
         if self.dt > self.t_end:
             raise ValueError("dt must not exceed t_end")
         if not math.isfinite(self.t_end / self.dt):

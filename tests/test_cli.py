@@ -407,10 +407,24 @@ def test_integer_too_large_for_a_float_exits_one_without_traceback(tmp_path, zer
     assert "Traceback" not in proc.stderr
 
 
-def test_infinite_t_end_flag_exits_one(tmp_path, capsys):
-    path = _write(tmp_path, _short_run_doc(tmp_path, "fig2"))
-    assert main(["--t-end", "inf", "run", path]) == 1
-    assert "t_end must be finite" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--dt", "nan"], "dt must be finite"), (["--dt", "inf"], "dt must be finite"),
+        (["--t-end", "nan"], "t_end must be finite"), (["--t-end", "inf"], "t_end must be finite"),
+        (["--dt", "-1"], "dt must be positive"),  # a finite value keeps its message
+    ],
+    ids=["dt-nan", "dt-inf", "t_end-nan", "t_end-inf", "dt-negative"],
+)
+@pytest.mark.parametrize("command", ["replicate", "run"])
+def test_refused_sim_flags_are_named_and_create_no_out(tmp_path, capsys, flags, message, command):
+    if command == "run":
+        argv = ["run", _write(tmp_path, _short_run_doc(tmp_path / "new", "fig2"))]
+    else:
+        argv = ["replicate", "fig2", "--out", str(tmp_path / "new" / "sub")]
+    assert main([*flags, *argv]) == 1
+    assert capsys.readouterr().err == f"error: sim: {message}\n"
+    assert not (tmp_path / "new").exists()
 
 
 @pytest.mark.parametrize("stride", [2.5, True, "2"])

@@ -9,7 +9,6 @@ from nes_sim import (
     QuadraticGame,
     StrategyTag,
     estimation_matrix,
-    load_config,
     make_rhs,
     parse_config,
     random_connected_graph,
@@ -319,21 +318,21 @@ def test_output_paths_must_differ(tmp_path):
         parse_config(doc)
 
 
-def test_load_config_errors(tmp_path):
+def test_read_document_errors(tmp_path):
     missing = tmp_path / "missing.json"
     with pytest.raises(ConfigError, match="cannot read"):
-        load_config(missing)
+        read_document(missing)
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     with pytest.raises(ConfigError, match="line 1"):
-        load_config(bad)
+        read_document(bad)
     scalar = tmp_path / "scalar.json"
     scalar.write_text("42")
     with pytest.raises(ConfigError, match="top level"):
-        load_config(scalar)
+        read_document(scalar)
     good = tmp_path / "good.json"
     good.write_text(json.dumps(figure_preset("fig2")))
-    cfg = load_config(good)
+    cfg = parse_config(read_document(good))
     assert cfg.tag is StrategyTag.SAT_GRAD_PLAY
 
 

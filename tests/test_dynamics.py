@@ -25,9 +25,25 @@ from nes_sim import (
     sat_integral,
     solve_lyapunov,
 )
+from nes_sim.dynamics import compile_affine, strategy_law
 from tests.conftest import X0, evaluate
 
 SPEC5 = SaturationSpec.symmetric(5.0)
+
+
+def _law_entry(tag, game, *, sat_spec=None, **kwargs):
+    # strategy_law called as make_rhs is; it takes no bounds
+    return strategy_law(tag, game, **kwargs)
+
+
+# each refusal of strategy_law is make_rhs's, with the same type and message
+BOTH_ENTRIES = pytest.mark.parametrize("entry", [make_rhs, _law_entry], ids=["make_rhs", "law"])
+
+
+def _compile(tag, game, **kwargs):
+    # the unclamped law's A and b, as make_rhs compiles them
+    law, layout = strategy_law(tag, game, **kwargs)
+    return compile_affine(law, layout.size)
 
 
 # --- saturation -----------------------------------------------------------
@@ -216,7 +232,7 @@ def test_layout_pack_split_roundtrip():
         "y": rng.normal(size=18),
     }
     s = lay.pack(**parts)
-    blocks = lay.split(s)
+    blocks = {name: s[a:b] for name, (a, b) in lay.offsets.items()}
     for name, val in parts.items():
         np.testing.assert_array_equal(blocks[name], val)
     assert lay.block_name(0) == "x[0]"
@@ -236,7 +252,7 @@ def test_layout_estimate_error_of_one_state_and_of_a_stack(tag, target):
     states = rng.normal(size=(4, lay.size))
     expected = []
     for s in states:
-        blocks = lay.split(s)
+        blocks = {name: s[a:b] for name, (a, b) in lay.offsets.items()}
         # estimate y_ij of player j's action, tracking that player's block of the target
         expected.append(blocks["y"] - np.concatenate([blocks[target]] * 3))
         np.testing.assert_array_equal(lay.estimate_error(s), expected[-1])
@@ -421,36 +437,45 @@ def test_second_order_dist_sat_zero_init_control(sensor_game, path_graph):
     np.testing.assert_allclose(u, [-0.2, 0.2, 0.2, 0.2, 0.4, -0.2], atol=1e-15)
 
 
-def test_make_rhs_requires_graph_and_bounds(sensor_game, path_graph):
-    with pytest.raises(ValueError, match="graph"):
-        make_rhs(StrategyTag.FIRST_ORDER_DIST, sensor_game, gains=GainSet(theta=1.0), sat_spec=SPEC5)
+@BOTH_ENTRIES
+def test_make_rhs_requires_graph_and_gains(entry, sensor_game):
+    need_graph = "^strategy first_order_dist requires a communication graph$"
+    with pytest.raises(ValueError, match=need_graph):
+        entry(StrategyTag.FIRST_ORDER_DIST, sensor_game, gains=GainSet(theta=1.0), sat_spec=SPEC5)
+    with pytest.raises(ValueError, match="^missing required gains: beta$"):
+        entry(StrategyTag.SECOND_ORDER_CENTRAL, sensor_game, gains=GainSet(alpha=1.0))
+
+
+def test_make_rhs_requires_bounds(sensor_game):
     with pytest.raises(ValueError, match="saturation"):
         make_rhs(StrategyTag.SAT_GRAD_PLAY, sensor_game)
 
 
+@BOTH_ENTRIES
 @pytest.mark.parametrize("tag", [t for t in StrategyTag if StateLayout(t, 1, 1).has_estimates])
-def test_make_rhs_refuses_a_graph_of_the_wrong_size(tag, sensor_game):
+def test_make_rhs_refuses_a_graph_of_the_wrong_size(entry, tag, sensor_game):
     # one node per player, refused before any product with the estimates
     gains = GainSet(theta=200.0, theta1=1.0, K=0.1)
     for nodes in (2, 4):
         graph = CommGraph(np.ones((nodes, nodes)) - np.eye(nodes))
         for game in (sensor_game, _generic_twin(sensor_game)):
             with pytest.raises(DimensionMismatchError, match=f"expected length 3, got {nodes}"):
-                make_rhs(tag, game, graph=graph, gains=gains, sat_spec=SPEC5)
+                entry(tag, game, graph=graph, gains=gains, sat_spec=SPEC5)
 
 
+@BOTH_ENTRIES
 @pytest.mark.parametrize("tag", list(StrategyTag))
-def test_make_rhs_refuses_one_player_under_a_law_with_estimates(tag):
+def test_make_rhs_refuses_one_player_under_a_law_with_estimates(entry, tag):
     # the lone estimate has no neighbour to pin it, so it would never move
     game = QuadraticGame(r=[[[1.0]]], p_vec=[[0.5]], q=[0.0], m_weights=[[0.0]])
     gains = GainSet(theta=10.0, theta1=1.0, K=0.1, alpha=1.0, beta=1.0)
     kwargs = dict(graph=CommGraph([[0.0]]), gains=gains, sat_spec=SPEC5)
     if not StateLayout(tag, 1, 1).has_estimates:
-        make_rhs(tag, game, **kwargs)
+        entry(tag, game, **kwargs)
         return
     for one in (game, _generic_twin(game)):
         with pytest.raises(ValueError, match=f"^{tag.value} shares .* the game has 1$"):
-            make_rhs(tag, one, **kwargs)
+            entry(tag, one, **kwargs)
 
 
 @pytest.mark.parametrize("tag", list(StrategyTag))
@@ -515,12 +540,6 @@ def test_compiled_field_matches_per_call_law(tag):
 UNBOUND = SaturationSpec.symmetric(1e300)
 
 
-def _closure(rhs, *names):
-    # the compiled A and b, or the per-call law, as the field's closure holds them
-    cells = dict(zip(rhs.__code__.co_freevars, rhs.__closure__))
-    return [cells[name].cell_contents for name in names]
-
-
 @pytest.mark.parametrize("tag", [t for t in StrategyTag if StateLayout(t, 2, 1).is_saturated])
 def test_compiled_clamped_field_is_affine_map_then_max_min(tag):
     # the compiled field is A s + b with its control rows clamped in place:
@@ -531,11 +550,9 @@ def test_compiled_clamped_field_is_affine_map_then_max_min(tag):
         n, p = int(rng.integers(2, 5)), int(rng.integers(1, 3))
         game = random_strongly_monotone_game(rng, n_players=n, action_dim=p)
         spec = SaturationSpec(-rng.uniform(0.5, 3.0, n * p), rng.uniform(0.5, 3.0, n * p))
-        rhs, lay = make_rhs(
-            tag, game, graph=random_connected_graph(rng, n), gains=_random_gains(rng, n),
-            sat_spec=spec,
-        )
-        A, b = _closure(rhs, "A", "b")
+        kwargs = dict(graph=random_connected_graph(rng, n), gains=_random_gains(rng, n))
+        rhs, lay = make_rhs(tag, game, sat_spec=spec, **kwargs)
+        A, b = _compile(tag, game, **kwargs)
         row = np.empty(lay.size)
         for s in rng.normal(scale=rng.choice([0.01, 1.0, 5.0]), size=(30, lay.size)):
             expected = A.dot(s) + b
@@ -573,12 +590,10 @@ def _compiled_and_column_by_column(tag, graph, rng):
     n, p = graph.n_nodes, int(rng.integers(1, 4))
     game = random_strongly_monotone_game(rng, n_players=n, action_dim=p)
     gains = _random_gains(rng, n)
-    compiled, lay = make_rhs(tag, game, graph=graph, gains=gains, sat_spec=UNBOUND)
-    twin = _generic_twin(game)
-    per_call, _ = make_rhs(tag, twin, graph=graph, gains=gains, sat_spec=UNBOUND)
-    A, b = _closure(compiled, "A", "b")
-    b_ref = evaluate(per_call, lay, np.zeros(lay.size))[0]
-    A_ref = np.column_stack([evaluate(per_call, lay, e)[0] - b_ref for e in np.eye(lay.size)])
+    A, b = _compile(tag, game, graph=graph, gains=gains)
+    law, lay = strategy_law(tag, _generic_twin(game), graph=graph, gains=gains)
+    b_ref = law(np.zeros(lay.size))
+    A_ref = np.column_stack([law(e) - b_ref for e in np.eye(lay.size)])
     assert A.flags.c_contiguous and A.shape == A_ref.shape
     return A, b, A_ref, b_ref
 
@@ -613,8 +628,8 @@ def test_stacked_compile_on_real_weights_is_within_rounding(tag):
 
 @pytest.mark.parametrize("tag", list(StrategyTag))
 def test_law_on_a_stack_of_states_equals_single_state_calls(tag):
-    # the per-call field's law over a (B, size) stack gives, row by row, the
-    # field at each state; products only sum in another order, so each row
+    # a law over a (B, size) stack gives, row by row, the law at each state
+    # alone; products only sum in another order, so each row
     # is held to 1e-15 of the largest sum of absolute terms sum_j |A_ij s_j| + |b_i|
     rng = np.random.default_rng(37)
     for _ in range(6):
@@ -622,17 +637,14 @@ def test_law_on_a_stack_of_states_equals_single_state_calls(tag):
         game = random_strongly_monotone_game(rng, n_players=n, action_dim=p)
         graph = random_connected_graph(rng, n)
         gains = _random_gains(rng, n)
-        compiled, lay = make_rhs(tag, game, graph=graph, gains=gains, sat_spec=UNBOUND)
-        twin = _generic_twin(game)
-        per_call, _ = make_rhs(tag, twin, graph=graph, gains=gains, sat_spec=UNBOUND)
-        (law,) = _closure(per_call, "law")
-        A, b = _closure(compiled, "A", "b")
+        A, b = _compile(tag, game, graph=graph, gains=gains)
+        law, lay = strategy_law(tag, _generic_twin(game), graph=graph, gains=gains)
         states = rng.normal(scale=3.0, size=(25, lay.size))
         stacked = law(states)
         assert stacked.shape == states.shape
         for s, row in zip(states, stacked):
             scale = np.max(np.abs(A) @ np.abs(s) + np.abs(b))
-            assert np.max(np.abs(row - evaluate(per_call, lay, s)[0])) <= 1e-15 * scale
+            assert np.max(np.abs(row - law(s))) <= 1e-15 * scale
 
 
 @pytest.mark.parametrize("tag", list(StrategyTag))
@@ -683,15 +695,7 @@ def _dense_compile(tag, game, graph, gains):
         dy = coef * (M @ (y - np.tile(z, n)).T).T
         return np.concatenate([nu, -(x - z) - (nu - zdot), zdot, dy], axis=-1)
 
-    b = law(np.zeros(lay.size))
-    return np.ascontiguousarray((law(np.eye(lay.size)) - b).T), b
-
-
-def _per_channel_and_dense(tag, graph, p, rng):
-    game = random_strongly_monotone_game(rng, n_players=graph.n_nodes, action_dim=p)
-    gains = _random_gains(rng, graph.n_nodes)
-    compiled, _ = make_rhs(tag, game, graph=graph, gains=gains, sat_spec=UNBOUND)
-    return _closure(compiled, "A", "b"), _dense_compile(tag, game, graph, gains)
+    return compile_affine(law, lay.size)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -704,23 +708,12 @@ def test_per_channel_field_is_the_dense_field_on_integer_weights(tag, p):
     graphs += [CommGraph(path_graph_adjacency(n)) for n in (2, 3, 5)]
     graphs += [random_connected_graph(rng, n) for n in (3, 4, 5, 6)]
     for graph in graphs:
-        for got, ref in zip(*_per_channel_and_dense(tag, graph, p, rng)):
+        game = random_strongly_monotone_game(rng, n_players=graph.n_nodes, action_dim=p)
+        gains = _random_gains(rng, graph.n_nodes)
+        compiled = _compile(tag, game, graph=graph, gains=gains)
+        for got, ref in zip(compiled, _dense_compile(tag, game, graph, gains)):
             assert np.array_equal(got, ref)
             assert np.array_equal(np.signbit(got), np.signbit(ref))
-
-
-@pytest.mark.parametrize("p", [1, 2, 3])
-@pytest.mark.parametrize("tag", ESTIMATE_TAGS)
-def test_per_channel_field_on_real_weights_is_within_rounding(tag, p):
-    # with real edge weights the sums over M1's columns may round in another
-    # order than the dense product's, so A is held to 1e-15 of its largest entry
-    rng = np.random.default_rng(53)
-    for n in (2, 3, 4, 5):
-        a = np.triu(rng.uniform(0.1, 3.0, (n, n)) * (rng.random((n, n)) < 0.7), 1)
-        a[np.arange(n - 1), np.arange(1, n)] = rng.uniform(0.1, 3.0, n - 1)  # connected
-        (A, b), (A_ref, b_ref) = _per_channel_and_dense(tag, CommGraph(a + a.T), p, rng)
-        assert np.max(np.abs(A - A_ref)) <= 1e-15 * np.max(np.abs(A_ref))
-        assert np.array_equal(b, b_ref)
 
 
 def _weighted_graph(rng, n):
@@ -743,8 +736,8 @@ def test_block_field_is_the_dense_field_bit_for_bit_on_real_weights(tag):
         gains = _random_gains(rng, n)
         if case % 2:
             gains.theta_bar = float(rng.uniform(0.5, 2.0))
-        compiled, _ = make_rhs(tag, game, graph=graph, gains=gains, sat_spec=UNBOUND)
-        for got, ref in zip(_closure(compiled, "A", "b"), _dense_compile(tag, game, graph, gains)):
+        compiled = _compile(tag, game, graph=graph, gains=gains)
+        for got, ref in zip(compiled, _dense_compile(tag, game, graph, gains)):
             assert np.array_equal(got, ref)
             assert np.array_equal(np.signbit(got), np.signbit(ref))
 
@@ -759,8 +752,7 @@ def test_per_call_consensus_is_m1_kron_identity_on_the_estimate_error(tag):
         graph = _weighted_graph(rng, n) if case % 2 else random_connected_graph(rng, n)
         game = random_strongly_monotone_game(rng, n_players=n, action_dim=p)
         gains = _random_gains(rng, n)
-        rhs, lay = make_rhs(tag, _generic_twin(game), graph=graph, gains=gains, sat_spec=UNBOUND)
-        (law,) = _closure(rhs, "law")
+        law, lay = strategy_law(tag, _generic_twin(game), graph=graph, gains=gains)
         states = rng.normal(scale=3.0, size=(30, lay.size))
         M = np.kron(estimation_matrix(graph, 1), np.eye(p))
         gain = gains.estimation_gain(lay.has_velocity) * np.repeat(gains.theta_bar_vec(n), p)
@@ -776,21 +768,20 @@ def test_compiled_a_starts_on_a_cache_line(tag):
     rng = np.random.default_rng(83)
     for n, p in ((2, 1), (3, 2), (6, 2)):
         game = random_strongly_monotone_game(rng, n_players=n, action_dim=p)
-        rhs, lay = make_rhs(
-            tag, game, graph=CommGraph(_ring(n)), gains=_random_gains(rng, n), sat_spec=UNBOUND
-        )
-        (A,) = _closure(rhs, "A")
+        law, lay = strategy_law(tag, game, graph=CommGraph(_ring(n)), gains=_random_gains(rng, n))
+        A, _ = compile_affine(law, lay.size)
         assert A.ctypes.data % 64 == 0
         assert A.flags.c_contiguous and A.shape == (lay.size, lay.size)
 
 
+@BOTH_ENTRIES
 @pytest.mark.parametrize("tag", ESTIMATE_TAGS)
-def test_make_rhs_refuses_a_disconnected_graph(tag, sensor_game):
+def test_make_rhs_refuses_a_disconnected_graph(entry, tag, sensor_game):
     two_parts = np.zeros((3, 3))
     two_parts[0, 1] = two_parts[1, 0] = 1.0
     gains = GainSet(theta=10.0, theta1=1.0, K=0.1)
     with pytest.raises(DisconnectedGraphError, match="^communication graph must be connected"):
-        make_rhs(tag, sensor_game, graph=CommGraph(two_parts), gains=gains, sat_spec=SPEC5)
+        entry(tag, sensor_game, graph=CommGraph(two_parts), gains=gains, sat_spec=SPEC5)
 
 
 @pytest.mark.parametrize("tag", ESTIMATE_TAGS)
