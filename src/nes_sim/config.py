@@ -312,6 +312,13 @@ def parse_config(doc):
         sim = SimConfig(**given)
     except ValueError as exc:
         raise ConfigError(f"sim: {exc}") from exc
+    # the record array integrate allocates; numpy indexes at most intp-max bytes
+    n_rec = (sim.n_steps - 1) // sim.record_stride + 2
+    if n_rec * layout.size > np.iinfo(np.intp).max // 8:
+        raise ConfigError(
+            f"sim: dt = {sim.dt:g} and t_end = {sim.t_end:g} give {n_rec:.3g} records "
+            f"of {layout.size} floats, more than one array can hold"
+        )
 
     init_sec = doc.get("init", {})
     _reject_unknown(init_sec, _INIT_KEYS, "init")

@@ -428,9 +428,12 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None):
     into ``out`` (``layout.size`` floats, not overlapping the state) and
     returns it; every player is an integrator chain, so the applied control
     is ``out[layout.control]``. The field is :func:`strategy_law`'s law
-    with, for a clamped strategy, its control rows clamped in place by one
+    with, for a clamped strategy, the whole row clamped in place by one
     call of numpy's ``clip`` ufunc (the clamp ``sat`` uses, bitwise equal
-    to ``maximum`` with the lower bound then ``minimum`` with the upper).
+    to ``maximum`` with the lower bound then ``minimum`` with the upper)
+    against bounds built once here: the saturation bounds on the control
+    rows and -inf/+inf on every other row, which the clip returns bit for
+    bit, NaN payloads and signed zeros included.
     A ``QuadraticGame`` law is affine (the pseudo-gradient is ``H x + c``),
     so it is compiled once by :func:`compile_affine` and each call computes
     ``A s + b``. Other games evaluate the law per call, which checks the
@@ -446,29 +449,28 @@ def make_rhs(tag, game, *, graph=None, gains=None, sat_spec=None):
         if sat_spec is None:
             raise ValueError(f"strategy {layout.tag.value} requires saturation bounds")
         sat_spec.check_size(layout.action_size)
-        lower, upper = sat_spec.lower, sat_spec.upper
-    control, check, size = layout.control, layout.check, layout.size
+        lower, upper = np.outer((-np.inf, np.inf), np.ones(layout.size))
+        lower[layout.control], upper[layout.control] = sat_spec.lower, sat_spec.upper
+    check, size = layout.check, layout.size
 
     if not isinstance(game, QuadraticGame):
 
         def rhs(s, out):
             out[:] = law(check(s))
             if clamped:
-                u = out[control]
-                clip(u, lower, upper, u)
+                clip(out, lower, upper, out)
             return out
 
         return rhs, layout
 
     A, b = compile_affine(law, size)
-    add = np.add
+    matvec, add = A.dot, np.add
 
     def rhs(s, out):
-        A.dot(s, out)
+        matvec(s, out)
         add(out, b, out)
         if clamped:
-            u = out[control]
-            clip(u, lower, upper, u)
+            clip(out, lower, upper, out)
         return out
 
     return rhs, layout

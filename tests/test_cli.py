@@ -413,8 +413,10 @@ def test_integer_too_large_for_a_float_exits_one_without_traceback(tmp_path, zer
         (["--dt", "nan"], "dt must be finite"), (["--dt", "inf"], "dt must be finite"),
         (["--t-end", "nan"], "t_end must be finite"), (["--t-end", "inf"], "t_end must be finite"),
         (["--dt", "-1"], "dt must be positive"),  # a finite value keeps its message
+        (["--dt", "1e-300"], "dt = 1e-300 and t_end = 20 give 2e+300 records of 6 floats, "
+                             "more than one array can hold"),
     ],
-    ids=["dt-nan", "dt-inf", "t_end-nan", "t_end-inf", "dt-negative"],
+    ids=["dt-nan", "dt-inf", "t_end-nan", "t_end-inf", "dt-negative", "dt-unindexable"],
 )
 @pytest.mark.parametrize("command", ["replicate", "run"])
 def test_refused_sim_flags_are_named_and_create_no_out(tmp_path, capsys, flags, message, command):
@@ -737,8 +739,8 @@ def test_tune_and_monitored_run_on_a_twenty_player_ring(tmp_path, capsys):
         # fig2 keeps every 10th of 2e17 steps: 2e16 records of 6 states, 9.6e17 B >= 2**58 B,
         # more than any 64-bit address space holds
         ("1e-16", "Unable to allocate"),
-        # 2e19 steps: 2e18 records, 9.6e19 B > 2**63 B
-        ("1e-18", "array is too big"),
+        # 2e19 steps: 2e18 records, 9.6e19 B > 2**63 B, refused at parse time
+        ("1e-18", "2e+18 records of 6 floats, more than one array can hold"),
     ],
 )
 def test_records_that_cannot_be_allocated_exit_one_before_the_first_step(

@@ -68,6 +68,26 @@ def test_unknown_keys_rejected_everywhere():
         parse_config(doc)
 
 
+# fig2: t_end 20 s and 6 floats per record, so the limit of (2**63 - 1) // 8 floats lies
+# between dt = 1e-17 (2e17 records at stride 10) and dt = 1.1e-17 (1.8e17 records)
+@pytest.mark.parametrize(
+    "dt, stride, records",
+    [(1e-17, 10, "2e+17"), (1.1e-17, 10, None), (1e-300, 10, "2e+300"), (1e-300, 10**300, None)],
+)
+def test_record_array_numpy_cannot_index_is_refused(dt, stride, records):
+    doc = figure_preset("fig2")
+    doc["sim"].update(dt=dt, record_stride=stride)
+    if records is None:
+        assert parse_config(doc).sim.dt == dt
+        return
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert str(info.value) == (
+        f"sim: dt = {dt:g} and t_end = 20 give {records} records of 6 floats, "
+        "more than one array can hold"
+    )
+
+
 def test_missing_required_gains():
     doc = figure_preset("fig3")
     del doc["strategy"]["gains"]["theta"]

@@ -566,6 +566,91 @@ def test_compiled_clamped_field_is_affine_map_then_max_min(tag):
     assert n_clamped > 100 and n_free > 100  # both sides of the clamp were met
 
 
+# quiet NaNs with payloads, infinities, signed zeros and values past every bound below
+SPECIALS = np.r_[
+    np.array([0x7FF8_0000_0000_0123, 0xFFF8_0000_0000_0456], dtype=np.uint64).view(float),
+    np.inf, -np.inf, 0.0, -0.0, 1e3, -1e3, 1e308, -1e308,
+]
+SATURATED = [t for t in StrategyTag if StateLayout(t, 2, 1).is_saturated]
+FIELDS = pytest.mark.parametrize("kind", ["compiled", "per_call"])
+
+
+def _field_and_raw_row(kind, tag, spec, rng):
+    # a clamped field and its unclamped row, computed as the field computes
+    # it: A s + b for the compiled field, the law for the per-call one
+    n, p = 3, 2
+    game = random_strongly_monotone_game(rng, n_players=n, action_dim=p)
+    kwargs = dict(graph=random_connected_graph(rng, n), gains=_random_gains(rng, n))
+    if kind == "compiled":
+        A, b = _compile(tag, game, **kwargs)
+        rhs, lay = make_rhs(tag, game, sat_spec=spec, **kwargs)
+        return rhs, lay, lambda s: A.dot(s) + b
+    law, _ = strategy_law(tag, _generic_twin(game), **kwargs)
+    rhs, lay = make_rhs(tag, _generic_twin(game), sat_spec=spec, **kwargs)
+    return rhs, lay, law
+
+
+def _clamp_rows(rhs, lay, raw, spec, states):
+    # the field's rows against the raw rows with only the control rows
+    # clamped, max then min; returns the raw rows it met
+    raws, row = [], np.empty(lay.size)
+    with np.errstate(all="ignore"):  # as inside integrate
+        for s in states:
+            expected = raw(s)
+            raws.append(expected.copy())
+            u = expected[lay.control]
+            expected[lay.control] = np.minimum(np.maximum(u, spec.lower), spec.upper)
+            assert rhs(s, row) is row
+            assert np.array_equal(_bits(row), _bits(expected))
+    return np.array(raws)
+
+
+@FIELDS
+@pytest.mark.parametrize(
+    "tag", [StrategyTag.FIRST_ORDER_DIST, StrategyTag.SECOND_ORDER_DIST_SAT]
+)
+def test_clamp_keeps_the_bits_of_rows_outside_the_control_block(kind, tag):
+    # the special values enter the block that feeds the rows outside the
+    # control block: the estimates y under x-row control, the velocities nu
+    # (copied to the x rows) under nu-row control
+    rng = np.random.default_rng(47)
+    spec = SaturationSpec.symmetric(2.0)
+    rhs, lay, raw = _field_and_raw_row(kind, tag, spec, rng)
+    a, b = lay.offsets["nu" if lay.has_velocity else "y"]
+    states = rng.normal(scale=3.0, size=(4 * SPECIALS.size, lay.size))
+    for k, s in enumerate(states):
+        s[a + k % (b - a)] = SPECIALS[k % SPECIALS.size]
+    raws = _clamp_rows(rhs, lay, raw, spec, states)
+    outside = np.delete(raws, np.r_[lay.control], axis=1)
+    assert np.isnan(outside).any() and np.isposinf(outside).any() and np.isneginf(outside).any()
+    finite = outside[np.isfinite(outside)]
+    assert (finite > 2.0).any() and (finite < -2.0).any()
+    if kind == "per_call" and lay.has_velocity:
+        # the per-call x rows are the state's nu, bit for bit: payloads and -0.0 too
+        x0, x1 = lay.offsets["x"]
+        assert np.array_equal(_bits(raws[:, x0:x1]), _bits(states[:, a:b]))
+
+
+@FIELDS
+@pytest.mark.parametrize("tag", SATURATED)
+@pytest.mark.parametrize("per_channel", [False, True], ids=["scalar", "per_channel"])
+def test_clamped_control_rows_are_max_then_min(kind, tag, per_channel):
+    # asymmetric bounds, one pair for every channel or one per channel
+    rng = np.random.default_rng(53)
+    lower, upper = -0.5, 2.0
+    if per_channel:
+        lower, upper = -rng.uniform(0.2, 3.0, 6), rng.uniform(0.2, 3.0, 6)
+    spec = SaturationSpec(lower, upper)
+    rhs, lay, raw = _field_and_raw_row(kind, tag, spec, rng)
+    states = rng.normal(size=(90, lay.size)) * rng.choice([0.01, 1.0, 5.0], size=(90, 1))
+    for k, s in enumerate(states[::3]):
+        s[k % lay.size] = SPECIALS[k % SPECIALS.size]
+    u = _clamp_rows(rhs, lay, raw, spec, states)[:, lay.control]
+    below, above = u < spec.lower, u > spec.upper
+    assert below.sum() > 20 and above.sum() > 20 and (~below & ~above & ~np.isnan(u)).sum() > 20
+    assert np.isnan(u).any()
+
+
 def _ring(n):
     a = np.zeros((n, n))
     for i in range(n):
