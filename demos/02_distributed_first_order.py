@@ -62,9 +62,9 @@ print(f"\nconverged: {converged} (t_hit = {t_hit:.2f} s)")
 print(f"peak |u|: {np.max(np.abs(traj.controls)):.1f} (bound 5, exact)")
 
 # sufficient consensus gain for this game/topology, with every intermediate
-# constant the bound is made of
-M = estimation_matrix(graph, game.action_dim)
-lyap = solve_lyapunov(M, theta_bar=1.0, Q=1.0)
+# constant the bound is made of; the Lyapunov pair is the per-channel M1's,
+# solved per pinned block for p action channels, as runs solve it
+lyap = solve_lyapunov(estimation_matrix(graph, 1), 1.0, 1.0, game.action_dim)
 report = theta_star_first_order(game, graph, lyap)
 print("\ngain-bound report (identity Q and estimate weights):")
 for key, val in report.as_dict().items():

@@ -42,11 +42,11 @@ for trial in range(8):
     n, p = int(rng.integers(2, 5)), int(rng.integers(1, 3))
     game = random_strongly_monotone_game(rng, n, p)
     graph = random_connected_graph(rng, n)
-    M = estimation_matrix(graph, p)
-    lyap = solve_lyapunov(M, 1.0, 1.0)
+    M1 = estimation_matrix(graph, 1)  # M = M1 (x) I_p has M1's spectrum
+    lyap = solve_lyapunov(M1, 1.0, 1.0, p)
     theta_star = theta_star_first_order(game, graph, lyap).theta_star
     theta = 1.1 * theta_star
-    dt = min(1e-3, 2.0 / (theta * float(np.linalg.eigvalsh(M)[-1])))
+    dt = min(1e-3, 2.0 / (theta * float(np.linalg.eigvalsh(M1)[-1])))
     rhs, layout = make_rhs(
         StrategyTag.FIRST_ORDER_DIST, game, graph=graph, gains=GainSet(theta=theta), sat_spec=spec
     )

@@ -312,13 +312,20 @@ def parse_config(doc):
         sim = SimConfig(**given)
     except ValueError as exc:
         raise ConfigError(f"sim: {exc}") from exc
-    # the record array integrate allocates; numpy indexes at most intp-max bytes
+    # the record array integrate allocates: numpy indexes at most intp-max bytes, and
+    # it must fit in the physical memory, where sysconf can read that
     n_rec = (sim.n_steps - 1) // sim.record_stride + 2
-    if n_rec * layout.size > np.iinfo(np.intp).max // 8:
-        raise ConfigError(
-            f"sim: dt = {sim.dt:g} and t_end = {sim.t_end:g} give {n_rec:.3g} records "
-            f"of {layout.size} floats, more than one array can hold"
-        )
+    nbytes = 8 * n_rec * layout.size
+    records = f"sim: dt = {sim.dt:g} and t_end = {sim.t_end:g} give {n_rec:.3g} records"
+    if nbytes > np.iinfo(np.intp).max:
+        raise ConfigError(f"{records} of {layout.size} floats, more than one array can hold")
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        memory = 0
+    if 0 < memory < nbytes:
+        gib = f"{nbytes / 2**30:.3g} GiB, more than the {memory / 2**30:.3g} GiB"
+        raise ConfigError(f"{records} of {layout.size} floats, {gib} of physical memory")
 
     init_sec = doc.get("init", {})
     _reject_unknown(init_sec, _INIT_KEYS, "init")

@@ -10,16 +10,16 @@ simulator keeps only the per-channel M1, :func:`estimation_matrix` with p = 1.
 Reordered from (i, j) to (j, i), M1 is exactly blockdiag_j(L + diag(A[:, j])):
 one pinned Laplacian per estimated player, its leader-following consensus.
 :meth:`CommGraph.pinned_blocks` gives that (N, N, N) stack, which the
-vector field and the stability guard read. :func:`diagonal_blocks` finds
-such blocks from a matrix's nonzero pattern, and the Lyapunov pair (one
-solve path for a scalar and a matrix Q) and the gain bound's spectral norm
-are taken per block, so with a scalar Q no set-up step decomposes a matrix
-of N^2 rows.
+vector field and the stability guard read. In M1's own order block j is
+rows j, N + j, ..., N(N - 1) + j; :func:`pinned_index` returns those rows
+after one exact zero test off the blocks, and the Lyapunov pair and the
+gain bound's spectral norm are taken per block through it, so with a
+scalar Q no set-up step decomposes a matrix of N^2 rows.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +29,8 @@ from .errors import DimensionMismatchError, DisconnectedGraphError, IllCondition
 __all__ = [
     "CommGraph",
     "LyapunovPair",
-    "diagonal_blocks",
     "estimation_matrix",
+    "pinned_index",
     "solve_lyapunov",
     "spectral_norm",
     "random_connected_graph",
@@ -130,40 +130,21 @@ def estimation_matrix(graph, action_dim):
     return np.kron(lap, np.eye(n * p)) + np.kron(np.diag(graph.adjacency.ravel()), np.eye(p))
 
 
-def diagonal_blocks(*mats):
-    """Index sets of the diagonal blocks that square matrices of one size share.
+def pinned_index(*mats):
+    """Row indices of the diagonal blocks that square matrices of one size share.
 
-    The blocks are the connected components of the joint nonzero pattern,
-    symmetrised. They are found by min-label propagation over the pattern's
-    entries: each index takes the smallest label among itself and its
-    neighbours, then the label of that label, until no label changes. Off
-    the blocks every matrix is exactly zero. Returns one ``(k, s)`` integer
-    array per block size ``s``, sizes ascending; each row is one block's
-    indices, ascending, and the rows follow their smallest index. For M1
-    the blocks are the N pinned Laplacians, one per estimated player.
+    When every matrix has N^2 rows and is exactly zero off the N strided
+    blocks j, N + j, ..., N(N - 1) + j (entry (iN + j, kN + l) is 0 whenever
+    j != l), returns the (N, N) array whose row j is block j's indices: for
+    M1 these are the N pinned Laplacians, one per estimated player.
+    Otherwise returns ``arange(n)[None]``, one dense block.
     """
-    link = mats[0] != 0
-    for a in mats[1:]:
-        link |= a != 0
-    link |= link.T
-    n = link.shape[0]
-    link.flat[:: n + 1] = True  # each index is its own neighbour: no row is empty
-    rows, cols = np.nonzero(link)
-    label = np.arange(n)
-    starts = np.searchsorted(rows, label)
-    while True:
-        new = np.minimum.reduceat(label[cols], starts)
-        new = new[new]
-        if new.tobytes() == label.tobytes():
-            break
-        label = new
-    sizes = np.bincount(label)
-    order = np.lexsort((label, sizes[label]))
-    groups, start = [], 0
-    for size, count in sorted(Counter(sizes[sizes > 0].tolist()).items()):
-        groups.append(order[start : start + size * count].reshape(count, size))
-        start += size * count
-    return groups
+    n = len(mats[0])
+    N = math.isqrt(n)
+    off = ~np.eye(N, dtype=bool)
+    if N * N == n and not any(a.reshape(N, N, N, N).transpose(1, 3, 0, 2)[off].any() for a in mats):
+        return np.arange(n).reshape(N, N).T
+    return np.arange(n)[None]
 
 
 def _stack(a, idx):
@@ -173,8 +154,8 @@ def _stack(a, idx):
 
 def spectral_norm(a):
     """Spectral norm (largest singular value) of a square matrix: the max
-    over its diagonal blocks, one batched SVD per block size."""
-    return max(float(np.linalg.norm(_stack(a, i), 2, (1, 2)).max()) for i in diagonal_blocks(a))
+    over its :func:`pinned_index` blocks, one batched SVD."""
+    return float(np.linalg.norm(_stack(a, pinned_index(a)), 2, (1, 2)).max())
 
 
 @dataclass
@@ -201,16 +182,17 @@ class LyapunovPair:
 def solve_lyapunov(M, theta_bar=1.0, Q=None, action_dim=1):
     """Solve  P Tb M + M Tb P = Q  for symmetric positive definite P.
 
-    ``Tb`` is the diagonal matrix of per-estimate gain weights. The
-    equation splits over the diagonal blocks that M and Q share
-    (:func:`diagonal_blocks`), and P is exactly zero off them. Each block
-    is solved in the eigenbasis of its S M S, S = sqrt(Tb), with one
-    batched ``eigh`` per block size; the eigenvalues also give the
-    condition estimate. An irreducible M or a dense Q is the one-block
-    case. The substitution residual and the condition estimate, taken over
-    all blocks, are those of the full equation; P's spectrum, for
-    ``p_norm`` and the positive-definiteness check, and Q's, for
-    ``lambda_min_q``, are read from the blocks as well.
+    ``Tb`` is the diagonal matrix of per-estimate gain weights. When M
+    and Q are exactly zero off the N strided pinned blocks
+    (:func:`pinned_index`), as M1 and a scalar Q are, the equation splits
+    over those blocks and P is exactly zero off them; any other M or Q is
+    one dense block. Each block is solved in the eigenbasis of its S M S,
+    S = sqrt(Tb), with one batched ``eigh`` over the blocks; the
+    eigenvalues also give the condition estimate. The substitution
+    residual and the condition estimate, taken over all blocks, are those
+    of the full equation; P's spectrum, for ``p_norm`` and the
+    positive-definiteness check, and Q's, for ``lambda_min_q``, are read
+    from the blocks as well.
 
     ``M`` and ``theta_bar`` are one action channel's, as
     :func:`estimation_matrix` with p = 1 and ``GainSet.theta_bar_vec`` give
@@ -254,6 +236,7 @@ def solve_lyapunov(M, theta_bar=1.0, Q=None, action_dim=1):
         if not (np.isfinite(Q) and Q > 0.0):
             raise ValueError("scalar Q must be finite and positive")
         Qm = float(Q) * np.eye(n)
+        lambda_min_q = float(Q)
     else:
         Qm = np.asarray(Q, dtype=float)
         if Qm.shape != (n * p, n * p):
@@ -263,24 +246,18 @@ def solve_lyapunov(M, theta_bar=1.0, Q=None, action_dim=1):
         if p > 1:  # Q couples the channels: the equation for kron(M, I_p)
             M, tb, p = np.kron(M, np.eye(p)), np.repeat(tb, p), 1
 
-    blocks = diagonal_blocks(M, Qm)
-    if np.isscalar(Q):
-        lambda_min_q = float(Q)
-    else:
-        q_eigs = [np.linalg.eigvalsh(_stack(Qm, idx)) for idx in blocks]
-        lambda_min_q = float(min(e[:, 0].min() for e in q_eigs))
+    idx = pinned_index(M, Qm)
+    Mb, Qb, tbb = _stack(M, idx), _stack(Qm, idx), tb[idx]
+    if not np.isscalar(Q):
+        lambda_min_q = float(np.linalg.eigvalsh(Qb)[:, 0].min())
         if lambda_min_q <= 0.0:
             raise ValueError("Q must be positive definite")
 
     # per block, S M S = U diag(eigs) U^T, S = sqrt(Tb): the condition estimate and the solve
-    s = np.sqrt(tb)
-    spectra, lo, hi = [], np.inf, 0.0
-    for idx in blocks:
-        Mb, sb = _stack(M, idx), s[idx]
-        ss = sb[:, :, None] * sb[:, None, :]
-        eigs, U = np.linalg.eigh(Mb * ss)
-        lo, hi = min(lo, eigs[:, 0].min()), max(hi, eigs[:, -1].max())
-        spectra.append((idx, Mb, sb, ss, eigs, U))
+    sb = np.sqrt(tbb)
+    ss = sb[:, :, None] * sb[:, None, :]
+    eigs, U = np.linalg.eigh(Mb * ss)
+    lo, hi = eigs[:, 0].min(), eigs[:, -1].max()
     if lo <= 0.0:
         raise ValueError(
             "estimation matrix must be positive definite; "
@@ -293,37 +270,32 @@ def solve_lyapunov(M, theta_bar=1.0, Q=None, action_dim=1):
             "reduce the network size or rescale theta_bar"
         )
 
+    # P = V X V^T, V = S^-1 U, turns it into (eigs_i + eigs_j) X_ij = (U^T S Q S U)_ij
+    V = U / sb[:, :, None]
+    X = (U.mT @ (Qb * ss) @ U) / (eigs[:, :, None] + eigs[:, None, :])
+    Pb = V @ X @ V.mT
+    Pb = 0.5 * (Pb + Pb.mT)
     P = np.zeros_like(Qm)
-    defect2, p_lo, p_hi = 0.0, np.inf, 0.0
-    for idx, Mb, sb, ss, eigs, U in spectra:
-        # P = V X V^T, V = S^-1 U, turns it into (eigs_i + eigs_j) X_ij = (U^T S Q S U)_ij
-        Qb, tbb = _stack(Qm, idx), tb[idx]
-        V = U / sb[:, :, None]
-        X = (U.mT @ (Qb * ss) @ U) / (eigs[:, :, None] + eigs[:, None, :])
-        Pb = V @ X @ V.mT
-        Pb = 0.5 * (Pb + Pb.mT)
-        P[idx[:, :, None], idx[:, None, :]] = Pb
-        R = Pb @ (tbb[:, :, None] * Mb) + (Mb * tbb[:, None, :]) @ Pb - Qb
-        defect2 += float(np.vdot(R, R))
-        p_eigs = np.linalg.eigvalsh(Pb)
-        p_lo, p_hi = min(p_lo, p_eigs[:, 0].min()), max(p_hi, p_eigs[:, -1].max())
+    P[idx[:, :, None], idx[:, None, :]] = Pb
+    R = Pb @ (tbb[:, :, None] * Mb) + (Mb * tbb[:, None, :]) @ Pb - Qb
+    p_eigs = np.linalg.eigvalsh(Pb)
     # off the blocks the defect is exactly 0; the full defect is R (x) I_p,
     # so its norms are sqrt(p) times R's and Q's
     scale = np.sqrt(p)
-    residual = float(scale * np.sqrt(defect2))
+    residual = float(scale * np.sqrt(float(np.vdot(R, R))))
     if residual > 1e-8 * scale * np.linalg.norm(Qm, "fro"):
         raise IllConditionedError(
             f"Lyapunov solve residual {residual:.3e} exceeds 1e-8 * ||Q||_F; "
             "reduce the network size or rescale theta_bar"
         )
-    if p_lo <= 0.0:
+    if p_eigs[:, 0].min() <= 0.0:
         raise ValueError("Lyapunov solve produced a non-positive-definite P")
     return LyapunovPair(
         P=P,
         Q=Qm,
         residual=residual,
         cond=float(cond),
-        p_norm=float(p_hi),
+        p_norm=float(p_eigs[:, -1].max()),
         lambda_min_q=lambda_min_q,
     )
 

@@ -8,7 +8,7 @@ from nes_sim import (
     run_experiment,
     sensor_network_game,
 )
-from nes_sim.graphs import diagonal_blocks
+from nes_sim.graphs import pinned_index
 from nes_sim.presets import figure_preset, path_graph_adjacency
 
 # benchmark initial condition shared across suites
@@ -22,13 +22,12 @@ def evaluate(rhs, layout, state):
 
 
 def block_lambda_max(m):
-    """Largest eigenvalue of a symmetric matrix read from its diagonal blocks,
-    one batched ``eigvalsh`` per block size: for M1 these are the pinned
-    blocks, so this is the stability guard's eigenvalue, bit for bit."""
-    return max(
-        float(np.linalg.eigvalsh(m[idx[:, :, None], idx[:, None, :]]).max())
-        for idx in diagonal_blocks(m)
-    )
+    """Largest eigenvalue of a symmetric matrix read from its
+    :func:`~nes_sim.graphs.pinned_index` blocks, one batched ``eigvalsh``:
+    for M1 these are the pinned blocks, so this is the stability guard's
+    eigenvalue, bit for bit."""
+    idx = pinned_index(m)
+    return float(np.linalg.eigvalsh(m[idx[:, :, None], idx[:, None, :]]).max())
 
 
 def central_difference(f, x):

@@ -415,11 +415,19 @@ def test_integer_too_large_for_a_float_exits_one_without_traceback(tmp_path, zer
         (["--dt", "-1"], "dt must be positive"),  # a finite value keeps its message
         (["--dt", "1e-300"], "dt = 1e-300 and t_end = 20 give 2e+300 records of 6 floats, "
                              "more than one array can hold"),
+        # 200 001 records of 6 floats, 9.2 MiB, against the 1 MiB of memory set below
+        (["--dt", "1e-5"], "dt = 1e-05 and t_end = 20 give 2e+05 records of 6 floats, "
+                           "0.00894 GiB, more than the 0.000977 GiB of physical memory"),
     ],
-    ids=["dt-nan", "dt-inf", "t_end-nan", "t_end-inf", "dt-negative", "dt-unindexable"],
+    ids=["dt-nan", "dt-inf", "t_end-nan", "t_end-inf", "dt-negative", "dt-unindexable",
+         "dt-past-memory"],
 )
 @pytest.mark.parametrize("command", ["replicate", "run"])
-def test_refused_sim_flags_are_named_and_create_no_out(tmp_path, capsys, flags, message, command):
+def test_refused_sim_flags_are_named_and_create_no_out(
+    tmp_path, capsys, monkeypatch, flags, message, command
+):
+    memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}  # 1 MiB
+    monkeypatch.setattr(os, "sysconf", memory.__getitem__)
     if command == "run":
         argv = ["run", _write(tmp_path, _short_run_doc(tmp_path / "new", "fig2"))]
     else:
@@ -733,19 +741,33 @@ def test_tune_and_monitored_run_on_a_twenty_player_ring(tmp_path, capsys):
     assert "lyapunov_error=" not in out
 
 
+def _no_sysconf(name):
+    raise ValueError(f"unrecognized configuration name {name}")
+
+
 @pytest.mark.parametrize(
-    "dt, reason",
+    "dt, pages, reason",
     [
         # fig2 keeps every 10th of 2e17 steps: 2e16 records of 6 states, 9.6e17 B >= 2**58 B,
-        # more than any 64-bit address space holds
-        ("1e-16", "Unable to allocate"),
+        # more than any 64-bit address space holds; with no memory reading numpy refuses it
+        pytest.param("1e-16", None, "Unable to allocate", id="1e-16-Unable to allocate"),
+        # the same records against 1 MiB of physical memory, refused at parse time
+        pytest.param(
+            "1e-16", 256, "8.94e+08 GiB, more than the 0.000977 GiB of physical memory",
+            id="1e-16-past-memory",
+        ),
         # 2e19 steps: 2e18 records, 9.6e19 B > 2**63 B, refused at parse time
-        ("1e-18", "2e+18 records of 6 floats, more than one array can hold"),
+        pytest.param(
+            "1e-18", None, "2e+18 records of 6 floats, more than one array can hold",
+            id="1e-18-2e+18 records of 6 floats, more than one array can hold",
+        ),
     ],
 )
 def test_records_that_cannot_be_allocated_exit_one_before_the_first_step(
-    tmp_path, capsys, dt, reason
+    tmp_path, capsys, monkeypatch, dt, pages, reason
 ):
+    sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}
+    monkeypatch.setattr(os, "sysconf", _no_sysconf if pages is None else sizes.__getitem__)
     assert main(["--dt", dt, "replicate", "fig2", "--out", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -68,13 +69,18 @@ def test_unknown_keys_rejected_everywhere():
         parse_config(doc)
 
 
+def _no_sysconf(name):
+    raise ValueError(f"unrecognized configuration name {name}")
+
+
 # fig2: t_end 20 s and 6 floats per record, so the limit of (2**63 - 1) // 8 floats lies
 # between dt = 1e-17 (2e17 records at stride 10) and dt = 1.1e-17 (1.8e17 records)
 @pytest.mark.parametrize(
     "dt, stride, records",
     [(1e-17, 10, "2e+17"), (1.1e-17, 10, None), (1e-300, 10, "2e+300"), (1e-300, 10**300, None)],
 )
-def test_record_array_numpy_cannot_index_is_refused(dt, stride, records):
+def test_record_array_numpy_cannot_index_is_refused(monkeypatch, dt, stride, records):
+    monkeypatch.setattr(os, "sysconf", _no_sysconf)  # the index bound alone, whatever the memory
     doc = figure_preset("fig2")
     doc["sim"].update(dt=dt, record_stride=stride)
     if records is None:
@@ -86,6 +92,32 @@ def test_record_array_numpy_cannot_index_is_refused(dt, stride, records):
         f"sim: dt = {dt:g} and t_end = 20 give {records} records of 6 floats, "
         "more than one array can hold"
     )
+
+
+@pytest.mark.parametrize("pages, refused", [(256, True), (2560, False)])
+def test_record_array_past_physical_memory_is_refused(monkeypatch, pages, refused):
+    # fig2 at dt = 1e-5 keeps 200 001 records of 6 floats, 9.2 MiB: more than
+    # 1 MiB of memory, less than 10 MiB
+    sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}
+    monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+    doc = figure_preset("fig2")
+    doc["sim"]["dt"] = 1e-5
+    if not refused:
+        assert parse_config(doc).sim.dt == 1e-5
+        return
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert str(info.value) == (
+        "sim: dt = 1e-05 and t_end = 20 give 2e+05 records of 6 floats, "
+        "0.00894 GiB, more than the 0.000977 GiB of physical memory"
+    )
+
+
+def test_record_array_is_parsed_where_memory_is_unknown(monkeypatch):
+    monkeypatch.setattr(os, "sysconf", _no_sysconf)
+    doc = figure_preset("fig2")
+    doc["sim"]["dt"] = 1e-9  # 89.4 GiB of records, not checked against memory
+    assert parse_config(doc).sim.dt == 1e-9
 
 
 def test_missing_required_gains():

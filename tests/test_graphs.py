@@ -18,7 +18,7 @@ from nes_sim import (
 )
 from nes_sim import graphs
 from nes_sim.games import random_strongly_monotone_game
-from nes_sim.graphs import diagonal_blocks, spectral_norm
+from nes_sim.graphs import pinned_index, spectral_norm
 from nes_sim.presets import complete_graph_adjacency, path_graph_adjacency
 from nes_sim.tuning import theta_bounds_second_order, theta_star_first_order
 from tests.conftest import block_lambda_max
@@ -168,9 +168,10 @@ def test_estimation_matrix_relabeling_invariance():
 
 
 def test_pinned_blocks_are_the_diagonal_blocks_of_m1():
-    # 48 seeded connected graphs, unit and random real weights, N = 2..9: block j
-    # of the stack is M1's block of player j's estimates, indices j, N + j, ...,
-    # bit for bit, signs of zeros included
+    # 48 seeded connected graphs, unit and random real weights, N = 2..9: M1 is
+    # exactly zero off the rows j, N + j, ..., pinned_index reads those rows,
+    # and block j of the stack is M1's block of player j's estimates, bit for
+    # bit, signs of zeros included
     rng = np.random.default_rng(73)
     for case in range(48):
         n = 2 + case % 8
@@ -180,11 +181,12 @@ def test_pinned_blocks_are_the_diagonal_blocks_of_m1():
             graph = CommGraph(graph.adjacency * (weights + weights.T))
         m1, blocks = estimation_matrix(graph, 1), graph.pinned_blocks()
         assert blocks.shape == (n, n, n)
-        (groups,) = diagonal_blocks(m1)
-        for idx in groups:
-            j = idx[0]  # owner 0's estimate of player j
-            np.testing.assert_array_equal(idx, j + n * np.arange(n))
-            sub = m1[np.ix_(idx, idx)]
+        player = np.arange(n * n) % n  # the estimated player of each row
+        assert (m1[player[:, None] != player[None, :]] == 0.0).all()
+        idx = pinned_index(m1)
+        for j in range(n):
+            np.testing.assert_array_equal(idx[j], j + n * np.arange(n))
+            sub = m1[np.ix_(idx[j], idx[j])]
             assert np.array_equal(blocks[j], sub)
             assert np.array_equal(np.signbit(blocks[j]), np.signbit(sub))
     np.testing.assert_array_equal(CommGraph([[0.0]]).pinned_blocks(), np.zeros((1, 1, 1)))
@@ -300,8 +302,7 @@ def test_block_solve_against_independent_oracles():
         game = random_strongly_monotone_game(rng, N, p)
         m1, n, q = estimation_matrix(graph, 1), N * N, 2.5
         # a connected graph splits into N pinned blocks of size N
-        (idx,) = diagonal_blocks(m1)
-        assert idx.shape == (N, N)
+        assert pinned_index(m1).shape == (N, N)
         tb = rng.uniform(0.5, 2.0, n) if vector else np.full(n, 1.5)
         theta_bar = tb if vector else 1.5
 
@@ -354,40 +355,56 @@ def _interleaved_blocks():
     return m
 
 
-def test_diagonal_blocks_groups_components_by_size():
+@pytest.mark.parametrize(
+    "kind", ["one node", "one off-block link", "size N^2 p", "coupling Q", "diagonal Q"]
+)
+def test_pinned_index_splits_only_what_is_zero_off_the_blocks(kind):
+    path = CommGraph(path_graph_adjacency())
+    m1 = estimation_matrix(path, 1)
+    link = np.eye(9)
+    link[0, 1] = link[1, 0] = 0.5  # one symmetric nonzero between blocks 0 and 1
+    mats, shape = {
+        "one node": ((np.zeros((1, 1)),), (1, 1)),
+        "one off-block link": ((link,), (1, 9)),
+        "size N^2 p": ((estimation_matrix(path, 2),), (1, 18)),  # 18 rows are no square
+        # a Q that couples the estimates of two players joins every block
+        "coupling Q": ((m1, _tridiagonal_q(9)), (1, 9)),
+        # a diagonal N^2 Q is zero off the blocks, so M1 still splits
+        "diagonal Q": ((m1, np.diag(np.arange(1.0, 10.0))), (3, 3)),
+    }[kind]
+    idx = pinned_index(*mats)
+    assert idx.shape == shape
+    n = len(mats[0])
+    if shape[0] == 1:
+        np.testing.assert_array_equal(idx[0], np.arange(n))
+    else:
+        np.testing.assert_array_equal(idx, np.arange(n).reshape(shape).T)
+
+
+def test_spectral_norm_of_matrices_off_the_pinned_path():
+    # interleaved blocks, and skewed patterns that are not symmetric: one dense block
     m = _interleaved_blocks()
-    groups = diagonal_blocks(m)
-    assert [g.tolist() for g in groups] == [[[1]], [[2, 6], [3, 5]], [[0, 4, 7]]]
-    # a second matrix joins its pattern to the first's: [1] and [3, 5] merge
-    link = np.zeros((8, 8))
-    link[1, 5] = link[5, 1] = 0.5
-    assert [g.tolist() for g in diagonal_blocks(m, link)] == [[[2, 6]], [[0, 4, 7], [1, 3, 5]]]
     assert block_lambda_max(m) == pytest.approx(np.linalg.eigvalsh(m)[-1], rel=1e-14)
-    # a pattern that is not symmetric splits by its symmetrised pattern
     for skewed in (m * np.arange(1.0, 9.0)[:, None], np.triu(m + 1e-3 * m @ m)):
         assert spectral_norm(skewed) == pytest.approx(np.linalg.norm(skewed, 2), rel=1e-14)
 
 
 @pytest.mark.parametrize("kind", ["identity", "diagonal", "mixed blocks", "kron p=2", "kron p=3"])
 def test_block_solve_of_generic_matrices(kind):
-    # any symmetric positive definite M: scalar Q solves per block of M, a
-    # tridiagonal or dense Q joins every index into one block
+    # any symmetric positive definite M, with a scalar, a tridiagonal or a dense Q
     rng = np.random.default_rng(33)
     graph = random_connected_graph(rng, 4)
-    m, n_blocks = {
-        "identity": (np.eye(5), 5),
-        "diagonal": (np.diag(rng.uniform(0.5, 3.0, 6)), 6),
-        "mixed blocks": (_interleaved_blocks(), 4),
-        "kron p=2": (estimation_matrix(graph, 2), 8),
-        "kron p=3": (estimation_matrix(graph, 3), 12),
+    m = {
+        "identity": np.eye(5),
+        "diagonal": np.diag(rng.uniform(0.5, 3.0, 6)),
+        "mixed blocks": _interleaved_blocks(),
+        "kron p=2": estimation_matrix(graph, 2),
+        "kron p=3": estimation_matrix(graph, 3),
     }[kind]
     n = m.shape[0]
-    assert sum(len(g) for g in diagonal_blocks(m)) == n_blocks
     tb = rng.uniform(0.5, 2.0, n)
     for q in (1.5, _tridiagonal_q(n), _dense_q(n, rng)):
         qm = q * np.eye(n) if np.isscalar(q) else q
-        if not np.isscalar(q):
-            assert [g.shape for g in diagonal_blocks(m, qm)] == [(1, n)]
         pair = solve_lyapunov(m, tb, q)
         ref = _full_reference(m, tb, qm)
         assert np.abs(pair.P - ref.P).max() <= 1e-12 * np.abs(ref.P).max()
@@ -397,13 +414,23 @@ def test_block_solve_of_generic_matrices(kind):
         eigs = np.linalg.eigvalsh(m * np.outer(s, s))
         assert pair.cond == pytest.approx(eigs[-1] / eigs[0], rel=1e-10)
         assert pair.residual <= 1e-12 * np.linalg.norm(qm, "fro")
-    # for a scalar Q, P is exactly zero off M's blocks
-    pair = solve_lyapunov(m, tb, 1.5)
-    same_block = np.zeros((n, n), dtype=bool)
-    for g in diagonal_blocks(m):
-        for row in g:
-            same_block[np.ix_(row, row)] = True
-    assert (pair.P[~same_block] == 0.0).all()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("graph_kind", ["ring", "random"])
+def test_block_solve_of_m1_is_zero_off_the_pinned_blocks(graph_kind, p):
+    # a scalar Q solves M1 per pinned block, so P is exactly zero between
+    # estimates of different players; a dense solve leaves rounding there
+    rng = np.random.default_rng(41)
+    for N in (3, 5, 7):
+        if graph_kind == "ring":
+            graph = CommGraph(np.roll(np.eye(N), 1, axis=1) + np.roll(np.eye(N), -1, axis=1))
+        else:
+            graph = random_connected_graph(rng, N)
+        m1 = estimation_matrix(graph, 1)
+        pair = solve_lyapunov(m1, rng.uniform(0.5, 2.0, N * N), 1.5, action_dim=p)
+        player = np.arange(N * N) % N
+        assert (pair.P[player[:, None] != player[None, :]] == 0.0).all()
 
 
 def test_block_solve_refuses_a_singular_m():
