@@ -1,7 +1,11 @@
 """Strict parsing of experiment configuration documents (JSON).
 
 Unknown keys are fatal everywhere: a silently ignored typo in a gain name
-would invalidate an experiment. Parsed configurations normalise init
+would invalidate an experiment. So is a key the strategy tag's run does
+not read: a gain outside ``STRATEGIES[tag].gains`` (``theta_bar`` aside,
+for the laws with estimates), a tuner override outside
+``STRATEGIES[tag].overrides``, and ``graph.lyapunov_q`` for a law without
+estimates. Parsed configurations normalise init
 keywords ("zeros", "broadcast:<scalar>") into full vectors, so one parse
 is a fixed point of serialise-then-reparse.
 """
@@ -29,11 +33,8 @@ __all__ = ["ExperimentConfig", "parse_config", "read_document"]
 _TOP_KEYS = {"game", "graph", "strategy", "sim", "init", "output", "sweep"}
 _QUADRATIC_KEYS = ("r", "p_vec", "q", "m_weights")
 _GAME_KEYS = {"type", "name", *_QUADRATIC_KEYS}
-_GRAPH_KEYS = {"adjacency", "lyapunov_q"}
 _STRATEGY_KEYS = {"tag", "gains", "saturation", "tuner_overrides"}
-_GAIN_KEYS = {"theta", "theta1", "theta_bar", "K", "alpha", "beta"}
 _SAT_KEYS = {"u_bar", "lower", "upper"}
-_OVERRIDE_KEYS = {"lipschitz_constants", "monotonicity_m", "sup_jacobian_norm"}
 _SIM_KEYS = {f.name for f in fields(SimConfig)}
 _INIT_KEYS = {"x0", "nu0", "z0", "y0"}
 _OUTPUT_KEYS = ("trajectory", "summary")
@@ -58,7 +59,9 @@ def _echo(value, quote="'"):
     return f"{quote}{value[:_ECHO_CHARS]}...{quote} ({len(value)} characters)"
 
 
-def _reject_unknown(section, allowed, path):
+def _reject_unknown(section, allowed, path, tag=None):
+    """Refuse a section that is not an object or holds keys outside ``allowed``;
+    given a ``tag``, ``allowed`` is what that tag reads and the message names it."""
     if not isinstance(section, dict):
         raise ConfigError(f"{path}: expected an object")
     unknown = set(section).difference(allowed)
@@ -66,7 +69,8 @@ def _reject_unknown(section, allowed, path):
         shown = [_echo(key) for key in sorted(unknown)[:_ECHO_KEYS]]
         if len(unknown) > _ECHO_KEYS:
             shown.append(f"{len(unknown) - _ECHO_KEYS} more")
-        raise ConfigError(f"{path}: unknown keys [{', '.join(shown)}]")
+        what = "unknown keys" if tag is None else f"tag {tag.value} does not read"
+        raise ConfigError(f"{path}: {what} [{', '.join(shown)}]")
 
 
 def _require(section, key, path):
@@ -114,6 +118,7 @@ class ExperimentConfig:
     game: object
     graph: CommGraph
     tag: StrategyTag
+    layout: StateLayout
     gains: GainSet
     sat_spec: SaturationSpec | None
     sim: SimConfig
@@ -125,10 +130,6 @@ class ExperimentConfig:
     normalized: dict = field(repr=False, default=None)
     # each output path through os.path.realpath, by key: the file it names
     output_files: dict | None = field(repr=False, default=None)
-
-    @property
-    def layout(self):
-        return StateLayout(self.tag, self.game.n_players, self.game.action_dim)
 
     def initial_state(self):
         return self.layout.pack(**self.init)
@@ -212,8 +213,24 @@ def parse_config(doc):
     game, game_sec = _parse_game(doc["game"])
     n, p = game.n_players, game.action_dim
 
+    strat = doc["strategy"]
+    _reject_unknown(strat, _STRATEGY_KEYS, "strategy")
+    tag_raw = _require(strat, "tag", "strategy")
+    try:
+        tag = StrategyTag(tag_raw)
+    except ValueError:
+        raise ConfigError(
+            f"strategy.tag: unknown tag {_echo(tag_raw)}; "
+            f"valid: {[t.value for t in StrategyTag]}"
+        ) from None
+    spec, layout = STRATEGIES[tag], StateLayout(tag, n, p)
+    graph_keys, gain_keys = ["adjacency"], [*spec.gains]
+    if layout.has_estimates:  # the Lyapunov pair's Q and the per-estimate weights
+        graph_keys.append("lyapunov_q")
+        gain_keys.append("theta_bar")
+
     graph_sec = doc["graph"]
-    _reject_unknown(graph_sec, _GRAPH_KEYS, "graph")
+    _reject_unknown(graph_sec, graph_keys, "graph", tag)
     adjacency = _numbers(_require(graph_sec, "adjacency", "graph"), "graph.adjacency")
     if adjacency.shape != (n, n):
         raise ConfigError(f"graph.adjacency: expected shape ({n}, {n}), got {adjacency.shape}")
@@ -230,20 +247,9 @@ def parse_config(doc):
     else:
         lyap_q = _positive(lyap_q, "graph.lyapunov_q")
 
-    strat = doc["strategy"]
-    _reject_unknown(strat, _STRATEGY_KEYS, "strategy")
-    tag_raw = _require(strat, "tag", "strategy")
-    try:
-        tag = StrategyTag(tag_raw)
-    except ValueError:
-        raise ConfigError(
-            f"strategy.tag: unknown tag {_echo(tag_raw)}; "
-            f"valid: {[t.value for t in StrategyTag]}"
-        ) from None
-
     gains_sec = strat.get("gains", {})
-    _reject_unknown(gains_sec, _GAIN_KEYS, "strategy.gains")
-    for key in STRATEGIES[tag].gains:
+    _reject_unknown(gains_sec, gain_keys, "strategy.gains", tag)
+    for key in spec.gains:
         _require(gains_sec, key, "strategy.gains")
     kwargs = {}
     for key in ("theta", "theta1", "alpha", "beta"):
@@ -263,7 +269,6 @@ def parse_config(doc):
     except ValueError as exc:
         raise ConfigError(f"strategy.gains: {exc}") from exc
 
-    layout = StateLayout(tag, n, p)
     try:
         layout.check_players()
     except ValueError as exc:
@@ -288,7 +293,7 @@ def parse_config(doc):
         raise ConfigError(f"strategy: tag {tag.value} requires a saturation section")
 
     given = strat.get("tuner_overrides", {})
-    _reject_unknown(given, _OVERRIDE_KEYS, "strategy.tuner_overrides")
+    _reject_unknown(given, spec.overrides, "strategy.tuner_overrides", tag)
     overrides = {}
     for key, val in given.items():
         path = f"strategy.tuner_overrides.{key}"
@@ -388,6 +393,7 @@ def parse_config(doc):
         game=game,
         graph=graph,
         tag=tag,
+        layout=layout,
         gains=gains,
         sat_spec=sat_spec,
         sim=sim,

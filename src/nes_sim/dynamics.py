@@ -133,25 +133,25 @@ class StrategyTag(str, Enum):
 
 
 class StrategySpec(NamedTuple):
-    """What a strategy's law needs: its state blocks, gains and clamp."""
+    """What a strategy's law needs: its state blocks, gains and clamp, and
+    the tuner overrides its gain bound reads."""
 
     blocks: tuple[str, ...]  # in state order, a subsequence of x | nu | z | y
-    gains: tuple[str, ...]  # GainSet fields the law reads
+    gains: tuple[str, ...]  # GainSet fields the law requires
     clamped: bool  # the applied control passes through the clamp
+    overrides: tuple[str, ...]  # tuner_overrides keys its gain bound reads
 
 
 # The one table of the five laws. Layouts, config validation, the runner
 # and the stability guard all read it; none lists tags of its own.
+_M, _LBAR, _SUP = "monotonicity_m", "lipschitz_constants", "sup_jacobian_norm"
+_DIST_SECOND_ORDER = ("x", "nu", "z", "y"), ("theta", "theta1", "K")  # blocks and gains
 STRATEGIES = {
-    StrategyTag.SAT_GRAD_PLAY: StrategySpec(("x",), (), True),
-    StrategyTag.FIRST_ORDER_DIST: StrategySpec(("x", "y"), ("theta",), True),
-    StrategyTag.SECOND_ORDER_CENTRAL: StrategySpec(("x", "nu"), ("alpha", "beta"), False),
-    StrategyTag.SECOND_ORDER_DIST: StrategySpec(
-        ("x", "nu", "z", "y"), ("theta", "theta1", "K"), False
-    ),
-    StrategyTag.SECOND_ORDER_DIST_SAT: StrategySpec(
-        ("x", "nu", "z", "y"), ("theta", "theta1", "K"), True
-    ),
+    StrategyTag.SAT_GRAD_PLAY: StrategySpec(("x",), (), True, (_M, _LBAR)),
+    StrategyTag.FIRST_ORDER_DIST: StrategySpec(("x", "y"), ("theta",), True, (_M, _LBAR, _SUP)),
+    StrategyTag.SECOND_ORDER_CENTRAL: StrategySpec(("x", "nu"), ("alpha", "beta"), False, (_M,)),
+    StrategyTag.SECOND_ORDER_DIST: StrategySpec(*_DIST_SECOND_ORDER, False, (_M, _LBAR)),
+    StrategyTag.SECOND_ORDER_DIST_SAT: StrategySpec(*_DIST_SECOND_ORDER, True, (_M, _LBAR)),
 }
 
 
@@ -262,7 +262,9 @@ class StateLayout:
 
 @dataclass
 class GainSet:
-    """Control gains; fields unused by a strategy are ignored.
+    """Control gains. A set built in code may carry fields its strategy's
+    law does not read, which are ignored; a configuration document may set
+    only the gains its tag reads (:func:`nes_sim.config.parse_config`).
 
     ``theta_bar`` may be a scalar or a length-N^2 vector ordered like the
     stacked estimates (owner-major); ``K`` a scalar or length-N vector of

@@ -255,34 +255,28 @@ class QuadraticGame(GameDefinition):
         return np.linalg.solve(self._H, -self._c)
 
 
-def random_strongly_monotone_game(
-    rng,
-    n_players=3,
-    action_dim=2,
-    curvature=(0.75, 1.5),
-    coupling_scale=0.5,
-    linear_scale=2.0,
-    edge_prob=0.5,
-):
+def random_strongly_monotone_game(rng, n_players=3, action_dim=2):
     """Sample a quadratic game whose monotonicity constant is bounded below.
 
-    Each ``r_i`` is a random symmetric matrix with eigenvalues drawn from
-    ``curvature``, so the game's constant satisfies m >= 2 * curvature[0]
+    Each ``r_i`` is a random symmetric matrix with eigenvalues drawn
+    uniformly from [0.75, 1.5], so the game's constant satisfies m >= 1.5
     regardless of the sampled couplings (the coupling part of H is positive
-    semidefinite).
+    semidefinite). ``p_vec`` is uniform in [-2, 2] and ``q`` in [0, 3]; each
+    pair of players is coupled with probability 1/2, by a weight uniform in
+    [0, 0.5].
     """
     n, p = n_players, action_dim
     r = np.empty((n, p, p))
     for i in range(n):
         a = rng.normal(size=(p, p))
         qmat, _ = np.linalg.qr(a)
-        eigs = rng.uniform(curvature[0], curvature[1], p)
+        eigs = rng.uniform(0.75, 1.5, p)
         r[i] = qmat @ np.diag(eigs) @ qmat.T
-    p_vec = rng.uniform(-linear_scale, linear_scale, (n, p))
+    p_vec = rng.uniform(-2.0, 2.0, (n, p))
     q = rng.uniform(0.0, 3.0, n)
     w = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            if rng.random() < edge_prob:
-                w[i, j] = w[j, i] = rng.uniform(0.0, coupling_scale)
+            if rng.random() < 0.5:
+                w[i, j] = w[j, i] = rng.uniform(0.0, 0.5)
     return QuadraticGame(r, p_vec, q, w)

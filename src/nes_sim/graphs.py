@@ -191,8 +191,9 @@ def solve_lyapunov(M, theta_bar=1.0, Q=None, action_dim=1):
     eigenvalues also give the condition estimate. The substitution
     residual and the condition estimate, taken over all blocks, are those
     of the full equation; P's spectrum, for ``p_norm`` and the
-    positive-definiteness check, and Q's, for ``lambda_min_q``, are read
-    from the blocks as well.
+    positive-definiteness check, and a matrix Q's, for ``lambda_min_q``,
+    are read from the blocks as well (for a scalar Q, ``lambda_min_q`` is
+    q itself).
 
     ``M`` and ``theta_bar`` are one action channel's, as
     :func:`estimation_matrix` with p = 1 and ``GainSet.theta_bar_vec`` give
@@ -300,13 +301,14 @@ def solve_lyapunov(M, theta_bar=1.0, Q=None, action_dim=1):
     )
 
 
-def random_connected_graph(rng, n_nodes, edge_prob=0.5):
-    """Sample unit-weight undirected graphs until one is connected."""
+def random_connected_graph(rng, n_nodes):
+    """Sample unit-weight undirected graphs, each edge present with
+    probability 1/2, until one is connected."""
     while True:
         a = np.zeros((n_nodes, n_nodes))
         for i in range(n_nodes):
             for j in range(i + 1, n_nodes):
-                if rng.random() < edge_prob:
+                if rng.random() < 0.5:
                     a[i, j] = a[j, i] = 1.0
         g = CommGraph(a)
         if g.is_connected():

@@ -279,9 +279,9 @@ def theta_bounds_second_order(
 def gain_report(cfg, lyap=None):
     """Gain bounds for a parsed experiment config, honouring its overrides.
 
-    Chooses the bound that matches ``cfg.tag`` and feeds it the
-    ``tuner_overrides`` (``lipschitz_constants``, ``monotonicity_m``,
-    ``sup_jacobian_norm``) and the configured gains. The distributed
+    Chooses the bound that matches ``cfg.tag`` and feeds it the configured
+    gains and the ``tuner_overrides``, which hold only the keys that bound
+    reads (``STRATEGIES[cfg.tag].overrides``). The distributed
     strategies need ``lyap``, the Lyapunov pair of the config's
     estimation matrix; without it they raise ``ValueError``.
     """

@@ -968,6 +968,7 @@ def test_sweep_entry_may_not_set_a_sweep(tmp_path, capsys):
 
 def test_sweep_entries_are_built_from_the_base_document_alone(tmp_path, monkeypatch):
     doc = _fast_run_doc(tmp_path, t_end=0.5)
+    doc["strategy"]["tag"] = "first_order_dist"  # a law that reads theta
     doc["strategy"]["gains"] = {"theta": 3.0}
     doc["sweep"] = [
         {
@@ -994,6 +995,99 @@ def test_sweep_entries_are_built_from_the_base_document_alone(tmp_path, monkeypa
     assert second["strategy"]["saturation"] == {"u_bar": doc["strategy"]["saturation"]["u_bar"]}
     assert second["strategy"]["gains"] == {"theta": 3.0}
     assert all("sweep" not in cfg.normalized for cfg in captured)
+
+
+# one valid value of every key a tag may read, by section
+_READABLE = {
+    "strategy.gains": {
+        "theta": 200.0, "theta1": 1.0, "theta_bar": 1.0, "K": 0.1, "alpha": 1.0, "beta": 1.0
+    },
+    "strategy.tuner_overrides": {
+        "lipschitz_constants": [2.0] * 3, "monotonicity_m": 1.0, "sup_jacobian_norm": 3.0
+    },
+    "graph": {"lyapunov_q": 1.0},
+}
+# per tag, the keys of _READABLE its run does not read: 25 over the five tags
+_UNREAD = {
+    "sat_grad_play": (
+        "theta", "theta1", "theta_bar", "K", "alpha", "beta", "sup_jacobian_norm", "lyapunov_q"
+    ),
+    "first_order_dist": ("theta1", "K", "alpha", "beta"),
+    "second_order_central": (
+        "theta", "theta1", "theta_bar", "K", "lipschitz_constants", "sup_jacobian_norm",
+        "lyapunov_q",
+    ),
+    "second_order_dist": ("alpha", "beta", "sup_jacobian_norm"),
+    "second_order_dist_sat": ("alpha", "beta", "sup_jacobian_norm"),
+}
+
+
+def _section(doc, dotted):
+    node = doc
+    for name in dotted.split("."):
+        node = node.setdefault(name, {})
+    return node
+
+
+def _tag_doc(tmp_path, tag):
+    """fig2's game and graph under ``tag``, setting every key of _READABLE the tag reads."""
+    doc = _short_run_doc(tmp_path, "fig2")
+    doc["strategy"]["tag"] = tag
+    for dotted, values in _READABLE.items():
+        _section(doc, dotted).update(
+            {key: val for key, val in values.items() if key not in _UNREAD[tag]}
+        )
+    return doc
+
+
+@pytest.mark.parametrize("tag", list(_UNREAD))
+def test_a_document_may_set_every_key_its_tag_reads(tmp_path, tag):
+    normalized = parse_config(_tag_doc(tmp_path, tag)).to_dict()
+    strategy = normalized["strategy"]
+    read = {*strategy.get("gains", {}), *strategy.get("tuner_overrides", {}), *normalized["graph"]}
+    assert read == {key for values in _READABLE.values() for key in values}.difference(
+        _UNREAD[tag]
+    ) | {"adjacency"}
+
+
+@pytest.mark.parametrize("command", ["run", "tune", "oracle"])
+@pytest.mark.parametrize("tag, key", [(tag, key) for tag, keys in _UNREAD.items() for key in keys])
+def test_a_key_its_tag_does_not_read_exits_one(tmp_path, capsys, command, tag, key):
+    doc = _tag_doc(tmp_path, tag)
+    dotted = next(dotted for dotted, values in _READABLE.items() if key in values)
+    _section(doc, dotted)[key] = _READABLE[dotted][key]
+    out = ["--out", str(tmp_path / "tune.json")] if command == "tune" else []
+    assert main([command, _write(tmp_path, doc), *out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {dotted}: tag {tag} does not read ['{key}']\n"
+    assert os.listdir(tmp_path) == ["config.json"]  # no trajectory, summary or tune output
+
+
+def test_a_sweep_entry_that_switches_the_tag_brings_that_tags_gains(
+    tmp_path, capsys, monkeypatch
+):
+    doc = _short_run_doc(tmp_path, "fig4")
+    doc["sweep"] = [
+        _entry_outputs(tmp_path, "a"),
+        {"strategy.tag": "second_order_central", **_entry_outputs(tmp_path, "b")},
+    ]
+    assert main(["run", _write(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == (
+        "error: sweep[1]: strategy.gains: tag second_order_central does not read "
+        "['K', 'theta', 'theta1', 1 more]\n"
+    )
+    assert os.listdir(tmp_path) == ["config.json"]
+    doc["sweep"][1]["strategy.gains"] = {"alpha": 1.0, "beta": 1.0}
+    captured = []
+
+    def capture(configs, runner):
+        captured.extend(configs)
+        return []
+
+    monkeypatch.setattr(nes_sim.cli, "run_sweep", capture)
+    assert main(["run", _write(tmp_path, doc)]) == 0
+    assert [cfg.tag.value for cfg in captured] == ["second_order_dist_sat", "second_order_central"]
 
 
 @pytest.mark.parametrize(

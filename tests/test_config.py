@@ -138,11 +138,12 @@ ALL_GAINS = {"theta": 1000.0, "theta1": 1.0, "K": 0.1, "alpha": 1.0, "beta": 1.0
 def test_required_gains_come_from_the_table(tag):
     doc = figure_preset("fig2")
     doc["strategy"]["tag"] = tag.value
-    doc["strategy"]["gains"] = dict(ALL_GAINS)
+    read = {key: ALL_GAINS[key] for key in STRATEGIES[tag].gains}
+    doc["strategy"]["gains"] = dict(read)
     cfg = parse_config(doc)
     make_rhs(tag, cfg.game, graph=cfg.graph, gains=cfg.gains, sat_spec=cfg.sat_spec)
     for name in STRATEGIES[tag].gains:
-        partial = {k: v for k, v in ALL_GAINS.items() if k != name}
+        partial = {k: v for k, v in read.items() if k != name}
         doc["strategy"]["gains"] = partial
         with pytest.raises(ConfigError, match=f"strategy.gains: missing required key '{name}'"):
             parse_config(doc)
@@ -150,6 +151,11 @@ def test_required_gains_come_from_the_table(tag):
             make_rhs(
                 tag, cfg.game, graph=cfg.graph, gains=GainSet(**partial), sat_spec=cfg.sat_spec
             )
+    unread = next(key for key in ALL_GAINS if key not in read)
+    doc["strategy"]["gains"] = {**read, unread: ALL_GAINS[unread]}
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert str(info.value) == f"strategy.gains: tag {tag.value} does not read ['{unread}']"
 
 
 def test_nonpositive_gain_rejected():
