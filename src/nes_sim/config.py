@@ -223,7 +223,11 @@ def parse_config(doc):
             f"strategy.tag: unknown tag {_echo(tag_raw)}; "
             f"valid: {[t.value for t in StrategyTag]}"
         ) from None
-    spec, layout = STRATEGIES[tag], StateLayout(tag, n, p)
+    spec = STRATEGIES[tag]
+    try:
+        layout = StateLayout(tag, n, p)
+    except ValueError as exc:
+        raise ConfigError(f"strategy.tag: {exc}") from exc
     graph_keys, gain_keys = ["adjacency"], [*spec.gains]
     if layout.has_estimates:  # the Lyapunov pair's Q and the per-estimate weights
         graph_keys.append("lyapunov_q")
@@ -269,10 +273,6 @@ def parse_config(doc):
     except ValueError as exc:
         raise ConfigError(f"strategy.gains: {exc}") from exc
 
-    try:
-        layout.check_players()
-    except ValueError as exc:
-        raise ConfigError(f"strategy.tag: {exc}") from exc
     sat_spec = None
     if "saturation" in strat:
         sat_sec = strat["saturation"]
@@ -319,9 +319,8 @@ def parse_config(doc):
         raise ConfigError(f"sim: {exc}") from exc
     # the record array integrate allocates: numpy indexes at most intp-max bytes, and
     # it must fit in the physical memory, where sysconf can read that
-    n_rec = (sim.n_steps - 1) // sim.record_stride + 2
-    nbytes = 8 * n_rec * layout.size
-    records = f"sim: dt = {sim.dt:g} and t_end = {sim.t_end:g} give {n_rec:.3g} records"
+    nbytes = 8 * sim.n_records * layout.size
+    records = f"sim: dt = {sim.dt:g} and t_end = {sim.t_end:g} give {sim.n_records:.3g} records"
     if nbytes > np.iinfo(np.intp).max:
         raise ConfigError(f"{records} of {layout.size} floats, more than one array can hold")
     try:

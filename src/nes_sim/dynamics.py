@@ -162,7 +162,9 @@ class StateLayout:
     Blocks appear in the order x | nu | z | y, as listed for the tag in
     ``STRATEGIES``; sizes are Np for x, nu, z and N^2 p for the stacked
     estimates y. ``offsets`` maps each present block to its ``(start,
-    stop)`` slice bounds.
+    stop)`` slice bounds. A layout with estimates needs N >= 2, or it
+    raises ``ValueError``: no neighbour would ever pin a lone player's
+    estimate of itself.
     """
 
     tag: StrategyTag
@@ -172,6 +174,11 @@ class StateLayout:
     size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if "y" in STRATEGIES[self.tag].blocks and self.n_players < 2:
+            raise ValueError(
+                f"{self.tag.value} shares estimates between players and needs "
+                f"at least 2; the game has {self.n_players}"
+            )
         d = self.n_players * self.action_dim
         offsets, pos = {}, 0
         for name in STRATEGIES[self.tag].blocks:
@@ -205,15 +212,6 @@ class StateLayout:
     @property
     def is_saturated(self):
         return STRATEGIES[self.tag].clamped
-
-    def check_players(self):
-        """Refuse estimates shared among fewer than two players: no neighbour
-        would ever pin the lone player's estimate of itself."""
-        if self.has_estimates and self.n_players < 2:
-            raise ValueError(
-                f"{self.tag.value} shares estimates between players and needs "
-                f"at least 2; the game has {self.n_players}"
-            )
 
     def check(self, state):
         state = np.asarray(state, dtype=float).ravel()
@@ -339,7 +337,8 @@ def strategy_law(tag, game, *, graph=None, gains=None):
     with the control rows (``layout.control``) unclamped; it does not
     check the state's length. Each of the five laws is written once here.
     The tag's gains are required, and a law with estimates requires a
-    connected graph of one node per player and at least two players.
+    graph (connected, as every ``CommGraph`` is) of one node per player;
+    its layout refuses fewer than two players.
     The consensus laws apply M = M1 (x) I_p, with M1 the per-channel
     :func:`~nes_sim.graphs.estimation_matrix`, as the graph's pinned blocks
     (:meth:`~nes_sim.graphs.CommGraph.pinned_blocks`): each player's
@@ -352,7 +351,6 @@ def strategy_law(tag, game, *, graph=None, gains=None):
 
     n, p, d = game.n_players, game.action_dim, layout.action_size
     if layout.has_estimates:
-        layout.check_players()
         if graph is None:
             raise ValueError(f"strategy {tag.value} requires a communication graph")
         if graph.n_nodes != n:

@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types, and the integer-argument check, shared across the package."""
+
+import numbers
+
+
+def positive_int(value, name):
+    """``value`` as an int: a Python or numpy integer of at least 1, not a bool.
+
+    Anything else raises ``ValueError`` naming ``name``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer")
+    return int(value)
 
 
 class DimensionMismatchError(ValueError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotStronglyMonotoneError
+from .errors import DimensionMismatchError, NotStronglyMonotoneError, positive_int
 
 __all__ = [
     "GameDefinition",
@@ -33,9 +33,9 @@ class GameDefinition:
     Parameters
     ----------
     n_players : int
-        Number of players N.
+        Number of players N, a positive integer.
     action_dim : int
-        Dimension p of each player's action.
+        Dimension p of each player's action, a positive integer.
     pseudo_gradient : callable
         Maps a ``(B, Np)`` stack of profiles to the ``(B, Np)`` stack of
         their pseudo-gradients, one row per profile.
@@ -56,12 +56,8 @@ class GameDefinition:
     """
 
     def __init__(self, n_players, action_dim, pseudo_gradient, jacobian):
-        if n_players < 1:
-            raise ValueError("n_players must be a positive integer")
-        if action_dim < 1:
-            raise ValueError("action_dim must be a positive integer")
-        self.n_players = int(n_players)
-        self.action_dim = int(action_dim)
+        self.n_players = positive_int(n_players, "n_players")
+        self.action_dim = positive_int(action_dim, "action_dim")
         self._pseudo_gradient = pseudo_gradient
         self._jacobian = jacobian
 

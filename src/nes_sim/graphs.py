@@ -4,8 +4,10 @@ The estimation machinery works on stacked local estimates: player i keeps
 y_i, an estimate of the full action profile, and the stacked vector
 y = [y_11, ..., y_1N, y_21, ..., y_NN] (player-major, each y_ij in R^p)
 contracts through M = L (x) I_{Np} + diag{a_ij} (x) I_p = M1 (x) I_p, which
-is symmetric positive definite exactly when the graph is connected. The
-simulator keeps only the per-channel M1, :func:`estimation_matrix` with p = 1.
+is symmetric positive definite exactly when the graph is connected. A
+:class:`CommGraph` of two or more nodes is connected when built, so nothing
+that reads one tests it again. The simulator keeps only the per-channel M1,
+:func:`estimation_matrix` with p = 1.
 
 Reordered from (i, j) to (j, i), M1 is exactly blockdiag_j(L + diag(A[:, j])):
 one pinned Laplacian per estimated player, its leader-following consensus.
@@ -24,7 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DisconnectedGraphError, IllConditionedError
+from .errors import (
+    DimensionMismatchError,
+    DisconnectedGraphError,
+    IllConditionedError,
+    positive_int,
+)
 
 __all__ = [
     "CommGraph",
@@ -41,14 +48,18 @@ _DISCONNECTED = "communication graph must be connected for consensus estimation"
 
 
 class CommGraph:
-    """Undirected weighted communication graph.
+    """Undirected weighted communication graph, connected.
 
     Parameters
     ----------
     adjacency : array_like, shape (N, N)
         Finite, symmetric, nonnegative weights with a zero diagonal and
         finite row sums (degrees), at least one node. Any positive entry is
-        a communication link.
+        a communication link. A graph of two or more nodes whose algebraic
+        connectivity is not above ``_CONNECTIVITY_TOL`` raises
+        ``DisconnectedGraphError``: consensus estimation needs a connected
+        graph, and this is the one place that tests for it. The stored
+        ``adjacency`` is a read-only copy.
     """
 
     def __init__(self, adjacency):
@@ -70,6 +81,9 @@ class CommGraph:
         if not np.isfinite(degrees).all():
             raise ValueError("adjacency degrees (row sums) overflow the float range")
         self.adjacency = a.copy()
+        self.adjacency.flags.writeable = False  # stays the graph that was checked
+        if self.n_nodes > 1 and self.algebraic_connectivity() <= _CONNECTIVITY_TOL:
+            raise DisconnectedGraphError(_DISCONNECTED)
 
     @property
     def n_nodes(self):
@@ -87,28 +101,16 @@ class CommGraph:
         eigs = np.linalg.eigvalsh(self.laplacian())
         return float(eigs[1])
 
-    def is_connected(self):
-        """True iff the graph is connected.
-
-        A single node counts as connected; otherwise the algebraic
-        connectivity must exceed a small positive threshold.
-        """
-        if self.n_nodes == 1:
-            return True
-        return self.algebraic_connectivity() > _CONNECTIVITY_TOL
-
     def pinned_blocks(self):
         """The (N, N, N) stack of pinned Laplacians L + diag(A[:, j]), one per player j.
 
         Block j is player j's leader-following consensus: row i is owner
         i's estimate of player j, pinned by i's link to j. Reordered from
         (i, j) to (j, i), M1 (:func:`estimation_matrix` with p = 1) is
-        exactly blockdiag_j of these blocks. A disconnected graph of two
-        or more nodes raises ``DisconnectedGraphError``, as
-        :func:`estimation_matrix` does; a single node gives one zero block.
+        exactly blockdiag_j of these blocks, each positive definite for
+        the connected graph of two or more nodes; a single node gives one
+        zero block.
         """
-        if not self.is_connected():
-            raise DisconnectedGraphError(_DISCONNECTED)
         return self.laplacian() + np.eye(self.n_nodes) * self.adjacency.T[:, None, :]
 
 
@@ -118,14 +120,12 @@ def estimation_matrix(graph, action_dim):
     The Laplacian acts across estimate owners while the diagonal adjacency
     term injects each owner's direct observations of its neighbours' true
     actions. M has size N^2 p and equals kron(M1, I_p) for the p = 1 matrix
-    M1, the one the simulator uses. For a connected graph with at least two
-    nodes it is symmetric positive definite; a single node gives the zero
-    matrix (a lone player needs no estimation). A disconnected graph of two
-    or more nodes raises ``DisconnectedGraphError``.
+    M1, the one the simulator uses. For a graph of two or more nodes,
+    connected as every :class:`CommGraph` is, it is symmetric positive
+    definite; a single node gives the zero matrix (a lone player needs no
+    estimation). ``action_dim`` must be a positive integer (``ValueError``).
     """
-    if not graph.is_connected():
-        raise DisconnectedGraphError(_DISCONNECTED)
-    n, p = graph.n_nodes, int(action_dim)
+    n, p = graph.n_nodes, positive_int(action_dim, "action_dim")
     lap = graph.laplacian()
     return np.kron(lap, np.eye(n * p)) + np.kron(np.diag(graph.adjacency.ravel()), np.eye(p))
 
@@ -211,7 +211,7 @@ def solve_lyapunov(M, theta_bar=1.0, Q=None, action_dim=1):
     Q : None, float, or ndarray
         Right-hand side; ``None`` or a finite scalar q > 0 means q * identity.
     action_dim : int
-        The number p of action channels.
+        The number p of action channels, a positive integer.
 
     A condition estimate above 1e12 or a residual above 1e-8 * ||Q||_F
     raises ``IllConditionedError``: shrink the network or rescale ``theta_bar``.
@@ -229,9 +229,7 @@ def solve_lyapunov(M, theta_bar=1.0, Q=None, action_dim=1):
     if not (np.isfinite(tb).all() and (tb > 0.0).all()):
         raise ValueError("theta_bar entries must be finite and strictly positive")
 
-    p = int(action_dim)
-    if p < 1:
-        raise ValueError("action_dim must be a positive integer")
+    p = positive_int(action_dim, "action_dim")
     Q = 1.0 if Q is None else Q
     if np.isscalar(Q):
         if not (np.isfinite(Q) and Q > 0.0):
@@ -303,13 +301,14 @@ def solve_lyapunov(M, theta_bar=1.0, Q=None, action_dim=1):
 
 def random_connected_graph(rng, n_nodes):
     """Sample unit-weight undirected graphs, each edge present with
-    probability 1/2, until one is connected."""
+    probability 1/2, until :class:`CommGraph` accepts one as connected."""
     while True:
         a = np.zeros((n_nodes, n_nodes))
         for i in range(n_nodes):
             for j in range(i + 1, n_nodes):
                 if rng.random() < 0.5:
                     a[i, j] = a[j, i] = 1.0
-        g = CommGraph(a)
-        if g.is_connected():
-            return g
+        try:
+            return CommGraph(a)
+        except DisconnectedGraphError:
+            pass

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dynamics as dyn
-from .errors import DivergenceError
+from .errors import DivergenceError, positive_int
 
 __all__ = [
     "SimConfig",
@@ -83,10 +83,7 @@ class SimConfig:
             raise ValueError("dt must not exceed t_end")
         if not math.isfinite(self.t_end / self.dt):
             raise ValueError("t_end / dt, the step count, must be finite")
-        stride = self.record_stride
-        if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
-            raise ValueError("record_stride must be a positive integer")
-        self.record_stride = int(self.record_stride)
+        self.record_stride = positive_int(self.record_stride, "record_stride")
         self.integrator = str(self.integrator).lower()
         if self.integrator not in _SCHEMES:
             raise ValueError(f"integrator must be one of {sorted(_SCHEMES)}")
@@ -96,6 +93,11 @@ class SimConfig:
     @property
     def n_steps(self):
         return max(1, int(round(self.t_end / self.dt)))
+
+    @property
+    def n_records(self):
+        """Rows of a run's record: every ``record_stride``-th step from step 0, then the last."""
+        return (self.n_steps - 1) // self.record_stride + 2
 
     @property
     def rhs_evals(self):
@@ -164,7 +166,7 @@ def integrate(rhs, state0, cfg, layout):
     stage derivatives are the rows of one preallocated array; each stage
     state and each step update is one BLAS product over those rows. The
     records, every ``record_stride``-th step from step 0 and then the last
-    step, are preallocated too: ``(n_steps - 1) // record_stride + 2`` rows.
+    step, are preallocated too: ``cfg.n_records`` rows.
 
     The steps run in blocks of ``record_stride``, one block per record.
     Each block records its first state and the control of that state's
@@ -222,9 +224,8 @@ def integrate(rhs, state0, cfg, layout):
     s_dot, isfinite = s.dot, math.isfinite
     control = k1[layout.control]  # the control at s once rhs(s, k1) has run
 
-    n_rec = (n_steps - 1) // stride + 2
-    states = np.empty((n_rec, layout.size))
-    controls = np.empty((n_rec, layout.action_size))
+    states = np.empty((cfg.n_records, layout.size))
+    controls = np.empty((cfg.n_records, layout.action_size))
     times = np.r_[0:n_steps:stride, n_steps] * dt
 
     def advance(count):

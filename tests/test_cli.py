@@ -10,6 +10,7 @@ import nes_sim.cli
 import nes_sim.runner
 from nes_sim import CommGraph, estimation_matrix, parse_config, solve_lyapunov
 from nes_sim.cli import main
+from nes_sim.dynamics import STRATEGIES
 from nes_sim.presets import figure_preset
 
 
@@ -1062,6 +1063,43 @@ def test_a_key_its_tag_does_not_read_exits_one(tmp_path, capsys, command, tag, k
     assert captured.out == ""
     assert captured.err == f"error: {dotted}: tag {tag} does not read ['{key}']\n"
     assert os.listdir(tmp_path) == ["config.json"]  # no trajectory, summary or tune output
+
+
+_ESTIMATE_TAGS = [tag.value for tag, spec in STRATEGIES.items() if "y" in spec.blocks]
+# fig2's three players with only the 1-2 edge: player 3 hears no one
+_DISCONNECTED = [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+_DISCONNECTED_ERROR = (
+    "graph.adjacency: communication graph must be connected for consensus estimation"
+)
+
+
+@pytest.mark.parametrize("command", ["run", "tune", "oracle"])
+@pytest.mark.parametrize("tag", _ESTIMATE_TAGS)
+def test_a_disconnected_graph_exits_one_at_parse_naming_the_key(tmp_path, capsys, command, tag):
+    # refused by CommGraph as the document is parsed, so oracle, which reads
+    # no graph, refuses it as well, and nothing is written
+    doc = _tag_doc(tmp_path, tag)
+    doc["graph"]["adjacency"] = _DISCONNECTED
+    out = ["--out", str(tmp_path / "tune.json")] if command == "tune" else []
+    assert main([command, _write(tmp_path, doc), *out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {_DISCONNECTED_ERROR}\n"
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+def test_a_sweep_entry_with_a_disconnected_graph_stops_the_sweep_before_any_entry_runs(
+    tmp_path, capsys
+):
+    doc = _short_run_doc(tmp_path, "fig3")
+    doc["sim"]["t_end"] = 0.05
+    doc["sweep"] = [_entry_outputs(tmp_path, name) for name in "abc"]
+    doc["sweep"][1]["graph.adjacency"] = _DISCONNECTED
+    assert main(["run", _write(tmp_path, doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: sweep[1]: {_DISCONNECTED_ERROR}\n"
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_a_sweep_entry_that_switches_the_tag_brings_that_tags_gains(

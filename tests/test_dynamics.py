@@ -6,7 +6,6 @@ from nes_sim import (
     GAME_REGISTRY,
     CommGraph,
     DimensionMismatchError,
-    DisconnectedGraphError,
     GainSet,
     GameDefinition,
     LayoutMismatchError,
@@ -25,7 +24,7 @@ from nes_sim import (
     sat_integral,
     solve_lyapunov,
 )
-from nes_sim.dynamics import compile_affine, strategy_law
+from nes_sim.dynamics import STRATEGIES, compile_affine, strategy_law
 from tests.conftest import X0, evaluate
 
 SPEC5 = SaturationSpec.symmetric(5.0)
@@ -452,7 +451,7 @@ def test_make_rhs_requires_bounds(sensor_game):
 
 
 @BOTH_ENTRIES
-@pytest.mark.parametrize("tag", [t for t in StrategyTag if StateLayout(t, 1, 1).has_estimates])
+@pytest.mark.parametrize("tag", [t for t in StrategyTag if "y" in STRATEGIES[t].blocks])
 def test_make_rhs_refuses_a_graph_of_the_wrong_size(entry, tag, sensor_game):
     # one node per player, refused before any product with the estimates
     gains = GainSet(theta=200.0, theta1=1.0, K=0.1)
@@ -463,6 +462,16 @@ def test_make_rhs_refuses_a_graph_of_the_wrong_size(entry, tag, sensor_game):
                 entry(tag, game, graph=graph, gains=gains, sat_spec=SPEC5)
 
 
+@pytest.mark.parametrize("tag", list(StrategyTag))
+def test_a_one_player_layout_with_estimates_is_refused_when_built(tag):
+    # the layout is the one owner of the check; parse_config and strategy_law build one
+    if "y" in STRATEGIES[tag].blocks:
+        with pytest.raises(ValueError, match=f"^{tag.value} shares .* the game has 1$"):
+            StateLayout(tag, 1, 2)
+    else:
+        assert StateLayout(tag, 1, 2).size == 2 * len(STRATEGIES[tag].blocks)
+
+
 @BOTH_ENTRIES
 @pytest.mark.parametrize("tag", list(StrategyTag))
 def test_make_rhs_refuses_one_player_under_a_law_with_estimates(entry, tag):
@@ -470,7 +479,7 @@ def test_make_rhs_refuses_one_player_under_a_law_with_estimates(entry, tag):
     game = QuadraticGame(r=[[[1.0]]], p_vec=[[0.5]], q=[0.0], m_weights=[[0.0]])
     gains = GainSet(theta=10.0, theta1=1.0, K=0.1, alpha=1.0, beta=1.0)
     kwargs = dict(graph=CommGraph([[0.0]]), gains=gains, sat_spec=SPEC5)
-    if not StateLayout(tag, 1, 1).has_estimates:
+    if "y" not in STRATEGIES[tag].blocks:
         entry(tag, game, **kwargs)
         return
     for one in (game, _generic_twin(game)):
@@ -857,16 +866,6 @@ def test_compiled_a_starts_on_a_cache_line(tag):
         A, _ = compile_affine(law, lay.size)
         assert A.ctypes.data % 64 == 0
         assert A.flags.c_contiguous and A.shape == (lay.size, lay.size)
-
-
-@BOTH_ENTRIES
-@pytest.mark.parametrize("tag", ESTIMATE_TAGS)
-def test_make_rhs_refuses_a_disconnected_graph(entry, tag, sensor_game):
-    two_parts = np.zeros((3, 3))
-    two_parts[0, 1] = two_parts[1, 0] = 1.0
-    gains = GainSet(theta=10.0, theta1=1.0, K=0.1)
-    with pytest.raises(DisconnectedGraphError, match="^communication graph must be connected"):
-        entry(tag, sensor_game, graph=CommGraph(two_parts), gains=gains, sat_spec=SPEC5)
 
 
 @pytest.mark.parametrize("tag", ESTIMATE_TAGS)

@@ -201,11 +201,22 @@ def test_quadratic_game_refuses_an_overflowing_h(key, value):
     [
         (0, 1, "n_players must be a positive integer"),
         (1, 0, "action_dim must be a positive integer"),
+        # a float was truncated (2.5 players were 2) and a bool read as 1
+        (2.5, 1, "n_players must be a positive integer"),
+        (True, 1, "n_players must be a positive integer"),
+        (2, 1.5, "action_dim must be a positive integer"),
+        (2, np.True_, "action_dim must be a positive integer"),
     ],
 )
 def test_a_game_needs_a_player_and_an_action_channel(n_players, action_dim, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         GameDefinition(n_players, action_dim, lambda rows: rows, lambda x: np.eye(1))
+
+
+def test_a_game_takes_numpy_integers_as_ints():
+    game = GameDefinition(np.int64(2), np.uint8(3), lambda rows: rows, lambda x: np.eye(6))
+    assert (game.n_players, game.action_dim) == (2, 3)
+    assert type(game.n_players) is int and type(game.action_dim) is int
 
 
 def _gradient_gap(game, x):

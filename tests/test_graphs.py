@@ -51,19 +51,31 @@ def test_laplacian_rows_sum_to_zero_and_psd():
         assert np.linalg.eigvalsh(lap)[0] >= -1e-12
 
 
+DISCONNECTED = "^communication graph must be connected for consensus estimation$"
+
+
+def _fiedler(a):
+    # lambda_2 of D - A, taken here rather than from the graph under test
+    a = np.asarray(a, dtype=float)
+    return np.linalg.eigvalsh(np.diag(a.sum(axis=1)) - a)[1]
+
+
 def test_connectivity():
-    assert CommGraph(path_graph_adjacency()).is_connected()
-    assert CommGraph(complete_graph_adjacency()).is_connected()
-    assert CommGraph([[0.0]]).is_connected()
+    for a in (path_graph_adjacency(), complete_graph_adjacency()):
+        assert CommGraph(a).algebraic_connectivity() == _fiedler(a) > 1e-9
     assert CommGraph([[0.0]]).algebraic_connectivity() == 0.0
     two_edges = np.zeros((4, 4))
     two_edges[0, 1] = two_edges[1, 0] = 1.0
     two_edges[2, 3] = two_edges[3, 2] = 1.0
-    assert not CommGraph(two_edges).is_connected()
+    assert _fiedler(two_edges) <= 1e-9
+    with pytest.raises(DisconnectedGraphError, match=DISCONNECTED):
+        CommGraph(two_edges)
 
 
 def test_connectivity_matches_fiedler_sign():
+    # construction succeeds exactly when lambda_2 > 1e-9; the seeded draws hold both kinds
     rng = np.random.default_rng(1)
+    built = []
     for _ in range(10):
         n = int(rng.integers(2, 7))
         a = np.zeros((n, n))
@@ -71,8 +83,37 @@ def test_connectivity_matches_fiedler_sign():
             for j in range(i + 1, n):
                 if rng.random() < 0.4:
                     a[i, j] = a[j, i] = 1.0
-        g = CommGraph(a)
-        assert g.is_connected() == (g.algebraic_connectivity() > 1e-9)
+        connected = _fiedler(a) > 1e-9
+        try:
+            CommGraph(a)
+        except DisconnectedGraphError:
+            built.append(False)
+        else:
+            built.append(True)
+        assert built[-1] == connected
+    assert set(built) == {True, False}
+
+
+def test_a_disconnected_graph_is_refused_when_built():
+    # two components, an isolated node, and an edge too light to count: each is
+    # refused by CommGraph itself, so no reader of a graph (estimation_matrix,
+    # pinned_blocks, make_rhs, the stability guard) ever holds one
+    two_edges = np.zeros((4, 4))
+    two_edges[0, 1] = two_edges[1, 0] = 1.0
+    two_edges[2, 3] = two_edges[3, 2] = 1.0
+    isolated = np.zeros((3, 3))
+    isolated[0, 1] = isolated[1, 0] = 1.0
+    light = [[0.0, 1e-10], [1e-10, 0.0]]
+    for a in (two_edges, isolated, light):
+        with pytest.raises(DisconnectedGraphError, match=DISCONNECTED):
+            CommGraph(a)
+    # nor can a checked graph be cut afterwards: its adjacency is a read-only copy
+    given = path_graph_adjacency()
+    graph = CommGraph(given)
+    given[0, 1] = given[1, 0] = 0.0
+    assert graph.adjacency[0, 1] == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        graph.adjacency[0, 1] = 0.0
 
 
 def test_graph_validation():
@@ -85,7 +126,7 @@ def test_graph_validation():
     with pytest.raises(ValueError, match="diagonal"):
         CommGraph([[1, 1], [1, 0]])
     # unchecked, an infinite weight surfaces as "must be connected", NaN as
-    # asymmetric, and a 0 x 0 graph as an IndexError in is_connected()
+    # asymmetric, and a 0 x 0 graph as an IndexError in the connectivity test
     for weight in (np.inf, np.nan):
         with pytest.raises(ValueError, match="adjacency weights must be finite"):
             CommGraph([[0.0, weight], [weight, 0.0]])
@@ -126,6 +167,26 @@ def test_estimation_matrix_kron_expansion_in_action_dim():
     m2 = estimation_matrix(g, 2)
     # per-channel structure replicates across action dimensions
     np.testing.assert_array_equal(m2, np.kron(m1, np.eye(2)))
+
+
+@pytest.mark.parametrize("bad", [0, -1, 1.5, 2.9, 2.0, True, np.True_, "2", None])
+def test_action_dim_must_be_a_positive_integer(bad):
+    # 0 gave a 0 x 0 matrix, 1.5 and 2.9 were truncated to 1 and 2, True read as 1
+    graph = CommGraph(path_graph_adjacency())
+    m1 = estimation_matrix(graph, 1)
+    message = "^action_dim must be a positive integer$"
+    with pytest.raises(ValueError, match=message):
+        estimation_matrix(graph, bad)
+    with pytest.raises(ValueError, match=message):
+        solve_lyapunov(m1, 1.0, 1.0, action_dim=bad)
+
+
+def test_action_dim_may_be_a_numpy_integer():
+    graph = CommGraph(path_graph_adjacency())
+    m1 = estimation_matrix(graph, 1)
+    for p in (np.int64(2), np.uint8(2)):
+        np.testing.assert_array_equal(estimation_matrix(graph, p), estimation_matrix(graph, 2))
+        assert solve_lyapunov(m1, 1.0, 1.0, p).residual == solve_lyapunov(m1, 1.0, 1.0, 2).residual
 
 
 def test_estimation_matrix_path_lambda_min():
@@ -190,18 +251,6 @@ def test_pinned_blocks_are_the_diagonal_blocks_of_m1():
             assert np.array_equal(blocks[j], sub)
             assert np.array_equal(np.signbit(blocks[j]), np.signbit(sub))
     np.testing.assert_array_equal(CommGraph([[0.0]]).pinned_blocks(), np.zeros((1, 1, 1)))
-
-
-def test_pinned_blocks_refuse_a_disconnected_graph_as_estimation_matrix_does():
-    two_edges = np.zeros((4, 4))
-    two_edges[0, 1] = two_edges[1, 0] = 1.0
-    two_edges[2, 3] = two_edges[3, 2] = 1.0
-    graph = CommGraph(two_edges)
-    with pytest.raises(DisconnectedGraphError) as blocks_err:
-        graph.pinned_blocks()
-    with pytest.raises(DisconnectedGraphError) as matrix_err:
-        estimation_matrix(graph, 1)
-    assert str(blocks_err.value) == str(matrix_err.value)
 
 
 def test_solve_lyapunov_refuses_a_p_that_is_not_positive_definite(monkeypatch):

@@ -116,7 +116,7 @@ def test_recording_stride_and_endpoints(n_steps, stride, steps):
     cfg = SimConfig(dt=dt, t_end=n_steps * dt, record_stride=stride)
     traj = integrate(_decay_rhs, np.array([1.0]), cfg, SCALAR_LAYOUT)
     assert cfg.n_steps == n_steps
-    assert traj.n_records == (n_steps - 1) // stride + 2 == len(steps)
+    assert traj.n_records == cfg.n_records == (n_steps - 1) // stride + 2 == len(steps)
     # the times are step * dt exactly, and each record is the state at its step
     assert traj.times.tolist() == [k * dt for k in steps]
     assert np.all(np.diff(traj.times) > 0.0)
