@@ -32,12 +32,17 @@ _USER_ERRORS = (ValueError, DivergenceError, OSError, MemoryError)
 
 
 def _set_dotted(doc, dotted, value):
+    """Write ``value`` at a dotted path of ``doc``, copying each object below ``doc``
+    along the path first, so the objects ``doc`` shares with other documents stay
+    as they are."""
     *parents, last = dotted.split(".")
     node = doc
     for key in parents:
-        node = node.get(key) if isinstance(node, dict) else None
-    if not isinstance(node, dict):
-        raise ConfigError(f"override {_echo(dotted)}: no such config path")
+        child = node.get(key)
+        if not isinstance(child, dict):
+            raise ConfigError(f"override {_echo(dotted)}: no such config path")
+        node[key] = dict(child)
+        node = node[key]
     node[last] = value
 
 
@@ -49,19 +54,32 @@ def _apply_overrides(doc, args):
     return doc
 
 
+def _load(args):
+    """The document ``args.config`` names, without its sweep and with the flags
+    applied, and the sweep (None if it has none); the document read stays as read."""
+    doc = read_document(args.config)
+    base = {key: val for key, val in doc.items() if key != "sweep"}
+    return _apply_overrides(base, args), doc.get("sweep")
+
+
 def cmd_run(args):
-    doc = _apply_overrides(read_document(args.config), args)
-    base_cfg = parse_config(doc)
+    base, sweep = _load(args)
+    base_cfg = parse_config(base)
+    if sweep is not None:
+        if not isinstance(sweep, list) or not all(isinstance(e, dict) for e in sweep):
+            raise ConfigError("sweep: expected a list of override objects")
+        if not sweep:
+            raise ConfigError("sweep: the list is empty; give at least one entry or drop the key")
     if base_cfg.output is None:
         raise ConfigError("run requires an output section (trajectory and summary paths)")
 
-    if base_cfg.sweep:
-        # every entry starts from the base document alone, so the cost of
-        # building one entry does not grow with the length of the sweep
-        base = json.dumps({key: val for key, val in doc.items() if key != "sweep"})
+    if sweep is not None:
+        # every entry is a shallow copy of the base document, and an override copies
+        # what it writes into, so the cost of building one entry does not grow with
+        # the length of the sweep and no entry sees another's overrides
         variants, writers = [], {}
-        for idx, overrides in enumerate(base_cfg.sweep):
-            variant = json.loads(base)
+        for idx, overrides in enumerate(sweep):
+            variant = dict(base)
             try:
                 for dotted, value in overrides.items():
                     _set_dotted(variant, dotted, value)
@@ -111,7 +129,7 @@ def cmd_run(args):
 
 
 def cmd_tune(args):
-    cfg = parse_config(_apply_overrides(read_document(args.config), args))
+    cfg = parse_config(_load(args)[0])  # tune reads no sweep
     lyap = None
     if cfg.layout.has_estimates:
         game = cfg.game
@@ -136,7 +154,7 @@ def cmd_tune(args):
 
 
 def cmd_oracle(args):
-    cfg = parse_config(_apply_overrides(read_document(args.config), args))
+    cfg = parse_config(_load(args)[0])  # oracle reads no sweep
     x_star = cfg.game.exact_ne()
     residual = float(np.max(np.abs(cfg.game.pseudo_gradient(x_star))))
     print("x_star=" + ",".join(f"{v:.12f}" for v in x_star))

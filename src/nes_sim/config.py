@@ -30,7 +30,7 @@ from .simulate import SimConfig
 
 __all__ = ["ExperimentConfig", "parse_config", "read_document"]
 
-_TOP_KEYS = {"game", "graph", "strategy", "sim", "init", "output", "sweep"}
+_TOP_KEYS = {"game", "graph", "strategy", "sim", "init", "output"}
 _QUADRATIC_KEYS = ("r", "p_vec", "q", "m_weights")
 _GAME_KEYS = {"type", "name", *_QUADRATIC_KEYS}
 _STRATEGY_KEYS = {"tag", "gains", "saturation", "tuner_overrides"}
@@ -104,13 +104,6 @@ def _positive(value, path):
     return v
 
 
-def _json_plain(value):
-    """``json.dumps``'s fallback: numpy arrays as nested lists, numpy scalars as numbers."""
-    if isinstance(value, (np.ndarray, np.generic)):
-        return value.tolist()
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 @dataclass
 class ExperimentConfig:
     """A fully validated experiment: game, graph, strategy, sim, init."""
@@ -126,7 +119,6 @@ class ExperimentConfig:
     lyapunov_q: object
     tuner_overrides: dict
     output: dict | None
-    sweep: list | None
     normalized: dict = field(repr=False, default=None)
     # each output path through os.path.realpath, by key: the file it names
     output_files: dict | None = field(repr=False, default=None)
@@ -135,10 +127,12 @@ class ExperimentConfig:
         return self.layout.pack(**self.init)
 
     def to_dict(self):
-        """Normalised plain-dict form; parse(to_dict(...)) is the identity."""
+        """A fresh copy of the normalized form, one experiment's and no sweep's;
+        parse(to_dict(...)) is the identity."""
         return json.loads(json.dumps(self.normalized))
 
     def config_hash(self):
+        """The first 16 hex digits of the SHA-256 of the normalized form with sorted keys."""
         blob = json.dumps(self.normalized, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -203,8 +197,9 @@ def parse_config(doc):
     The normalized form (``to_dict``, ``config_hash``) is built from the
     parsed values, not copied from ``doc``: floats wherever numbers are read,
     the whole ``sim`` section, every init block, symmetric bounds as
-    ``u_bar``, no empty ``gains`` or ``tuner_overrides``, and the sweep in
-    JSON's own types.
+    ``u_bar``, and no empty ``gains`` or ``tuner_overrides``. ``doc`` is one
+    experiment: a ``sweep`` key is refused as unknown, since the command
+    line's ``run`` splits a sweep off and parses each entry on its own.
     """
     _reject_unknown(doc, _TOP_KEYS, "config")
     for key in ("game", "graph", "strategy", "sim"):
@@ -355,14 +350,6 @@ def parse_config(doc):
         if output_files["trajectory"] == output_files["summary"]:
             raise ConfigError("output: trajectory and summary must be different files")
 
-    sweep = None
-    if "sweep" in doc:
-        sweep = doc["sweep"]
-        if not isinstance(sweep, list) or not all(isinstance(e, dict) for e in sweep):
-            raise ConfigError("sweep: expected a list of override objects")
-        if not sweep:
-            raise ConfigError("sweep: the list is empty; give at least one entry or drop the key")
-
     strategy = {"tag": tag.value}
     if kwargs:
         strategy["gains"] = {key: np.asarray(val).tolist() for key, val in kwargs.items()}
@@ -382,11 +369,6 @@ def parse_config(doc):
         normalized["graph"]["lyapunov_q"] = np.asarray(lyap_q).tolist()
     if output is not None:
         normalized["output"] = dict(output)
-    if sweep is not None:
-        try:
-            normalized["sweep"] = json.loads(json.dumps(sweep, default=_json_plain))
-        except (TypeError, ValueError) as exc:  # a set, say, or a list that holds itself
-            raise ConfigError(f"sweep: {exc}") from None
 
     return ExperimentConfig(
         game=game,
@@ -400,7 +382,6 @@ def parse_config(doc):
         lyapunov_q=lyap_q,
         tuner_overrides=overrides,
         output=output,
-        sweep=sweep,
         normalized=normalized,
         output_files=output_files,
     )

@@ -191,8 +191,56 @@ def test_run_refuses_an_empty_sweep_and_writes_nothing(tmp_path, capsys):
     doc["sweep"] = []
     assert main(["run", _write(tmp_path, doc)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: sweep: ")
+    assert err == ["error: sweep: the list is empty; give at least one entry or drop the key"]
     assert not (tmp_path / "traj.csv").exists() and not (tmp_path / "summary.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "sweep", ["not-a-list", {"sim.dt": 2e-3}, [1], [{"sim.dt": 2e-3}, "x"]],
+    ids=["string", "object", "number-entry", "string-entry"],
+)
+def test_run_refuses_a_sweep_that_is_not_a_list_of_objects(tmp_path, capsys, sweep):
+    doc = _fast_run_doc(tmp_path, t_end=0.05)
+    doc["sweep"] = sweep
+    assert main(["run", _write(tmp_path, doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sweep: expected a list of override objects\n"
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+@pytest.mark.parametrize("sweep", ["not-a-list", []], ids=["string", "empty"])
+def test_a_malformed_base_document_is_reported_before_a_malformed_sweep(
+    tmp_path, capsys, sweep
+):
+    doc = _fast_run_doc(tmp_path, t_end=0.05)
+    doc["sim"]["dt"] = "fast"
+    doc["sweep"] = sweep
+    assert main(["run", _write(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == "error: sim.dt: expected a number\n"
+
+
+def test_a_deeply_nested_sweep_override_is_one_error_line(tmp_path, capsys):
+    # 900 levels read from the file, refused by the entry's parse, not by a traceback
+    doc = _fast_run_doc(tmp_path, t_end=0.05)
+    doc["sweep"] = [{"init.x0": "DEEP", **_entry_outputs(tmp_path, "a")}]
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc).replace('"DEEP"', "[" * 900 + "1" + "]" * 900))
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: sweep[0]: init.x0: expected a flat list of numbers\n"
+    assert os.listdir(tmp_path) == ["deep.json"]
+
+
+@pytest.mark.parametrize("command", ["tune", "oracle"])
+@pytest.mark.parametrize("name", ["fig3", "fig4"])
+def test_tune_and_oracle_ignore_a_sweep(tmp_path, capsys, command, name):
+    doc = figure_preset(name)
+    assert main([command, _write(tmp_path, doc)]) == 0
+    alone = capsys.readouterr()
+    doc["sweep"] = [{"strategy.gains.theta": 1.0, "game.q": 2.0}, {"sim.dt": 1e-2}]
+    assert main([command, _write(tmp_path, doc, "sweep.json")]) == 0
+    assert capsys.readouterr() == alone
 
 
 @pytest.mark.parametrize("command", ["run", "tune"])
@@ -967,18 +1015,32 @@ def test_sweep_entry_may_not_set_a_sweep(tmp_path, capsys):
     assert not (tmp_path / "a.csv").exists()
 
 
-def test_sweep_entries_are_built_from_the_base_document_alone(tmp_path, monkeypatch):
+def _set_path(doc, dotted, value):
+    *parents, last = dotted.split(".")
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+# by case: the --dt flag (None for none) and each entry's overrides but its output paths
+_COW_SWEEPS = {
+    "entry-overrides": (None, [
+        {"strategy.saturation.u_bar": 2.0, "strategy.gains.theta": 7.0}, {}
+    ]),
+    "dt-flag": (2e-3, [{"strategy.saturation.u_bar": 2.0, "strategy.gains.theta": 7.0}, {}]),
+    "same-nested-path": (None, [{"strategy.gains.theta": 7.0}, {"strategy.gains.theta": 9.0}]),
+    "whole-sim-then-dt": (2e-3, [{"sim": {"dt": 1e-3, "t_end": 0.3, "record_stride": 10}}, {}]),
+}
+
+
+@pytest.mark.parametrize("dt, sweep", _COW_SWEEPS.values(), ids=list(_COW_SWEEPS))
+def test_sweep_entries_are_built_from_the_base_document_alone(tmp_path, monkeypatch, dt, sweep):
+    # an override copies every object along its path before it writes, so neither the
+    # document read, nor its sweep, nor another entry changes
     doc = _fast_run_doc(tmp_path, t_end=0.5)
     doc["strategy"]["tag"] = "first_order_dist"  # a law that reads theta
     doc["strategy"]["gains"] = {"theta": 3.0}
-    doc["sweep"] = [
-        {
-            "strategy.saturation.u_bar": 2.0,
-            "strategy.gains.theta": 7.0,
-            **_entry_outputs(tmp_path, "a"),
-        },
-        _entry_outputs(tmp_path, "b"),
-    ]
+    doc["sweep"] = [{**entry, **_entry_outputs(tmp_path, str(k))} for k, entry in enumerate(sweep)]
     read = copy.deepcopy(doc)
     captured = []
 
@@ -988,14 +1050,18 @@ def test_sweep_entries_are_built_from_the_base_document_alone(tmp_path, monkeypa
 
     monkeypatch.setattr(nes_sim.cli, "read_document", lambda path: read)
     monkeypatch.setattr(nes_sim.cli, "run_sweep", capture)
-    assert main(["run", "config.json"]) == 0
+    flags = [] if dt is None else ["--dt", str(dt)]
+    assert main([*flags, "run", "config.json"]) == 0
     assert read == doc
-    first, second = (cfg.to_dict() for cfg in captured)
-    assert first["strategy"]["saturation"] == {"u_bar": 2.0}
-    assert first["strategy"]["gains"] == {"theta": 7.0}
-    assert second["strategy"]["saturation"] == {"u_bar": doc["strategy"]["saturation"]["u_bar"]}
-    assert second["strategy"]["gains"] == {"theta": 3.0}
-    assert all("sweep" not in cfg.normalized for cfg in captured)
+    assert len(captured) == len(doc["sweep"])
+    for cfg, overrides in zip(captured, doc["sweep"]):
+        # the entry as a document of its own: the base, its overrides, then the flag
+        alone = copy.deepcopy({key: val for key, val in doc.items() if key != "sweep"})
+        for dotted, value in copy.deepcopy(overrides).items():
+            _set_path(alone, dotted, value)
+        if dt is not None:
+            alone["sim"]["dt"] = dt
+        assert cfg.to_dict() == parse_config(alone).to_dict()
 
 
 # one valid value of every key a tag may read, by section

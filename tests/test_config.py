@@ -278,21 +278,11 @@ def test_second_order_central_config():
     assert cfg.layout.size == 12
 
 
-def test_sweep_section_validation():
+def test_a_document_with_a_sweep_is_refused():
+    # a sweep is the command line's: run splits it off and parses each entry alone
     doc = figure_preset("fig2")
     doc["sweep"] = [{"sim.dt": 2e-3}]
-    cfg = parse_config(doc)
-    assert cfg.sweep == [{"sim.dt": 2e-3}]
-    doc["sweep"] = "not-a-list"
-    with pytest.raises(ConfigError, match="sweep"):
-        parse_config(doc)
-
-
-def test_an_empty_sweep_is_refused():
-    # an empty list would fall through to one run of the base document
-    doc = figure_preset("fig2")
-    doc["sweep"] = []
-    with pytest.raises(ConfigError, match="^sweep: the list is empty"):
+    with pytest.raises(ConfigError, match=r"^config: unknown keys \['sweep'\]$"):
         parse_config(doc)
 
 
@@ -316,18 +306,6 @@ def test_a_one_player_game_is_refused_for_the_strategies_with_estimates(tag):
         assert parse_config(doc).game.n_players == 1
         return
     with pytest.raises(ConfigError, match=f"^strategy.tag: {tag.value} .* the game has 1$"):
-        parse_config(doc)
-
-
-def test_a_sweep_value_that_is_not_json_is_a_config_error():
-    doc = figure_preset("fig2")
-    doc["sweep"] = [{"sim.dt": {1, 2}}]
-    with pytest.raises(ConfigError, match="^sweep: Object of type set is not JSON serializable$"):
-        parse_config(doc)
-    loop = []
-    loop.append(loop)
-    doc["sweep"] = [{"sim.dt": loop}]
-    with pytest.raises(ConfigError, match="^sweep: Circular reference detected$"):
         parse_config(doc)
 
 
@@ -422,7 +400,6 @@ def test_normalized_form_is_the_document_with_parsed_values_written_back():
     }
     doc["sim"] = {"dt": 1, "t_end": 4}
     doc.pop("init")
-    doc["sweep"] = [{"sim.dt": 2}]
     before = json.loads(json.dumps(doc))
     normalized = parse_config(doc).to_dict()
     assert doc == before
@@ -440,7 +417,6 @@ def test_normalized_form_is_the_document_with_parsed_values_written_back():
         },
         "init": {"x0": [0.0] * 6},
         "output": doc["output"],
-        "sweep": [{"sim.dt": 2}],
     }
     assert type(normalized["sim"]["dt"]) is float
 
@@ -532,27 +508,12 @@ _CUSTOM_DOC = {
                   ("strategy", "tuner_overrides"), {}),
             "d7fd5a31c78c9740",
         ),
-        (
-            _with(figure_preset("fig2"), ("sweep",), [
-                {"sim.dt": np.float64(2e-3), "sim.record_stride": np.int64(5)},
-                {"init.x0": np.arange(6.0)},
-            ]),
-            "3ffe85fa25e16edf",
-        ),
     ],
-    ids=["custom", "asymmetric-bounds", "symmetric-lower-upper", "ndarray-q", "empty-sections",
-         "numpy-sweep"],
+    ids=["custom", "asymmetric-bounds", "symmetric-lower-upper", "ndarray-q", "empty-sections"],
 )
 def test_normalized_sections_hash_as_pinned(doc, config_hash):
     # each pin is a section the normalized form builds from the parse
     assert parse_config(doc).config_hash() == config_hash
-
-
-def test_a_deeply_nested_sweep_parses():
-    deep = json.loads("[" * 900 + "1" + "]" * 900)
-    cfg = parse_config(_with(figure_preset("fig2"), ("sweep",), [{"init.x0": deep}]))
-    assert cfg.to_dict()["sweep"] == [{"init.x0": deep}]
-    assert len(cfg.config_hash()) == 16
 
 
 @pytest.mark.parametrize(
