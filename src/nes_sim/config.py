@@ -127,8 +127,8 @@ class ExperimentConfig:
         return self.layout.pack(**self.init)
 
     def to_dict(self):
-        """A fresh copy of the normalized form, one experiment's and no sweep's;
-        parse(to_dict(...)) is the identity."""
+        """A fresh copy of this one experiment's normalized form; parse(to_dict(...))
+        is the identity."""
         return json.loads(json.dumps(self.normalized))
 
     def config_hash(self):
@@ -198,8 +198,9 @@ def parse_config(doc):
     parsed values, not copied from ``doc``: floats wherever numbers are read,
     the whole ``sim`` section, every init block, symmetric bounds as
     ``u_bar``, and no empty ``gains`` or ``tuner_overrides``. ``doc`` is one
-    experiment: a ``sweep`` key is refused as unknown, since the command
-    line's ``run`` splits a sweep off and parses each entry on its own.
+    experiment: any other top-level key is refused as unknown, a batch's list
+    of overrides too, which the command line's ``run`` expands itself into
+    documents of one experiment each.
     """
     _reject_unknown(doc, _TOP_KEYS, "config")
     for key in ("game", "graph", "strategy", "sim"):
