@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import tuning
-from .config import ConfigError, _echo, parse_config, read_document
+from .config import ConfigError, _echo, parse_config, parse_game, parse_tuning, read_document
 from .errors import DivergenceError
 from .graphs import estimation_matrix, solve_lyapunov
 from .presets import PRESET_NAMES, figure_preset
@@ -129,7 +129,7 @@ def cmd_run(args):
 
 
 def cmd_tune(args):
-    cfg = parse_config(_load(args)[0])  # tune reads no sweep
+    cfg, _ = parse_tuning(_load(args)[0])  # tune reads no sweep, sim, init or output
     lyap = None
     if cfg.layout.has_estimates:
         game = cfg.game
@@ -154,9 +154,9 @@ def cmd_tune(args):
 
 
 def cmd_oracle(args):
-    cfg = parse_config(_load(args)[0])  # oracle reads no sweep
-    x_star = cfg.game.exact_ne()
-    residual = float(np.max(np.abs(cfg.game.pseudo_gradient(x_star))))
+    game, _ = parse_game(_load(args)[0])  # oracle reads the game alone
+    x_star = game.exact_ne()
+    residual = float(np.max(np.abs(game.pseudo_gradient(x_star))))
     print("x_star=" + ",".join(f"{v:.12f}" for v in x_star))
     print(f"pseudo_gradient_inf_norm={residual:.6e}")
     return 0
@@ -198,8 +198,10 @@ usage: nes-sim [--dt DT] [--t-end T_END] run CONFIG
 Simulate Nash-equilibrium-seeking strategies with bounded controls: run an
 experiment or its sweep, print its gain bounds (tune; --out also writes them
 as JSON) or its exact Nash equilibrium (oracle), or run a built-in preset
-into DIR (replicate). --dt and --t-end override sim.dt and sim.t_end. A
-flag's value follows it or joins it with '='. -h or --help prints this.
+into DIR (replicate). oracle reads only the game of CONFIG, and tune its
+game, strategy and graph; every command refuses an unknown top-level key.
+--dt and --t-end override sim.dt and sim.t_end. A flag's value follows it
+or joins it with '='. -h or --help prints this.
 
 Exit codes: 0 success; 1 usage, configuration or runtime error; 2 the run
 completed but did not converge (replicate: or its input bounds failed).

@@ -1,11 +1,20 @@
 """Strict parsing of experiment configuration documents (JSON).
 
-Unknown keys are fatal everywhere: a silently ignored typo in a gain name
-would invalidate an experiment. So is a key the strategy tag's run does
+One parser per top-level section returns its object and its normalized
+section, and a command runs only the parsers of the sections it reads:
+``parse_game`` the game (``oracle``), ``parse_tuning`` the game, strategy
+and graph (``tune``), and ``parse_config`` all six (``run``). Every one of
+them refuses an unknown top-level key; a section none of them reads is
+not looked inside.
+
+Within a parsed section unknown keys are fatal: a silently ignored typo
+in a gain name would invalidate an experiment. So is a key the run does
 not read: a gain outside ``STRATEGIES[tag].gains`` (``theta_bar`` aside,
 for the laws with estimates), a tuner override outside
-``STRATEGIES[tag].overrides``, and ``graph.lyapunov_q`` for a law without
-estimates. Parsed configurations normalise init
+``STRATEGIES[tag].overrides``, ``graph.lyapunov_q`` for a law without
+estimates, and ``sim.convergence_tol`` for a game that is not quadratic,
+which has no oracle to converge to. ``graph`` itself may be left out
+under a law without estimates. Parsed configurations normalise init
 keywords ("zeros", "broadcast:<scalar>") into full vectors, so one parse
 is a fixed point of serialise-then-reparse.
 """
@@ -28,7 +37,8 @@ from .graphs import CommGraph
 from .presets import GAME_REGISTRY
 from .simulate import SimConfig
 
-__all__ = ["ExperimentConfig", "parse_config", "read_document"]
+__all__ = ["ExperimentConfig", "TuningConfig", "parse_config", "parse_game", "parse_tuning",
+           "read_document"]
 
 _TOP_KEYS = {"game", "graph", "strategy", "sim", "init", "output"}
 _QUADRATIC_KEYS = ("r", "p_vec", "q", "m_weights")
@@ -59,9 +69,10 @@ def _echo(value, quote="'"):
     return f"{quote}{value[:_ECHO_CHARS]}...{quote} ({len(value)} characters)"
 
 
-def _reject_unknown(section, allowed, path, tag=None):
+def _reject_unknown(section, allowed, path, reader=None):
     """Refuse a section that is not an object or holds keys outside ``allowed``;
-    given a ``tag``, ``allowed`` is what that tag reads and the message names it."""
+    given a ``reader`` ("tag first_order_dist"), ``allowed`` is what it reads
+    and the message names it."""
     if not isinstance(section, dict):
         raise ConfigError(f"{path}: expected an object")
     unknown = set(section).difference(allowed)
@@ -69,7 +80,7 @@ def _reject_unknown(section, allowed, path, tag=None):
         shown = [_echo(key) for key in sorted(unknown)[:_ECHO_KEYS]]
         if len(unknown) > _ECHO_KEYS:
             shown.append(f"{len(unknown) - _ECHO_KEYS} more")
-        what = "unknown keys" if tag is None else f"tag {tag.value} does not read"
+        what = "unknown keys" if reader is None else f"{reader} does not read"
         raise ConfigError(f"{path}: {what} [{', '.join(shown)}]")
 
 
@@ -105,23 +116,33 @@ def _positive(value, path):
 
 
 @dataclass
-class ExperimentConfig:
-    """A fully validated experiment: game, graph, strategy, sim, init."""
+class TuningConfig:
+    """The sections ``tune`` reads: the game, the strategy and the graph.
+
+    ``graph`` is None when the document gives none, which only a tag
+    without estimates allows.
+    """
 
     game: object
-    graph: CommGraph
+    graph: CommGraph | None
     tag: StrategyTag
     layout: StateLayout
     gains: GainSet
     sat_spec: SaturationSpec | None
-    sim: SimConfig
-    init: dict
     lyapunov_q: object
     tuner_overrides: dict
+
+
+@dataclass
+class ExperimentConfig(TuningConfig):
+    """A fully validated experiment: the sections ``tune`` reads, sim, init and output."""
+
+    sim: SimConfig
+    init: dict
     output: dict | None
-    normalized: dict = field(repr=False, default=None)
+    normalized: dict = field(repr=False)
     # each output path through os.path.realpath, by key: the file it names
-    output_files: dict | None = field(repr=False, default=None)
+    output_files: dict | None = field(repr=False)
 
     def initial_state(self):
         return self.layout.pack(**self.init)
@@ -191,27 +212,13 @@ def _parse_vector(value, length, path):
     return arr
 
 
-def parse_config(doc):
-    """Validate a configuration dict and build the experiment objects.
-
-    The normalized form (``to_dict``, ``config_hash``) is built from the
-    parsed values, not copied from ``doc``: floats wherever numbers are read,
-    the whole ``sim`` section, every init block, symmetric bounds as
-    ``u_bar``, and no empty ``gains`` or ``tuner_overrides``. ``doc`` is one
-    experiment: any other top-level key is refused as unknown, a batch's list
-    of overrides too, which the command line's ``run`` expands itself into
-    documents of one experiment each.
-    """
-    _reject_unknown(doc, _TOP_KEYS, "config")
-    for key in ("game", "graph", "strategy", "sim"):
-        _require(doc, key, "config")
-
-    game, game_sec = _parse_game(doc["game"])
+def _parse_strategy(section, game):
+    """The tag, layout, gains, saturation and tuner overrides, and the normalized section:
+    floats for the gains, symmetric bounds as ``u_bar``, and no empty ``gains`` or
+    ``tuner_overrides``."""
     n, p = game.n_players, game.action_dim
-
-    strat = doc["strategy"]
-    _reject_unknown(strat, _STRATEGY_KEYS, "strategy")
-    tag_raw = _require(strat, "tag", "strategy")
+    _reject_unknown(section, _STRATEGY_KEYS, "strategy")
+    tag_raw = _require(section, "tag", "strategy")
     try:
         tag = StrategyTag(tag_raw)
     except ValueError:
@@ -219,36 +226,17 @@ def parse_config(doc):
             f"strategy.tag: unknown tag {_echo(tag_raw)}; "
             f"valid: {[t.value for t in StrategyTag]}"
         ) from None
-    spec = STRATEGIES[tag]
+    spec, reader = STRATEGIES[tag], f"tag {tag.value}"
     try:
         layout = StateLayout(tag, n, p)
     except ValueError as exc:
         raise ConfigError(f"strategy.tag: {exc}") from exc
-    graph_keys, gain_keys = ["adjacency"], [*spec.gains]
-    if layout.has_estimates:  # the Lyapunov pair's Q and the per-estimate weights
-        graph_keys.append("lyapunov_q")
-        gain_keys.append("theta_bar")
+    normalized = {"tag": tag.value}
 
-    graph_sec = doc["graph"]
-    _reject_unknown(graph_sec, graph_keys, "graph", tag)
-    adjacency = _numbers(_require(graph_sec, "adjacency", "graph"), "graph.adjacency")
-    if adjacency.shape != (n, n):
-        raise ConfigError(f"graph.adjacency: expected shape ({n}, {n}), got {adjacency.shape}")
-    try:
-        graph = CommGraph(adjacency)
-    except ValueError as exc:
-        raise ConfigError(f"graph.adjacency: {exc}") from exc
-    lyap_q = graph_sec.get("lyapunov_q", 1.0)
-    if isinstance(lyap_q, (list, np.ndarray)):
-        lyap_q = _numbers(lyap_q, "graph.lyapunov_q")
-        n2p = n * n * p
-        if lyap_q.shape != (n2p, n2p):
-            raise ConfigError(f"graph.lyapunov_q: expected a scalar or a {n2p}x{n2p} matrix")
-    else:
-        lyap_q = _positive(lyap_q, "graph.lyapunov_q")
-
-    gains_sec = strat.get("gains", {})
-    _reject_unknown(gains_sec, gain_keys, "strategy.gains", tag)
+    gains_sec = section.get("gains", {})
+    # the per-estimate weights are read by every law with estimates
+    gain_keys = [*spec.gains, "theta_bar"] if layout.has_estimates else spec.gains
+    _reject_unknown(gains_sec, gain_keys, "strategy.gains", reader)
     for key in spec.gains:
         _require(gains_sec, key, "strategy.gains")
     kwargs = {}
@@ -268,10 +256,12 @@ def parse_config(doc):
             gains.k_vec(n, p)
     except ValueError as exc:
         raise ConfigError(f"strategy.gains: {exc}") from exc
+    if kwargs:
+        normalized["gains"] = {key: np.asarray(val).tolist() for key, val in kwargs.items()}
 
     sat_spec = None
-    if "saturation" in strat:
-        sat_sec = strat["saturation"]
+    if "saturation" in section:
+        sat_sec = section["saturation"]
         _reject_unknown(sat_sec, _SAT_KEYS, "strategy.saturation")
         if "u_bar" in sat_sec and ("lower" in sat_sec or "upper" in sat_sec):
             raise ConfigError("strategy.saturation: give either u_bar or lower/upper, not both")
@@ -285,11 +275,13 @@ def parse_config(doc):
             sat_spec.check_size(layout.action_size)
         except ValueError as exc:
             raise ConfigError(f"strategy.saturation: {exc}") from exc
+        bounds = {"lower": sat_spec.lower.tolist(), "upper": sat_spec.upper.tolist()}
+        normalized["saturation"] = {"u_bar": bounds["upper"]} if sat_spec.is_symmetric else bounds
     if layout.is_saturated and sat_spec is None:
         raise ConfigError(f"strategy: tag {tag.value} requires a saturation section")
 
-    given = strat.get("tuner_overrides", {})
-    _reject_unknown(given, spec.overrides, "strategy.tuner_overrides", tag)
+    given = section.get("tuner_overrides", {})
+    _reject_unknown(given, spec.overrides, "strategy.tuner_overrides", reader)
     overrides = {}
     for key, val in given.items():
         path = f"strategy.tuner_overrides.{key}"
@@ -299,14 +291,50 @@ def parse_config(doc):
             overrides[key] = [_positive(v, path) for v in val]
         else:
             overrides[key] = _positive(val, path)
+    if overrides:
+        normalized["tuner_overrides"] = dict(overrides)
+    parsed = dict(tag=tag, layout=layout, gains=gains, sat_spec=sat_spec, tuner_overrides=overrides)
+    return parsed, normalized
 
-    sim_sec = doc["sim"]
-    _reject_unknown(sim_sec, _SIM_KEYS, "sim")
-    given = dict(sim_sec)  # SimConfig fills in the keys not given
+
+def _parse_graph(section, game, layout):
+    """The graph and ``lyapunov_q``, and the normalized section."""
+    n, p = game.n_players, game.action_dim
+    # the Lyapunov pair's Q is read by the laws with estimates
+    keys = ("adjacency", "lyapunov_q") if layout.has_estimates else ("adjacency",)
+    _reject_unknown(section, keys, "graph", f"tag {layout.tag.value}")
+    adjacency = _numbers(_require(section, "adjacency", "graph"), "graph.adjacency")
+    if adjacency.shape != (n, n):
+        raise ConfigError(f"graph.adjacency: expected shape ({n}, {n}), got {adjacency.shape}")
+    try:
+        graph = CommGraph(adjacency)
+    except ValueError as exc:
+        raise ConfigError(f"graph.adjacency: {exc}") from exc
+    normalized = {"adjacency": adjacency.tolist()}
+    lyap_q = section.get("lyapunov_q", 1.0)
+    if isinstance(lyap_q, (list, np.ndarray)):
+        lyap_q = _numbers(lyap_q, "graph.lyapunov_q")
+        n2p = n * n * p
+        if lyap_q.shape != (n2p, n2p):
+            raise ConfigError(f"graph.lyapunov_q: expected a scalar or a {n2p}x{n2p} matrix")
+    else:
+        lyap_q = _positive(lyap_q, "graph.lyapunov_q")
+    if "lyapunov_q" in section:
+        normalized["lyapunov_q"] = np.asarray(lyap_q).tolist()
+    return (graph, lyap_q), normalized
+
+
+def _parse_sim(section, game, layout):
+    """The ``SimConfig`` and the normalized section: every key it reads, defaults included."""
+    _reject_unknown(section, _SIM_KEYS, "sim")
+    # a game that is not quadratic has no oracle, so its run tests no convergence
+    read = _SIM_KEYS if isinstance(game, QuadraticGame) else _SIM_KEYS - {"convergence_tol"}
+    _reject_unknown(section, read, "sim", "a game that is not quadratic")
+    given = dict(section)  # SimConfig fills in the keys not given
     if "monitor_lyapunov" in given and not isinstance(given["monitor_lyapunov"], bool):
         raise ConfigError("sim.monitor_lyapunov: expected true or false")
     for key in ("dt", "t_end"):
-        given[key] = _number(_require(sim_sec, key, "sim"), f"sim.{key}")
+        given[key] = _number(_require(section, key, "sim"), f"sim.{key}")
     if "convergence_tol" in given:
         given["convergence_tol"] = _number(given["convergence_tol"], "sim.convergence_tol")
     try:
@@ -326,66 +354,78 @@ def parse_config(doc):
     if 0 < memory < nbytes:
         gib = f"{nbytes / 2**30:.3g} GiB, more than the {memory / 2**30:.3g} GiB"
         raise ConfigError(f"{records} of {layout.size} floats, {gib} of physical memory")
+    return sim, {f.name: getattr(sim, f.name) for f in fields(sim) if f.name in read}
 
-    init_sec = doc.get("init", {})
-    _reject_unknown(init_sec, _INIT_KEYS, "init")
-    init = {}
-    block_sizes = {name: b - a for name, (a, b) in layout.offsets.items()}
-    for key, value in init_sec.items():
+
+def _parse_init(section, layout):
+    """Every block of the layout as a full vector, zeros where not given, and the
+    normalized section."""
+    _reject_unknown(section, _INIT_KEYS, "init")
+    init = {block: np.zeros(b - a) for block, (a, b) in layout.offsets.items()}
+    for key, value in section.items():
         block = key[:-1]  # drop the trailing 0
-        if block not in block_sizes:
-            raise ConfigError(f"init.{key}: layout {tag.value} has no block '{block}'")
-        init[block] = _parse_vector(value, block_sizes[block], f"init.{key}")
-    for block, size in block_sizes.items():
-        init.setdefault(block, np.zeros(size))
+        if block not in init:
+            raise ConfigError(f"init.{key}: layout {layout.tag.value} has no block '{block}'")
+        init[block] = _parse_vector(value, init[block].size, f"init.{key}")
+    return init, {f"{key}0": val.tolist() for key, val in sorted(init.items())}
 
+
+def _parse_output(section):
+    """The output paths and the files they name, and the normalized section."""
+    _reject_unknown(section, _OUTPUT_KEYS, "output")
+    for key in _OUTPUT_KEYS:
+        path = _require(section, key, "output")
+        if not isinstance(path, str) or not path:
+            raise ConfigError(f"output.{key}: expected a file path")
+    output_files = {key: os.path.realpath(path) for key, path in section.items()}
+    if output_files["trajectory"] == output_files["summary"]:
+        raise ConfigError("output: trajectory and summary must be different files")
+    return (dict(section), output_files), dict(section)
+
+
+def parse_game(doc):
+    """The game of a document, the one section ``oracle`` reads, and its
+    normalized section; of the other top-level keys, only the names are checked."""
+    _reject_unknown(doc, _TOP_KEYS, "config")
+    return _parse_game(_require(doc, "game", "config"))
+
+
+def parse_tuning(doc):
+    """The sections ``tune`` reads as a ``TuningConfig``, and their normalized form.
+
+    ``graph`` may be left out under a tag without estimates, whose laws
+    never read it; given, it is parsed and checked all the same.
+    """
+    game, game_sec = parse_game(doc)
+    strategy, strategy_sec = _parse_strategy(_require(doc, "strategy", "config"), game)
+    normalized = {"game": game_sec, "strategy": strategy_sec}
+    graph = lyap_q = None
+    if "graph" in doc or strategy["layout"].has_estimates:
+        graph_sec = _require(doc, "graph", "config")
+        (graph, lyap_q), normalized["graph"] = _parse_graph(graph_sec, game, strategy["layout"])
+    return TuningConfig(game=game, graph=graph, lyapunov_q=lyap_q, **strategy), normalized
+
+
+def parse_config(doc):
+    """Validate a configuration dict and build the experiment objects.
+
+    The normalized form (``to_dict``, ``config_hash``) is the dict of the
+    sections each section parser builds from the parsed values, not copied
+    from ``doc``: floats wherever numbers are read, every ``sim`` key the
+    run reads, every init block, symmetric bounds as ``u_bar``, and no
+    empty ``gains`` or ``tuner_overrides``. ``doc`` is one experiment: any
+    other top-level key is refused as unknown, a batch's list of overrides
+    too, which the command line's ``run`` expands itself into documents of
+    one experiment each.
+    """
+    tuning, normalized = parse_tuning(doc)
+    sim, normalized["sim"] = _parse_sim(_require(doc, "sim", "config"), tuning.game, tuning.layout)
+    init, normalized["init"] = _parse_init(doc.get("init", {}), tuning.layout)
     output = output_files = None
     if "output" in doc:
-        _reject_unknown(doc["output"], _OUTPUT_KEYS, "output")
-        output = dict(doc["output"])
-        for key in _OUTPUT_KEYS:
-            path = _require(output, key, "output")
-            if not isinstance(path, str) or not path:
-                raise ConfigError(f"output.{key}: expected a file path")
-        output_files = {key: os.path.realpath(path) for key, path in output.items()}
-        if output_files["trajectory"] == output_files["summary"]:
-            raise ConfigError("output: trajectory and summary must be different files")
-
-    strategy = {"tag": tag.value}
-    if kwargs:
-        strategy["gains"] = {key: np.asarray(val).tolist() for key, val in kwargs.items()}
-    if sat_spec is not None:  # symmetric lower/upper fold to u_bar
-        bounds = {"lower": sat_spec.lower.tolist(), "upper": sat_spec.upper.tolist()}
-        strategy["saturation"] = {"u_bar": bounds["upper"]} if sat_spec.is_symmetric else bounds
-    if overrides:
-        strategy["tuner_overrides"] = dict(overrides)
-    normalized = {
-        "game": game_sec,
-        "graph": {"adjacency": adjacency.tolist()},
-        "strategy": strategy,
-        "sim": {f.name: getattr(sim, f.name) for f in fields(sim)},
-        "init": {f"{key}0": val.tolist() for key, val in sorted(init.items())},
-    }
-    if "lyapunov_q" in graph_sec:
-        normalized["graph"]["lyapunov_q"] = np.asarray(lyap_q).tolist()
-    if output is not None:
-        normalized["output"] = dict(output)
-
-    return ExperimentConfig(
-        game=game,
-        graph=graph,
-        tag=tag,
-        layout=layout,
-        gains=gains,
-        sat_spec=sat_spec,
-        sim=sim,
-        init=init,
-        lyapunov_q=lyap_q,
-        tuner_overrides=overrides,
-        output=output,
-        normalized=normalized,
-        output_files=output_files,
-    )
+        (output, output_files), normalized["output"] = _parse_output(doc["output"])
+    return ExperimentConfig(**vars(tuning), sim=sim, init=init, output=output,
+                            normalized=normalized, output_files=output_files)
 
 
 def read_document(path):

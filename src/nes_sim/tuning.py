@@ -277,7 +277,8 @@ def theta_bounds_second_order(
 
 
 def gain_report(cfg, lyap=None):
-    """Gain bounds for a parsed experiment config, honouring its overrides.
+    """Gain bounds for a parsed ``TuningConfig`` (an ``ExperimentConfig`` is one),
+    honouring its overrides.
 
     Chooses the bound that matches ``cfg.tag`` and feeds it the configured
     gains and the ``tuner_overrides``, which hold only the keys that bound

@@ -368,6 +368,34 @@ def _short_run_doc(tmp_path, name):
     return doc
 
 
+# the top-level sections each command parses; it exits 1 on a defect in one of
+# these and reads past a defect anywhere else
+_READS = {
+    "run": {"game", "graph", "strategy", "sim", "init", "output"},
+    "tune": {"game", "graph", "strategy"},
+    "oracle": {"game"},
+}
+
+
+def _assert_reads_past(tmp_path, capsys, command, defective, clean):
+    """``command`` on ``defective``, a document (or its text) whose defect lies in a
+    section the command does not read, exits 0 with nothing on stderr and prints, and
+    for tune writes with --out, the bytes it does on ``clean``, the same document
+    without the defect."""
+    outputs = []
+    for name, doc in (("clean", clean), ("defective", defective)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        report = tmp_path / f"{name}_tune.json"
+        out = ["--out", str(report)] if command == "tune" else []
+        assert main([command, str(path), *out]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append((captured.out, report.read_bytes() if command == "tune" else None))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0]
+
+
 def _key(out, key):
     return next(line.split("=", 1)[1] for line in out.splitlines() if line.startswith(key + "="))
 
@@ -557,6 +585,10 @@ def test_overflowing_game_and_graph_inputs_exit_one_by_name(
 ):
     # unchecked, these exit 1 with numpy's "Eigenvalues did not converge" or "SVD
     # did not converge" after RuntimeWarnings (errors in this suite)
+    if case == "adjacency" and "graph" not in _READS[command]:
+        clean = _short_run_doc(tmp_path, "fig3")
+        _assert_reads_past(tmp_path, capsys, command, _overflowing_doc(tmp_path, case), clean)
+        return
     path = _write(tmp_path, _overflowing_doc(tmp_path, case))
     assert main(["--t-end", "0.01", command, path]) == 1
     err = capsys.readouterr().err
@@ -1123,6 +1155,9 @@ def test_a_key_its_tag_does_not_read_exits_one(tmp_path, capsys, command, tag, k
     doc = _tag_doc(tmp_path, tag)
     dotted = next(dotted for dotted, values in _READABLE.items() if key in values)
     _section(doc, dotted)[key] = _READABLE[dotted][key]
+    if dotted.split(".")[0] not in _READS[command]:  # oracle reads no strategy or graph
+        _assert_reads_past(tmp_path, capsys, command, doc, _tag_doc(tmp_path, tag))
+        return
     out = ["--out", str(tmp_path / "tune.json")] if command == "tune" else []
     assert main([command, _write(tmp_path, doc), *out]) == 1
     captured = capsys.readouterr()
@@ -1142,10 +1177,13 @@ _DISCONNECTED_ERROR = (
 @pytest.mark.parametrize("command", ["run", "tune", "oracle"])
 @pytest.mark.parametrize("tag", _ESTIMATE_TAGS)
 def test_a_disconnected_graph_exits_one_at_parse_naming_the_key(tmp_path, capsys, command, tag):
-    # refused by CommGraph as the document is parsed, so oracle, which reads
-    # no graph, refuses it as well, and nothing is written
+    # refused by CommGraph as the document is parsed, and nothing is written;
+    # oracle reads no graph, and prints the game's equilibrium
     doc = _tag_doc(tmp_path, tag)
     doc["graph"]["adjacency"] = _DISCONNECTED
+    if "graph" not in _READS[command]:
+        _assert_reads_past(tmp_path, capsys, command, doc, _tag_doc(tmp_path, tag))
+        return
     out = ["--out", str(tmp_path / "tune.json")] if command == "tune" else []
     assert main([command, _write(tmp_path, doc), *out]) == 1
     captured = capsys.readouterr()
@@ -1415,6 +1453,9 @@ def test_numbers_nested_past_32_levels_exit_one(tmp_path, capsys, command, depth
     for name in parents:
         node = node[name]
     node[key] = _nested(depth)
+    if parents[0] not in _READS[command]:
+        _assert_reads_past(tmp_path, capsys, command, doc, _short_run_doc(tmp_path, "fig3"))
+        return
     assert main([command, _write(tmp_path, doc)]) == 1
     assert capsys.readouterr().err == f"error: {dotted}: {message}\n"
 
@@ -1440,10 +1481,13 @@ def test_document_nested_past_the_recursion_limit_exits_one(tmp_path, capsys, co
 def test_saturation_bounds_must_be_a_scalar_or_one_per_channel(
     tmp_path, capsys, command, saturation, shape
 ):
-    # the right number of bounds in the wrong shape once passed tune and oracle,
-    # and run failed at the first clamp
+    # the right number of bounds in the wrong shape once passed tune, and run
+    # failed at the first clamp; oracle reads no strategy
     doc = _short_run_doc(tmp_path, "fig2")
     doc["strategy"]["saturation"] = saturation
+    if "strategy" not in _READS[command]:
+        _assert_reads_past(tmp_path, capsys, command, doc, _short_run_doc(tmp_path, "fig2"))
+        return
     assert main([command, _write(tmp_path, doc)]) == 1
     expected = f"error: strategy.saturation: saturation bounds: expected length 6, got shape {shape}\n"
     assert capsys.readouterr().err == expected
@@ -1489,6 +1533,12 @@ def test_a_refused_long_key_or_value_is_echoed_at_a_bounded_length(
     tmp_path, capsys, command, build
 ):
     text, message = build(_short_run_doc(tmp_path, "fig2"))
+    # the section holding the defect; a duplicate key or a sweep's override path is
+    # refused as the document is read, by every command
+    section = {_long_unknown_key: "sim", _long_broadcast: "init"}.get(build, "game")
+    if section not in _READS[command]:
+        _assert_reads_past(tmp_path, capsys, command, text, _short_run_doc(tmp_path, "fig2"))
+        return
     path = tmp_path / "long.json"
     path.write_text(text)
     assert main([command, str(path)]) == 1
@@ -1561,3 +1611,101 @@ def test_set_up_decomposes_no_full_size_matrix(tmp_path, monkeypatch, capsys):
         assert 6 in seen  # the spy sees the pinned blocks
         assert max(seen) < 36
 
+
+def _oracle_out(tmp_path, capsys, doc, name):
+    assert main(["oracle", _write(tmp_path, doc, name)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return captured.out
+
+
+@pytest.mark.parametrize("defect", ["long_dt", "no_saturation", "disconnected", "no_graph"])
+def test_oracle_prints_the_equilibrium_whatever_the_other_sections_hold(
+    tmp_path, capsys, defect
+):
+    # each of these documents once exited 1 under oracle, which reads the game alone
+    doc = figure_preset("fig2")
+    if defect == "long_dt":
+        doc["sim"]["dt"] = 30.0  # past t_end
+    elif defect == "no_saturation":
+        doc["strategy"] = {"tag": "first_order_dist", "gains": {"theta": 1000.0}}
+    elif defect == "disconnected":
+        doc["graph"]["adjacency"] = _DISCONNECTED
+    else:
+        del doc["graph"]
+    out = _oracle_out(tmp_path, capsys, doc, "defect.json")
+    assert out == _oracle_out(tmp_path, capsys, figure_preset("fig2"), "fig2.json")
+    assert out.splitlines()[0] == (
+        "x_star=-0.125000000000,0.750000000000,0.750000000000,0.500000000000,"
+        "1.375000000000,-0.250000000000"
+    )
+
+
+def _sensor_network_doc(tmp_path):
+    doc = _short_run_doc(tmp_path, "fig4")
+    doc["game"] = {"type": "custom", "name": "sensor_network"}
+    return doc
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "sensor_network"])
+def test_oracle_on_a_document_is_oracle_on_its_game_alone(tmp_path, capsys, name):
+    doc = _sensor_network_doc(tmp_path) if name == "sensor_network" else figure_preset(name)
+    out = _oracle_out(tmp_path, capsys, doc, "doc.json")
+    assert out == _oracle_out(tmp_path, capsys, {"game": doc["game"]}, "game.json")
+
+
+@pytest.mark.parametrize("tag", ["sat_grad_play", "second_order_central"])
+def test_a_tag_without_estimates_runs_the_same_without_a_graph(tmp_path, capsys, tag):
+    runs = []
+    for name in ("with_graph", "without_graph"):
+        doc = _short_run_doc(tmp_path, "fig2")
+        if tag == "second_order_central":
+            doc["strategy"] = _second_order_doc(tmp_path, tag)["strategy"]
+        doc["sim"]["t_end"] = 1.0
+        doc["output"] = {
+            "trajectory": str(tmp_path / f"{name}.csv"), "summary": str(tmp_path / f"{name}.txt")
+        }
+        if name == "without_graph":
+            del doc["graph"]
+        code = main(["run", _write(tmp_path, doc, f"{name}.json")])
+        captured = capsys.readouterr()
+        summary = [
+            line for line in captured.out.splitlines()
+            if not line.startswith(("config_hash=", "wall_clock_s="))
+        ]
+        runs.append((code, captured.err, summary, (tmp_path / f"{name}.csv").read_bytes()))
+    assert runs[0] == runs[1]
+    assert _key(runs[0][2][0] + "\n", "strategy") == tag
+
+
+_QUARTIC_DOC = {
+    "game": {"type": "custom", "name": "decoupled_quartic"},
+    "graph": {"adjacency": [[0.0, 1.0], [1.0, 0.0]]},
+    "strategy": {"tag": "sat_grad_play", "saturation": {"u_bar": 2.0}},
+    "sim": {"dt": 0.01, "t_end": 1.0},
+}
+_UNREAD_TOL = "sim: a game that is not quadratic does not read ['convergence_tol']"
+
+
+def test_convergence_tol_for_a_game_that_is_not_quadratic_exits_one(tmp_path, capsys):
+    # such a game has no oracle, so the run never tests convergence
+    doc = copy.deepcopy(_QUARTIC_DOC)
+    doc["sim"]["convergence_tol"] = 1e-3
+    doc["output"] = {"trajectory": str(tmp_path / "t.csv"), "summary": str(tmp_path / "s.txt")}
+    assert main(["run", _write(tmp_path, doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {_UNREAD_TOL}\n"
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+def test_convergence_tol_for_a_game_that_is_not_quadratic_stops_the_sweep(tmp_path, capsys):
+    doc = copy.deepcopy(_QUARTIC_DOC)
+    doc["output"] = {"trajectory": str(tmp_path / "t.csv"), "summary": str(tmp_path / "s.txt")}
+    doc["sweep"] = [
+        _entry_outputs(tmp_path, "a"),
+        {**_entry_outputs(tmp_path, "b"), "sim.convergence_tol": 1e-3},
+    ]
+    assert main(["run", _write(tmp_path, doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: sweep[1]: {_UNREAD_TOL}\n"
+    assert os.listdir(tmp_path) == ["config.json"]

@@ -17,7 +17,7 @@ from nes_sim import (
     solve_lyapunov,
     theta_star_first_order,
 )
-from nes_sim.config import read_document
+from nes_sim.config import ExperimentConfig, parse_game, parse_tuning, read_document
 from nes_sim.dynamics import STRATEGIES
 from nes_sim.games import GameDefinition
 from nes_sim.presets import PRESET_NAMES, figure_preset
@@ -286,6 +286,59 @@ def test_a_document_with_a_sweep_is_refused():
         parse_config(doc)
 
 
+@pytest.mark.parametrize("tag", [tag.value for tag in STRATEGIES])
+def test_graph_is_optional_for_the_tags_without_estimates(tag):
+    doc = {**_one_player_doc(tag), "game": figure_preset("fig2")["game"]}
+    del doc["graph"]
+    if "y" in STRATEGIES[tag].blocks:
+        with pytest.raises(ConfigError, match=r"^config: missing required key 'graph'$"):
+            parse_config(doc)
+        return
+    cfg = parse_config(doc)
+    assert cfg.graph is None and "graph" not in cfg.to_dict()
+    assert parse_config(cfg.to_dict()).to_dict() == cfg.to_dict()
+
+
+def test_a_given_graph_is_checked_and_hashed_under_a_tag_that_does_not_read_it():
+    doc = figure_preset("fig2")  # sat_grad_play reads no graph
+    doc["graph"]["adjacency"] = [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    with pytest.raises(ConfigError, match="^graph.adjacency: .*connected"):
+        parse_config(doc)
+    del doc["graph"]
+    assert parse_config(doc).config_hash() != parse_config(figure_preset("fig2")).config_hash()
+
+
+def test_convergence_tol_is_read_for_quadratic_games_alone():
+    # the registry's sensor network is a QuadraticGame, with an oracle: it keeps the key
+    doc = figure_preset("fig2")
+    doc["game"] = {"type": "custom", "name": "sensor_network"}
+    cfg = parse_config(doc)
+    assert cfg.sim.convergence_tol == 1e-3 and cfg.to_dict()["sim"]["convergence_tol"] == 1e-3
+    # a game that is not quadratic has no oracle; its normalized sim omits the key
+    quartic = parse_config(_CUSTOM_DOC)
+    assert "convergence_tol" not in quartic.to_dict()["sim"]
+    assert parse_config(quartic.to_dict()).config_hash() == quartic.config_hash()
+    refused = {**_CUSTOM_DOC, "sim": {**_CUSTOM_DOC["sim"], "convergence_tol": 1e-3}}
+    with pytest.raises(ConfigError, match=r"^sim: a game that is not quadratic does not read "
+                                          r"\['convergence_tol'\]$"):
+        parse_config(refused)
+
+
+def test_tune_and_oracle_parse_only_the_sections_they_read():
+    doc = figure_preset("fig2")
+    doc["sim"]["dt"] = 30.0
+    doc["init"] = {"x0": "ones"}
+    tuning, normalized = parse_tuning(doc)
+    assert not isinstance(tuning, ExperimentConfig)
+    assert set(normalized) == {"game", "strategy", "graph"}
+    doc["strategy"] = {"tag": "first_order_dist"}
+    _, game_section = parse_game(doc)
+    assert game_section == parse_config(figure_preset("fig2")).to_dict()["game"]
+    for parse in (parse_game, parse_tuning):
+        with pytest.raises(ConfigError, match=r"^config: unknown keys \['graphs'\]$"):
+            parse({**doc, "graphs": {}})
+
+
 def _one_player_doc(tag):
     gains = {"theta": 10.0, "theta1": 1.0, "K": 0.1, "alpha": 1.0, "beta": 1.0}
     return {
@@ -490,7 +543,7 @@ _CUSTOM_DOC = {
 @pytest.mark.parametrize(
     "doc, config_hash",
     [
-        (_CUSTOM_DOC, "58361a8159123b0f"),
+        (_CUSTOM_DOC, "23e29fa545352108"),
         (
             _with(figure_preset("fig2"), ("strategy", "saturation"),
                   {"lower": [-1, -2, -3, -4, -5, -6], "upper": [6, 5, 4, 3, 2, 1]}),
