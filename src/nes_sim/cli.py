@@ -21,7 +21,7 @@ from .config import ConfigError, _echo, parse_config, parse_game, parse_tuning, 
 from .errors import DivergenceError
 from .graphs import estimation_matrix, solve_lyapunov
 from .presets import PRESET_NAMES, figure_preset
-from .runner import check_output_paths, run_experiment
+from .runner import check_output_path, check_output_paths, run_experiment
 from .simulate import run_sweep
 
 
@@ -116,19 +116,18 @@ def cmd_run(args):
                 print(f"error: sweep[{idx}]: {result}", file=sys.stderr)
                 failed = True
                 continue
-            print(f"# sweep[{idx}]")
-            for line in result.lines():
-                print(line)
+            print(f"# sweep[{idx}]", *result.lines(), sep="\n")
             all_converged &= result.converged
         return 1 if failed else 0 if all_converged else 2
 
     summary, _ = run_experiment(base_cfg)
-    for line in summary.lines():
-        print(line)
+    print(*summary.lines(), sep="\n")
     return 0 if summary.converged else 2
 
 
 def cmd_tune(args):
+    if args.out is not None:  # checked before any work, as run checks its output section
+        check_output_path("--out", args.out)
     cfg, _ = parse_tuning(_load(args)[0])  # tune reads no sweep, sim, init or output
     lyap = None
     if cfg.layout.has_estimates:
@@ -146,7 +145,7 @@ def cmd_tune(args):
             print(f"{key}={','.join(f'{v:.12g}' for v in val)}")
         else:
             print(f"{key}={val}")
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w") as fh:
             json.dump(flat, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -173,10 +172,8 @@ def cmd_replicate(args):
     cfg = parse_config(preset)  # refused before --out is created
     outdir.mkdir(parents=True, exist_ok=True)
     summary, _ = run_experiment(cfg)
-    for line in summary.lines():
-        print(line)
-    ok = summary.converged and (summary.bounds_ok is None or summary.bounds_ok)
-    return 0 if ok else 2
+    print(*summary.lines(), sep="\n")
+    return 0 if summary.converged and summary.bounds_ok is not False else 2
 
 
 # command: (handler, its one positional, whether it takes --out: None, "optional" or "required")
@@ -201,7 +198,7 @@ as JSON) or its exact Nash equilibrium (oracle), or run a built-in preset
 into DIR (replicate). oracle reads only the game of CONFIG, and tune its
 game, strategy and graph; every command refuses an unknown top-level key.
 --dt and --t-end override sim.dt and sim.t_end. A flag's value follows it
-or joins it with '='. -h or --help prints this.
+or joins it with '=', and is not empty. -h or --help prints this.
 
 Exit codes: 0 success; 1 usage, configuration or runtime error; 2 the run
 completed but did not converge (replicate: or its input bounds failed).
@@ -243,8 +240,8 @@ def _parse_args(argv):
             _usage_error(f"{name} given twice")
         if not joined:
             value = next(tokens, None)
-            if value is None:
-                _usage_error(f"{name} expects a value")
+        if not value:  # missing, or empty as in --out=
+            _usage_error(f"{name} expects a value")
         if flags is _GLOBAL_FLAGS:
             try:
                 value = float(value)

@@ -208,6 +208,8 @@ class QuadraticGame(GameDefinition):
             )
         self._H = H
         self._c = self.p_vec.ravel().copy()
+        for arr in (self.r, self.p_vec, self.q, self.m_weights, self._H, self._c):
+            arr.flags.writeable = False  # the evaluators read the game that was checked
         super().__init__(n, p, self._affine, self._constant_jacobian)
 
     # bound methods, not lambdas, so that instances pickle

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,87 +35,65 @@ def _summary_value(val):
     return str(val)
 
 
-@dataclass
-class SummaryReport:
-    """Machine-readable run outcome, written as flat key=value lines."""
-
-    strategy: str
-    converged: bool
-    t_hit: float | None
-    final_dist_inf: float | None
-    max_abs_u: float
-    max_abs_u_per_channel: np.ndarray
-    bounds_ok: bool | None
-    worst_bound_violation: float | None
-    max_lyapunov_increment: float | None
-    lyapunov_error: str | None
-    lyap_residual: float | None
-    lyap_cond: float | None
-    tuner_echo: dict
-    n_steps: int
-    rhs_evals: int
-    guard_product: float
-    guard_limit: float
-    wall_clock_s: float
-    config_hash: str
+class SummaryReport(SimpleNamespace):
+    """Machine-readable run outcome: one attribute per summary key, in the
+    order the file lists them, written as flat key=value lines."""
 
     def lines(self):
-        """One key=value line per field, in declaration order."""
-        rows = []
-        for f in fields(self):
-            val = getattr(self, f.name)
-            if f.name == "max_abs_u_per_channel":
-                items = [(f"max_abs_u_ch{k + 1}", float(v)) for k, v in enumerate(val)]
-            elif f.name == "tuner_echo":
-                items = [(f"tuner_{key}", v) for key, v in sorted(val.items())]
-            elif f.name == "lyapunov_error" and val is None:
-                items = []
-            else:
-                items = [(f.name, val)]
-            rows += [f"{key}={_summary_value(v)}" for key, v in items]
-        return rows
+        """One key=value line per attribute, in the order they were set."""
+        return [f"{key}={_summary_value(val)}" for key, val in vars(self).items()]
 
     def write(self, path):
         with open(path, "w") as fh:
             fh.write("\n".join(self.lines()) + "\n")
 
 
-_ECHO_KEYS = ("theta_star", "theta1_star", "alpha_star", "beta_star", "m")
+# sorted, the order of the summary's tuner_<key> lines
+_ECHO_KEYS = ("alpha_star", "beta_star", "m", "theta1_star", "theta_star")
 
 
 def _tuner_echo(cfg, lyap):
-    """The gain bounds ``tune`` reports, or ``error`` with the reason they failed."""
+    """The gain bounds ``tune`` reports as ``tuner_<key>`` entries, or
+    ``tuner_error`` with the reason they failed."""
     try:
         report = tuning.gain_report(cfg, lyap).as_dict()
     except ValueError as exc:  # NotStronglyMonotoneError included
         # one line, so the summary stays key=value per line
-        return {"error": " ".join(str(exc).split())}
-    return {key: val for key, val in report.items() if key in _ECHO_KEYS}
+        return {"tuner_error": " ".join(str(exc).split())}
+    return {f"tuner_{key}": report[key] for key in _ECHO_KEYS if key in report}
+
+
+def check_output_path(name, path):
+    """Refuse an output path whose directory is missing or not writable, or
+    that names a directory; ``name`` heads the message.
+
+    Called before any run time is spent, so a path that cannot be written
+    is found before the work, not after it.
+    """
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise ConfigError(f"{name}: the directory of {path} does not exist")
+    if not os.access(directory, os.W_OK | os.X_OK):
+        raise ConfigError(f"{name}: the directory of {path} is not writable")
+    if os.path.isdir(path):
+        raise ConfigError(f"{name}: {path} is a directory")
 
 
 def check_output_paths(output):
-    """Refuse output paths whose directory is missing or not writable, or
-    that name a directory.
-
-    Called before any run time is spent, so a path that cannot be written
-    is found before the integration, not after it.
-    """
+    """:func:`check_output_path` for each path of an output section."""
     for key, path in (output or {}).items():
-        directory = os.path.dirname(path) or "."
-        if not os.path.isdir(directory):
-            raise ConfigError(f"output.{key}: the directory of {path} does not exist")
-        if not os.access(directory, os.W_OK | os.X_OK):
-            raise ConfigError(f"output.{key}: the directory of {path} is not writable")
-        if os.path.isdir(path):
-            raise ConfigError(f"output.{key}: {path} is a directory")
+        check_output_path(f"output.{key}", path)
 
 
 def run_experiment(cfg):
     """Run one configured experiment and summarise it.
 
-    Returns ``(summary, trajectory)``. When the configuration carries an
-    output section, the trajectory CSV and the summary key=value file are
-    written to those paths, which are checked before the run starts.
+    Returns ``(summary, trajectory)``. The summary is a
+    :class:`SummaryReport` whose attributes are exactly the keys of the
+    summary file, in its order; ``lyapunov_error`` is an attribute only
+    when its line is written. When the configuration carries an output
+    section, the trajectory CSV and the summary key=value file are written
+    to those paths, which are checked before the run starts.
     """
     check_output_paths(cfg.output)
     game, graph, tag = cfg.game, cfg.graph, cfg.tag
@@ -164,20 +142,21 @@ def run_experiment(cfg):
     if cfg.sat_spec is not None:
         bounds_ok, worst = check_control_bounds(traj, cfg.sat_spec)
 
+    peaks = np.max(np.abs(traj.controls), axis=0)
     summary = SummaryReport(
         strategy=tag.value,
         converged=converged,
         t_hit=t_hit,
         final_dist_inf=final_dist,
-        max_abs_u=float(np.max(np.abs(traj.controls))),
-        max_abs_u_per_channel=np.max(np.abs(traj.controls), axis=0),
+        max_abs_u=float(peaks.max()),
+        **{f"max_abs_u_ch{k + 1}": float(v) for k, v in enumerate(peaks)},
         bounds_ok=bounds_ok,
         worst_bound_violation=worst,
         max_lyapunov_increment=max_inc,
-        lyapunov_error=lyap_error,
+        **({} if lyap_error is None else {"lyapunov_error": lyap_error}),
         lyap_residual=lyap.residual if lyap is not None else None,
         lyap_cond=lyap.cond if lyap is not None else None,
-        tuner_echo=_tuner_echo(cfg, lyap),
+        **_tuner_echo(cfg, lyap),
         n_steps=cfg.sim.n_steps,
         rhs_evals=cfg.sim.rhs_evals,
         guard_product=guard,

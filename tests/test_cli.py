@@ -650,15 +650,21 @@ def test_run_reports_lyapunov_error(tmp_path, capsys, case, reason):
         ["--t", "1.0", "run", "a.json"],
         ["run", "--dt", "0.1", "a.json"],
         ["--dt", "0.1", "--dt=0.2", "run", "a.json"],
+        # an empty DIR would be the working directory, and an empty FILE was no file
+        ["replicate", "fig2", "--out="],
+        ["replicate", "fig2", "--out", ""],
+        ["tune", "a.json", "--out="],
     ],
     ids=["stale_seed_flag", "unknown_subcommand", "missing_out", "dt_not_a_number",
          "no_command", "no_config", "two_configs", "tune_out_without_value", "unknown_flag",
          "replicate_out_without_value", "abbreviated_flag", "global_flag_after_command",
-         "flag_given_twice"],
+         "flag_given_twice", "replicate_empty_out", "replicate_empty_spaced_out",
+         "tune_empty_out"],
 )
-def test_usage_errors_exit_one(tmp_path, capsys, argv):
+def test_usage_errors_exit_one(tmp_path, capsys, monkeypatch, argv):
     # exit 1 with the usage and one error line, never 2: that code means a run
-    # that did not converge
+    # that did not converge; nothing is written, in the working directory either
+    monkeypatch.chdir(tmp_path)
     argv = [str(tmp_path) if arg == "OUT" else arg for arg in argv]
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -899,6 +905,28 @@ def test_summary_and_tune_print_keys_in_field_order(tmp_path, capsys):
         "caveats",
     ]
 
+    # the keys that come and go keep their places: fig2 has no Lyapunov pair and echoes
+    # m alone, a candidate that cannot be evaluated writes lyapunov_error after
+    # max_lyapunov_increment, and gain bounds that fail write tuner_error
+    def run_keys(doc):
+        assert main(["--t-end", "0.5", "run", _write(tmp_path, doc)]) == 2
+        return [line.split("=", 1)[0] for line in capsys.readouterr().out.splitlines()]
+
+    head = ["strategy", "converged", "t_hit", "final_dist_inf", "max_abs_u",
+            *(f"max_abs_u_ch{k}" for k in range(1, 7)), "bounds_ok", "worst_bound_violation",
+            "max_lyapunov_increment"]
+    tail = ["n_steps", "rhs_evals", "guard_product", "guard_limit", "wall_clock_s", "config_hash"]
+    fig2 = _short_run_doc(tmp_path, "fig2")
+    assert run_keys(fig2) == [*head, "lyap_residual", "lyap_cond", "tuner_m", *tail]
+    assert "lyap_residual=none\nlyap_cond=none\n" in (tmp_path / "s.txt").read_text()
+    fig2["strategy"]["saturation"] = {"lower": [-4.0] * 6, "upper": [5.0] * 6}
+    assert run_keys(fig2) == [
+        *head, "lyapunov_error", "lyap_residual", "lyap_cond", "tuner_m", *tail
+    ]
+    fig4 = _short_run_doc(tmp_path, "fig4")
+    fig4["strategy"]["gains"]["theta"] = 1.0  # below theta_star
+    assert run_keys(fig4) == [*head, "lyap_residual", "lyap_cond", "tuner_error", *tail]
+
 
 def _cli(argv):
     import subprocess
@@ -1010,6 +1038,26 @@ def test_read_only_output_directory_fails_before_the_run(tmp_path, monkeypatch, 
     assert capsys.readouterr().err == (
         f"error: output.summary: the directory of {target} is not writable\n"
     )
+
+
+@pytest.mark.parametrize(
+    "out, reason",
+    [
+        ("missing/x.json", "the directory of missing/x.json does not exist"),
+        ("sub", "sub is a directory"),
+    ],
+    ids=["missing_directory", "a_directory"],
+)
+def test_tune_checks_its_out_before_printing(tmp_path, capsys, monkeypatch, out, reason):
+    # as run checks its output section: one error line naming the option, nothing on stdout
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    path = _write(tmp_path, figure_preset("fig3"), "fig3.json")
+    assert main(["tune", path, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: --out: {reason}\n")
+    assert sorted(os.listdir(tmp_path)) == ["fig3.json", "sub"]
+    assert os.listdir(tmp_path / "sub") == []
 
 
 def test_unwritable_sweep_entry_stops_the_sweep_before_any_entry_runs(tmp_path, capsys):

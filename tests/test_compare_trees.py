@@ -39,6 +39,18 @@ def test_two_copies_of_one_tree_compare_identical(two_trees):
     assert {line["status"] for line in lines} == {"identical"}
 
 
+def test_the_ring_run_and_both_ensemble_seeds_compare_identical(two_trees):
+    code, lines, err = _compare(*two_trees, "--cases", "ensemble,ring", "--t-end", "0.1")
+    assert (code, err) == (0, "")
+    items = [f"ensemble/seed{seed}/item{k:02d}" for seed in (1, 2) for k in range(20)]
+    assert [line["artifact"] for line in lines] == [
+        *(f"{item}/{name}" for item in items for name in ("trajectory.csv", "summary.txt")),
+        "ring/trajectory.csv", "ring/summary.txt", "ring/tune.stdout", "ring/tune.json",
+        "ring/oracle.stdout",
+    ]
+    assert {line["status"] for line in lines} == {"identical"}
+
+
 def test_a_one_ulp_change_to_a_preset_is_a_gap_in_its_column(two_trees, tmp_path):
     changed = tmp_path / "changed"
     shutil.copytree(two_trees[1], changed)

@@ -10,6 +10,7 @@ from nes_sim import (
     NotStronglyMonotoneError,
     QuadraticGame,
     random_strongly_monotone_game,
+    sensor_network_game,
 )
 from tests.conftest import X0, central_difference, cost_gradients, quadratic_cost
 
@@ -417,3 +418,24 @@ def test_quadratic_games_pickle_with_equal_evaluators():
     assert np.array_equal(twin.game_jacobian(X[0]), game.game_jacobian(X[0]))
     assert np.array_equal(twin.exact_ne(), game.exact_ne())
     assert twin.monotonicity_constant() == game.monotonicity_constant()
+
+
+@pytest.mark.parametrize("name", ["r", "p_vec", "q", "m_weights", "_H", "_c"])
+def test_a_quadratic_games_stored_arrays_are_read_only(name):
+    # a write would move the game the evaluators and the oracle read after it was
+    # checked: on the sensor game, H[0, 0] = -50 moved m from 2.0 to -50.07
+    game = sensor_network_game()
+    before = (game.pseudo_gradient(X0), game.exact_ne(), game.monotonicity_constant())
+    arr = getattr(game, name)
+    with pytest.raises(ValueError, match="read-only"):
+        arr.flat[0] = -50.0
+    if name == "_H":
+        with pytest.raises(ValueError, match="read-only"):
+            game.jacobian_matrix[0, 0] = -50.0
+    after = (game.pseudo_gradient(X0), game.exact_ne(), game.monotonicity_constant())
+    assert np.array_equal(after[0], before[0]) and np.array_equal(after[1], before[1])
+    assert after[2] == before[2] == pytest.approx(2.0)
+    # game_jacobian still hands out a fresh, writable copy, and a pickled game evaluates alike
+    assert game.game_jacobian(X0).flags.writeable
+    twin = pickle.loads(pickle.dumps(game))
+    assert np.array_equal(twin.pseudo_gradient(X0), before[0])

@@ -1,6 +1,6 @@
 """Compare the outputs of two source trees of nes-sim, artifact by artifact.
 
-    python tools/compare_trees.py PARENT CHANGE [--cases fig2,fig3,fig4,ring] [--t-end T]
+    python tools/compare_trees.py PARENT CHANGE [--cases fig2,fig3,fig4,ring,ensemble] [--t-end T]
 
 PARENT and CHANGE are checkouts of this repository; each runs in fresh
 processes of this interpreter with ``PYTHONPATH=<tree>/src``. The
@@ -9,10 +9,17 @@ artifacts are:
 - for each figure preset: the ``replicate`` trajectory CSV, its summary
   (less ``wall_clock_s``), ``tune`` stdout with its ``--out`` JSON, and
   ``oracle`` stdout;
-- for ``ring``: ``tune`` stdout with its ``--out`` JSON and ``oracle``
-  stdout on a seeded six-player planar ring under
+- for ``ring``: the ``run`` trajectory CSV and summary (less
+  ``wall_clock_s``), ``tune`` stdout with its ``--out`` JSON and
+  ``oracle`` stdout on a seeded six-player planar ring under
   ``second_order_dist_sat`` (the shape of the benchmark's network
-  document), written once and read by both trees.
+  document), written once and read by both trees;
+- for ``ensemble``: at seeds 1 and 2, the 20 trajectory CSVs and 20
+  summaries (less ``wall_clock_s``) of ``run`` on the benchmark's
+  ensemble document. The document is written once per seed by the
+  ``ensemble`` generator of this repository's ``perfbench/workloads.py``,
+  imported unchanged in a process whose path holds PARENT's ``src``;
+  each tree then runs it in its own directory.
 
 ``--cases`` picks a subset; ``--t-end`` is passed to every command as
 ``nes-sim --t-end T``. One JSON line is printed per artifact, with
@@ -31,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -38,9 +46,11 @@ from pathlib import Path
 
 import numpy as np
 
-CASES = ("fig2", "fig3", "fig4", "ring")
+CASES = ("fig2", "fig3", "fig4", "ring", "ensemble")
 RING_PLAYERS = 6
 RING_SEED = 1
+ENSEMBLE_SEEDS = (1, 2)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 class CompareError(Exception):
@@ -65,8 +75,10 @@ def ring_document():
             "gains": {"theta": 200.0, "theta1": 1.0, "K": 0.1, "theta_bar": 1.0},
             "saturation": {"u_bar": 5.0},
         },
-        "sim": {"dt": 1e-3, "t_end": 0.01},
+        "sim": {"dt": 1e-3, "t_end": 0.01, "monitor_lyapunov": True},
         "init": {"x0": "zeros"},
+        # relative, so the output paths, and so config_hash, are the same for both trees
+        "output": {"trajectory": "ring_trajectory.csv", "summary": "ring_summary.txt"},
     }
 
 
@@ -145,6 +157,18 @@ _PRESET = (
     "import json, sys; from nes_sim.presets import figure_preset; "
     "print(json.dumps(figure_preset(sys.argv[1])))"
 )
+_ENSEMBLE = (
+    "import sys; sys.path.insert(0, sys.argv[3]); import workloads; "
+    "workloads.ensemble(sys.argv[1], int(sys.argv[2]))"
+)
+
+
+def _run_outputs(work, doc, name, out):
+    """Add the CSV and the summary (less ``wall_clock_s``) that a run of ``doc``
+    wrote to its relative output paths in ``work`` to ``out``, under ``name``."""
+    out[f"{name}/trajectory.csv"] = ("csv", work / doc["output"]["trajectory"])
+    summary = (work / doc["output"]["summary"]).read_text()
+    out[f"{name}/summary.txt"] = ("pairs", _key_values(summary, drop=("wall_clock_s",)))
 
 
 def _collect(tree, case, t_end, work):
@@ -153,17 +177,26 @@ def _collect(tree, case, t_end, work):
     nes_sim = ["-m", "nes_sim.cli", *([] if t_end is None else ["--t-end", repr(t_end)])]
     work.mkdir(parents=True)
     out = {}
+    if case == "ensemble":
+        for seed in ENSEMBLE_SEEDS:
+            # the generated document and its empty out/, copied; its paths are relative
+            seed_work = work / f"seed{seed}"
+            shutil.copytree(work.parent.parent / f"ensemble{seed}", seed_work)
+            _python(tree, [*nes_sim, "run", "inputs/ensemble.json"], seed_work)
+            doc = json.loads((seed_work / "inputs" / "ensemble.json").read_text())
+            for k, entry in enumerate(doc["sweep"]):
+                _run_outputs(seed_work, entry, f"ensemble/seed{seed}/item{k:02d}", out)
+        return out
     if case == "ring":
         config = work.parent.parent / "ring.json"
+        _python(tree, [*nes_sim, "run", str(config)], work)
     else:
         # the tree's own preset, so a change to a preset shows in every artifact
         config = work / f"{case}.json"
         config.write_text(_python(tree, ["-c", _PRESET, case], work))
         # a relative --out: the output paths, and so config_hash, are the same for both trees
         _python(tree, [*nes_sim, "replicate", case, "--out", "."], work)
-        out[f"{case}/trajectory.csv"] = ("csv", work / f"{case}_trajectory.csv")
-        summary = (work / f"{case}_summary.txt").read_text()
-        out[f"{case}/summary.txt"] = ("pairs", _key_values(summary, drop=("wall_clock_s",)))
+    _run_outputs(work, json.loads(config.read_text()), case, out)
     report = work / "tune.json"
     tune = _python(tree, [*nes_sim, "tune", str(config), "--out", str(report)], work)
     out[f"{case}/tune.stdout"] = ("pairs", _key_values(tune))
@@ -182,6 +215,13 @@ def compare_trees(parent, change, cases=CASES, t_end=None):
     with tempfile.TemporaryDirectory(prefix="compare_trees_") as tmp:
         tmp = Path(tmp)
         (tmp / "ring.json").write_text(json.dumps(ring_document()))
+        if "ensemble" in cases:
+            # written once, by the benchmark's generator on PARENT's package
+            for seed in ENSEMBLE_SEEDS:
+                generated = tmp / f"ensemble{seed}"
+                generated.mkdir()
+                _python(parent, ["-c", _ENSEMBLE, str(generated), str(seed), str(PERFBENCH)],
+                        generated)
         for case in cases:
             found = [
                 _collect(tree, case, t_end, tmp / side / case)
